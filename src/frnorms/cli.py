@@ -281,7 +281,9 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="number of sample substreams; they run one after "
+                   "another in this process, not in parallel")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("table1", help="reference constant table")
@@ -289,7 +291,9 @@ def build_parser() -> _Parser:
                    help="0 skips the empirical column")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="number of sample substreams; they run one after "
+                   "another in this process, not in parallel")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_table1)
 

@@ -208,7 +208,7 @@ def _refine(evaluator, witness, best, rng):
             cands[k][base + ndir : base + 2 * ndir] += 0.25 * step * g[ndir:]
         row = base + 2 * ndir
         for k, d in enumerate(dims):
-            _, vecs = linalg.jacobi_eigh(linalg.adjoint(x[k]) @ x[k])
+            _, vecs = linalg.hermitian_eigh(linalg.adjoint(x[k]) @ x[k])
             tops = np.repeat(vecs[:, -1][None, :], 1 + nvec, axis=0)
             tops[1:] += step * (
                 rng.standard_normal((nvec, d)) + 1j * rng.standard_normal((nvec, d))
@@ -252,9 +252,11 @@ def empirical_sharp_constant(
 
     Entries are drawn i.i.d. complex Gaussian per summand; each sample is
     scored on the unit sphere of the operator norm.  The sample stream is
-    split into deterministic per-worker substreams, so the result depends
-    only on (seed, workers).  Refinement applies coordinate-perturbation
-    descent to the best sample found.
+    split into ``workers`` deterministic substreams, so the result depends
+    only on (seed, workers).  The substreams run one after another in this
+    process: ``workers`` selects the sample streams, not parallelism.
+    Refinement applies coordinate-perturbation descent to the best sample
+    found.
     """
     if isinstance(b, ConjugatedSubalgebra):
         # The ratio spectrum is invariant under conjugation; search the base.

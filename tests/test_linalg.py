@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frnorms import linalg
+from frnorms import cli, linalg
 from frnorms.errors import ConvergenceError, DimensionError, HermitianError
 
 
@@ -73,7 +75,7 @@ def test_hermitian_opnorm_uses_magnitude():
 def test_batch_agrees_with_scalar_path():
     rng = np.random.default_rng(40)
     stack = np.stack([random_hermitian(rng, 5) for _ in range(64)])
-    wb = linalg.jacobi_eigvals_batch(stack)
+    wb = linalg.eigvalsh_batch(stack)
     for i in range(stack.shape[0]):
         w, _ = linalg.jacobi_eigh(stack[i])
         assert np.abs(wb[i] - w).max() < 1e-12
@@ -85,9 +87,21 @@ def test_batch_agrees_with_scalar_path():
 
 def test_batch_shape_validation():
     with pytest.raises(DimensionError):
-        linalg.jacobi_eigvals_batch(np.zeros((4, 3, 2)))
-    out = linalg.jacobi_eigvals_batch(np.zeros((0, 3, 3)))
-    assert out.shape[0] == 0
+        linalg.eigvalsh_batch(np.zeros((4, 3, 2)))
+    out = linalg.eigvalsh_batch(np.zeros((0, 3, 3)))
+    assert out.shape == (0, 3)
+    w1 = linalg.eigvalsh_batch(np.array([4.0, -2.5, 0.0]).reshape(3, 1, 1))
+    assert w1.shape == (3, 1)
+    assert np.array_equal(w1[:, 0], [4.0, -2.5, 0.0])
+
+
+def test_batch_uses_the_hermitian_part():
+    rng = np.random.default_rng(41)
+    herm = np.stack([random_hermitian(rng, 6) for _ in range(16)])
+    g = rng.standard_normal(herm.shape) + 1j * rng.standard_normal(herm.shape)
+    skew = 1e-13 * (g - np.conj(np.swapaxes(g, 1, 2))) / 2.0
+    w = linalg.eigvalsh_batch(herm + skew)
+    assert np.abs(w - np.linalg.eigvalsh(herm)).max() < 1e-14
 
 
 def test_ensure_hermitian_rejects_asymmetric():
@@ -101,8 +115,38 @@ def test_convergence_error_surfaces(monkeypatch):
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(ConvergenceError):
         linalg.jacobi_eigh(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_lapack_failure_surfaces_as_convergence_error(monkeypatch, tmp_path, capsys):
+    def fail(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(ConvergenceError):
-        linalg.jacobi_eigvals_batch(np.array([[[1.0, 2.0], [2.0, 1.0]]]))
+        linalg.opnorm_batch(np.array([[[1.0, 2.0], [0.0, 1.0]]]))
+    with pytest.raises(ConvergenceError):
+        linalg.hermitian_opnorm(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ConvergenceError):
+        linalg.hermitian_eigh(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    payloads = {
+        "sub": {"shape": [2], "partitions": [[[1, 1], [1, 1]]], "groups": [[[1, 1]], [[1, 2]]]},
+        "w": {"weights": [1.0]},
+        "a": {"shape": [2], "summands": [
+            {"rows": 2, "cols": 2, "data": [[1.0, 0.0], [2.0, 0.0], [2.0, 0.0], [1.0, 0.0]]}
+        ]},
+    }
+    for name, payload in payloads.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    rc = cli.main([
+        "norm",
+        "--subalgebra", str(tmp_path / "sub.json"),
+        "--weights", str(tmp_path / "w.json"),
+        "--element", str(tmp_path / "a.json"),
+    ])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConvergenceError"
 
 
 def test_positive_semidefinite_check():

@@ -252,6 +252,8 @@ def element_from_json(obj) -> AlgebraElement:
         mats = [linalg.matrix_from_json(m) for m in obj["summands"]]
     except KeyError as exc:
         raise ShapeError(f"element object missing field {exc}") from exc
+    except TypeError as exc:
+        raise ShapeError(f"malformed element object: {exc}") from exc
     return AlgebraElement(shape, mats)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import AlgebraElement, AlgebraShape, TracialWeight
-from .expectation import _weighted_denominators, cond_expect, fr_norm
+from .expectation import _block_average, _weighted_denominators, fr_norm
 from .subalgebra import ConjugatedSubalgebra, StandardSubalgebra, single_summand_subalgebra
 
 REFINE_ROUNDS = 200
@@ -57,24 +57,18 @@ def structural_constants(b, v: TracialWeight) -> StructuralConstants:
     L = sum(p.num_slots for p in b.partitions)
     r = lcm(*(p.num_blocks for p in b.partitions))
     ell = lcm(*(m for p in b.partitions for _, m in p.terms))
-    occ_counts = [
-        sum(b.partitions[k - 1].terms[i - 1][1] for k, i in g) for g in b.groups
-    ]
-    m = lcm(*occ_counts)
+    m = lcm(*(len(o) for o in b.occurrences))
     w = v.per_trace_factors()
     alpha = float(np.min(w))
-    gamma = float(np.max(_weighted_denominators(b, v)))
+    gamma = float(np.max(_weighted_denominators(b, w)))
     if b.trivially_grouped:
         if b.shape.num_summands == 1 and all(
             mult == 1 for p in b.partitions for _, mult in p.terms
         ):
             theorem = "multiplicity-free"
             bound = 1.0 / np.sqrt(L)
-        elif b.shape.num_summands == 1:
-            theorem = "single-summand"
-            bound = 1.0 / np.sqrt(r * ell)
         else:
-            theorem = "direct-sum"
+            theorem = "single-summand" if b.shape.num_summands == 1 else "direct-sum"
             bound = 1.0 / np.sqrt(r * ell)
     else:
         theorem = "cross-summand"
@@ -93,16 +87,8 @@ class _RatioEvaluator:
 
     def __init__(self, b: StandardSubalgebra, v: TracialWeight):
         self.b = b
-        self.v = v
         self.dims = b.shape.dims
         self.w = v.per_trace_factors()
-        self.denoms = _weighted_denominators(b, v)
-        nbasis = len(b.basis)
-        self.scatter = []
-        for k in range(len(self.dims)):
-            s = np.zeros((b._rows[k].size, nbasis))
-            s[np.arange(b._rows[k].size), b._bids[k]] = 1.0
-            self.scatter.append(s)
 
     def opnorms(self, stacks) -> np.ndarray:
         return np.max([linalg.opnorm_batch(s) for s in stacks], axis=0)
@@ -110,22 +96,9 @@ class _RatioEvaluator:
     def fr_norms_sq(self, stacks) -> np.ndarray:
         """Squared induced norms for a stack of elements (one array per
         summand, shapes (nb, d_k, d_k))."""
-        nb = stacks[0].shape[0]
         grams = [np.conj(np.swapaxes(s, 1, 2)) @ s for s in stacks]
-        coefs = np.zeros((nb, len(self.b.basis)), dtype=np.complex128)
-        for k, g in enumerate(grams):
-            rows, cols = self.b._rows[k], self.b._cols[k]
-            if rows.size:
-                coefs += self.w[k] * (g[:, rows, cols] @ self.scatter[k])
-        coefs /= self.denoms
-        out = np.zeros(nb)
-        for k, d in enumerate(self.dims):
-            rows, cols = self.b._rows[k], self.b._cols[k]
-            proj = np.zeros((nb, d, d), dtype=np.complex128)
-            if rows.size:
-                proj[:, rows, cols] = coefs[:, self.b._bids[k]]
-            out = np.maximum(out, linalg.hermitian_opnorm_batch(proj))
-        return out
+        proj = _block_average(self.b, self.w, grams)
+        return np.max([linalg.hermitian_opnorm_batch(p) for p in proj], axis=0)
 
     def ratios(self, stacks) -> np.ndarray:
         return np.sqrt(self.fr_norms_sq(stacks)) / self.opnorms(stacks)
@@ -144,6 +117,10 @@ class SearchReport:
 
 
 def _gaussian_stacks(rng, dims, count):
+    """``count`` complex Gaussian matrices per summand, one (count, d, d)
+    array per dimension in ``dims``: real parts, then imaginary parts,
+    summand by summand.  A count of 1 draws the same stream as a single
+    (d, d) draw."""
     return [
         rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
         for d in dims
@@ -200,10 +177,7 @@ def _refine(evaluator, witness, best, rng):
             cands[k][rows, coord_i[sel], coord_j[sel]] += delta[sel]
             cands[k][ncoord + rows, coord_i[sel], coord_j[sel]] -= delta[sel]
         base = 2 * ncoord
-        for k, d in enumerate(dims):
-            g = rng.standard_normal((2 * ndir, d, d)) + 1j * rng.standard_normal(
-                (2 * ndir, d, d)
-            )
+        for k, g in enumerate(_gaussian_stacks(rng, dims, 2 * ndir)):
             cands[k][base : base + ndir] += step * g[:ndir]
             cands[k][base + ndir : base + 2 * ndir] += 0.25 * step * g[ndir:]
         row = base + 2 * ndir
@@ -398,10 +372,7 @@ def min_ratio_over_samples(b, v: TracialWeight, count: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     best = np.inf
     for _ in range(count):
-        mats = [
-            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            for d in shape.dims
-        ]
+        mats = [s[0] for s in _gaussian_stacks(rng, shape.dims, 1)]
         a = AlgebraElement(shape, mats)
         opn = max(linalg.operator_norm(m) for m in mats)
         best = min(best, fr_norm(b, v, a) / opn)

@@ -1,16 +1,18 @@
 """Conditional expectations and the norms they induce.
 
 For a standard subalgebra B and tracial weight v the conditional
-expectation onto B sends A to the canonical-basis combination whose
-coefficient at a basis element e is
+expectation onto B is a block average.  Each group g of identified slots
+gets
 
-    sum_k (v_k/d_k) * (sum of A over the support of e in summand k)
-    ----------------------------------------------------------------
-    sum_k (v_k/d_k) * (support size of e in summand k)
+    X_g = sum_blocks (v_k/d_k) * A_k[block]  /  sum_blocks (v_k/d_k),
 
-``cond_expect`` evaluates this closed form through precomputed index
-arrays; ``cond_expect_gram`` is an independent oracle that projects with
-Gram coefficients <A, e>/<e, e> computed from the tracial inner product.
+the sums running over the diagonal blocks of g (``occurrences``), and
+P(A) writes X_g back into every block of g, zero elsewhere.
+``cond_expect`` evaluates this through one kernel that takes any leading
+batch axes, so the batched sharp-constant search and the unweighted
+membership test run the same code; ``cond_expect_gram`` is an
+independent oracle that projects onto the canonical basis with Gram
+coefficients <A, e>/<e, e> computed from the tracial inner product.
 
 The induced norm is ||A||_{v,B} = sqrt(||P(A* A)||_op).  Conjugation
 pipelines reproduce the expectation through averages of unitary
@@ -35,14 +37,36 @@ from .algebra import (
     to_block_matrix,
 )
 from .errors import ShapeError
-from .subalgebra import ConjugatedSubalgebra, StandardSubalgebra, _element_from_coefficients
+from .subalgebra import ConjugatedSubalgebra, StandardSubalgebra
 
 PIPELINE_MATCH_TOL = 1e-9
 
 
-def _weighted_denominators(b: StandardSubalgebra, v: TracialWeight) -> np.ndarray:
-    """Per-basis-element normalization sum_k rho_k(e) * v_k / d_k."""
-    return v.per_trace_factors() @ b.support_counts()
+def _weighted_denominators(b: StandardSubalgebra, w: np.ndarray) -> np.ndarray:
+    """Per-group normalization sum_blocks w_k for per-summand weights w."""
+    return w @ b._counts
+
+
+def _block_average(b: StandardSubalgebra, w: np.ndarray, summands) -> list[np.ndarray]:
+    """Weighted block average onto b, applied to a stack of elements.
+
+    ``summands`` holds one array per summand of shape (..., d_k, d_k), all
+    with the same leading batch axes; ``w`` holds one weight per summand.
+    With w_k = v_k/d_k this is the conditional expectation, with unit
+    weights the entrywise-orthogonal projection.  The blocks of a group
+    are summed in summand-major, offset order starting from zero.
+    """
+    lead = summands[0].shape[:-2]
+    out = [np.zeros(lead + (d, d), dtype=np.complex128) for d in b.shape.dims]
+    dens = _weighted_denominators(b, w)
+    for occ, n, den in zip(b.occurrences, b._group_sizes, dens):
+        avg = np.zeros(lead + (n, n), dtype=np.complex128)
+        for k, off in occ:
+            avg += w[k - 1] * summands[k - 1][..., off : off + n, off : off + n]
+        avg /= den
+        for k, off in occ:
+            out[k - 1][..., off : off + n, off : off + n] = avg
+    return out
 
 
 def cond_expect(b, v: TracialWeight, a: AlgebraElement) -> AlgebraElement:
@@ -53,13 +77,7 @@ def cond_expect(b, v: TracialWeight, a: AlgebraElement) -> AlgebraElement:
         return u @ inner @ u.adjoint()
     if a.shape.dims != b.shape.dims or v.shape.dims != b.shape.dims:
         raise ShapeError("element, weight and subalgebra shapes must agree")
-    w = v.per_trace_factors()
-    nums = np.zeros(len(b.basis), dtype=np.complex128)
-    for k in range(b.shape.num_summands):
-        if b._rows[k].size:
-            np.add.at(nums, b._bids[k], w[k] * a.summands[k][b._rows[k], b._cols[k]])
-    coefs = nums / _weighted_denominators(b, v)
-    return _element_from_coefficients(b, coefs)
+    return AlgebraElement(b.shape, _block_average(b, v.per_trace_factors(), a.summands))
 
 
 def cond_expect_gram(b, v: TracialWeight, a: AlgebraElement) -> AlgebraElement:
@@ -238,28 +256,13 @@ def _circulant_stage(b: StandardSubalgebra) -> PipelineStage:
     return PipelineStage("circulant-shift", tuple(members))
 
 
-def _occurrences(b: StandardSubalgebra) -> list[list[tuple[int, int]]]:
-    """Per group: (global offset, block size) of each diagonal block it
-    owns, in summand-major then offset order."""
-    group_of_slot = {}
-    for gi, g in enumerate(b.groups):
-        for slot in g:
-            group_of_slot[slot] = gi
-    occ: list[list[tuple[int, int]]] = [[] for _ in b.groups]
-    pos = 0
-    for k in range(1, b.shape.num_summands + 1):
-        part = b.partitions[k - 1]
-        for i in range(1, part.num_slots + 1):
-            n, m = part.terms[i - 1]
-            gi = group_of_slot[(k, i)]
-            for _ in range(m):
-                occ[gi].append((pos, n))
-                pos += n
-    return occ
-
-
 def _permutation_stage(b: StandardSubalgebra, v: TracialWeight) -> PipelineStage:
-    occ = _occurrences(b)
+    # Diagonal blocks in the block-diagonal embedding into M_d.
+    base = np.cumsum((0,) + b.shape.dims)
+    occ = [
+        [(int(base[k - 1]) + off, n) for k, off in o]
+        for o, n in zip(b.occurrences, b._group_sizes)
+    ]
     m = lcm(*(len(o) for o in occ))
     d = b.shape.total_dim
     members = []
@@ -294,5 +297,5 @@ def pipeline_for(b: StandardSubalgebra, v: TracialWeight) -> ConjugationPipeline
     final = 1.0
     if not b.trivially_grouped:
         stages.append(_permutation_stage(b, v))
-        final = 1.0 / float(np.max(_weighted_denominators(b, v)))
+        final = 1.0 / float(np.max(_weighted_denominators(b, v.per_trace_factors())))
     return ConjugationPipeline(b.shape, tuple(stages), final)

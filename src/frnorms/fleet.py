@@ -20,7 +20,7 @@ from .algebra import (
     element_norm,
     trace_state,
 )
-from .constants import table1, theoretical_bound
+from .constants import _gaussian_stacks, table1, theoretical_bound
 from .effros_shen import GOLDEN, SQRT2_MINUS_1, SQRT3_MINUS_1, es_constant, es_level
 from .expectation import (
     apply_pipeline,
@@ -52,11 +52,7 @@ class Fixture:
 
 
 def random_element(shape: AlgebraShape, rng) -> AlgebraElement:
-    mats = [
-        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        for d in shape.dims
-    ]
-    return AlgebraElement(shape, mats)
+    return AlgebraElement(shape, [s[0] for s in _gaussian_stacks(rng, shape.dims, 1)])
 
 
 def random_positive(shape: AlgebraShape, rng) -> AlgebraElement:
@@ -68,7 +64,8 @@ def random_unitary(shape: AlgebraShape, rng) -> AlgebraElement:
     """Haar-like unitary from eigenvectors of a random Hermitian matrix."""
     mats = []
     for d in shape.dims:
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        # One summand at a time: the phase draw sits between the summands.
+        g = _gaussian_stacks(rng, (d,), 1)[0][0]
         h = (g + linalg.adjoint(g)) / 2.0
         _, vecs = linalg.jacobi_eigh(h)
         phases = np.exp(2j * np.pi * rng.random(d))

@@ -9,18 +9,30 @@ summand is always expressed through the multiplicities; non-contiguous
 repeats must be entered as a conjugated subalgebra with an explicit
 permutation unitary.
 
-The canonical basis consists of one 0/1 matrix per group and block entry
-(p, q); supports of distinct basis elements are disjoint, which makes
-them orthogonal for every tracial inner product.
+Everything the package computes about a subalgebra comes from where
+each group's diagonal blocks sit: ``StandardSubalgebra.occurrences``
+lists them per group, and the conditional expectation, the embedding,
+the structural constants and the membership test all read that list.
+The canonical basis, one 0/1 matrix per group and block entry (p, q),
+is built only when it is asked for; supports of distinct basis elements
+are disjoint, which makes them orthogonal for every tracial inner
+product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .algebra import AlgebraElement, AlgebraShape
+from .algebra import (
+    AlgebraElement,
+    AlgebraShape,
+    element_from_json,
+    element_norm,
+    element_to_json,
+)
 from .errors import GroupingError, PartitionError, ShapeError, UnitarityError
 
 # Default membership tolerance, relative to the element norm.
@@ -86,8 +98,11 @@ class StandardSubalgebra:
 
     ``partitions`` has one :class:`RefinedPartition` per summand and
     ``groups`` partitions the set of slots (k, i), all indices 1-based.
-    The canonical basis and the index machinery behind the conditional
-    expectation are built eagerly.
+    Construction validates the description and lists where each group's
+    diagonal blocks sit: ``occurrences[g]`` holds one (k, offset) pair per
+    block of group g + 1, with k the 1-based summand and offset the
+    0-based row offset, in summand-major then offset order.  The
+    canonical basis is built on first access.
     """
 
     def __init__(self, shape: AlgebraShape, partitions, groups):
@@ -110,7 +125,7 @@ class StandardSubalgebra:
         self._group_sizes = tuple(
             self.partitions[g[0][0] - 1].terms[g[0][1] - 1][0] for g in self.groups
         )
-        self._build_basis()
+        self._block_layout()
 
     def _validate_groups(self):
         all_slots = {
@@ -143,41 +158,38 @@ class StandardSubalgebra:
         if missing:
             raise GroupingError(f"slots not covered by any group: {sorted(missing)}")
 
-    def _build_basis(self):
-        basis = []
-        for gi, g in enumerate(self.groups):
-            n = self._group_sizes[gi]
-            for p in range(1, n + 1):
-                for q in range(1, n + 1):
-                    support = []
-                    for k, i in g:
-                        part = self.partitions[k - 1]
-                        off = part.slot_offset(i)
-                        mult = part.terms[i - 1][1]
-                        for t in range(mult):
-                            base = off + t * n
-                            support.append((k, base + p, base + q))
-                    basis.append(
-                        CanonicalBasisElement(gi + 1, p, q, n, tuple(support))
-                    )
-        self.basis = tuple(basis)
-        # Per-summand flat index arrays: basis id, row, col for every
-        # support entry, plus per-basis support counts by summand.
-        nsum = self.shape.num_summands
-        rows = [[] for _ in range(nsum)]
-        cols = [[] for _ in range(nsum)]
-        bids = [[] for _ in range(nsum)]
-        rho = np.zeros((nsum, len(basis)), dtype=np.int64)
-        for bid, b in enumerate(self.basis):
-            for k, i, j in b.support:
-                rows[k - 1].append(i - 1)
-                cols[k - 1].append(j - 1)
-                bids[k - 1].append(bid)
-                rho[k - 1, bid] += 1
-        self._rows = tuple(np.array(r, dtype=np.intp) for r in rows)
-        self._cols = tuple(np.array(c, dtype=np.intp) for c in cols)
-        self._bids = tuple(np.array(b, dtype=np.intp) for b in bids)
-        self._rho = rho
+    def _block_layout(self):
+        """Set ``occurrences`` and ``_counts[k-1, g]``, the number of
+        blocks of group g + 1 in summand k."""
+        group_of_slot = {slot: gi for gi, g in enumerate(self.groups) for slot in g}
+        occ: list[list[tuple[int, int]]] = [[] for _ in self.groups]
+        counts = np.zeros((self.shape.num_summands, len(self.groups)), dtype=np.int64)
+        for k, part in enumerate(self.partitions, start=1):
+            pos = 0
+            for i, (n, m) in enumerate(part.terms, start=1):
+                gi = group_of_slot[(k, i)]
+                for _ in range(m):
+                    occ[gi].append((k, pos))
+                    pos += n
+                counts[k - 1, gi] += m
+        self.occurrences = tuple(tuple(o) for o in occ)
+        self._counts = counts
+
+    @cached_property
+    def basis(self) -> tuple[CanonicalBasisElement, ...]:
+        """Canonical 0/1 basis, group-major then row-major in (p, q).
+
+        Built on first access: it holds sum n_g^2 Python objects, which
+        nothing but the Gram-projection oracle needs.
+        """
+        return tuple(
+            CanonicalBasisElement(
+                gi + 1, p, q, n, tuple((k, off + p, off + q) for k, off in occ)
+            )
+            for gi, (occ, n) in enumerate(zip(self.occurrences, self._group_sizes))
+            for p in range(1, n + 1)
+            for q in range(1, n + 1)
+        )
 
     @property
     def num_groups(self) -> int:
@@ -190,7 +202,7 @@ class StandardSubalgebra:
     @property
     def dimension(self) -> int:
         """Linear dimension of the subalgebra: sum of n_g^2."""
-        return len(self.basis)
+        return sum(n * n for n in self._group_sizes)
 
     @property
     def trivially_grouped(self) -> bool:
@@ -198,8 +210,13 @@ class StandardSubalgebra:
         return all(len(g) == 1 for g in self.groups)
 
     def support_counts(self) -> np.ndarray:
-        """rho[k-1, b]: support entries of basis element b in summand k."""
-        return self._rho
+        """rho[k-1, b]: support entries of basis element b in summand k.
+
+        Every entry of a group's block is supported once per diagonal
+        block of the group, so this repeats the per-group block counts
+        n_g^2 times; it has one column per basis element.
+        """
+        return np.repeat(self._counts, np.square(self._group_sizes), axis=1)
 
     def __repr__(self):
         return (
@@ -238,57 +255,35 @@ def embed(b: StandardSubalgebra, assignment) -> AlgebraElement:
             f"expected {b.num_groups} group matrices, got {len(assignment)}"
         )
     mats = [np.zeros((d, d), dtype=np.complex128) for d in b.shape.dims]
-    for gi, (g, x) in enumerate(zip(b.groups, assignment)):
+    for gi, (occ, x) in enumerate(zip(b.occurrences, assignment)):
         n = b._group_sizes[gi]
         if x.shape != (n, n):
             raise ShapeError(
                 f"group {gi + 1} expects a {n}x{n} matrix, got {x.shape}"
             )
-        for k, i in g:
-            part = b.partitions[k - 1]
-            off = part.slot_offset(i)
-            mult = part.terms[i - 1][1]
-            for t in range(mult):
-                lo = off + t * n
-                mats[k - 1][lo : lo + n, lo : lo + n] = x
-    return AlgebraElement(b.shape, mats)
-
-
-def _projection_coefficients(b: StandardSubalgebra, a: AlgebraElement) -> np.ndarray:
-    """Coefficients of the entrywise-orthogonal projection onto span(basis)."""
-    if a.shape.dims != b.shape.dims:
-        raise ShapeError("element shape does not match subalgebra shape")
-    coefs = np.zeros(len(b.basis), dtype=np.complex128)
-    for k in range(b.shape.num_summands):
-        if b._rows[k].size:
-            np.add.at(coefs, b._bids[k], a.summands[k][b._rows[k], b._cols[k]])
-    sizes = b._rho.sum(axis=0)
-    return coefs / sizes
-
-
-def _element_from_coefficients(b: StandardSubalgebra, coefs: np.ndarray) -> AlgebraElement:
-    mats = [np.zeros((d, d), dtype=np.complex128) for d in b.shape.dims]
-    for k in range(b.shape.num_summands):
-        if b._rows[k].size:
-            mats[k][b._rows[k], b._cols[k]] = coefs[b._bids[k]]
+        for k, off in occ:
+            mats[k - 1][off : off + n, off : off + n] = x
     return AlgebraElement(b.shape, mats)
 
 
 def contains(b: StandardSubalgebra, a, tol: float | None = None) -> bool:
     """Membership test: distance from a to span(basis) within tol.
 
-    The default tolerance is CONTAINS_RTOL times the element norm.  For a
-    conjugated subalgebra the element is transported back first.
+    The entrywise-orthogonal projection onto span(basis) is the block
+    average with unit weights.  The default tolerance is CONTAINS_RTOL
+    times the element norm.  For a conjugated subalgebra the element is
+    transported back first.
     """
     if isinstance(b, ConjugatedSubalgebra):
         return contains(b.base, b.unitary.adjoint() @ a @ b.unitary, tol)
-    from .algebra import element_norm
+    from .expectation import _block_average
 
+    if a.shape.dims != b.shape.dims:
+        raise ShapeError("element shape does not match subalgebra shape")
     if tol is None:
         tol = CONTAINS_RTOL * element_norm(a)
-    coefs = _projection_coefficients(b, a)
-    residual = a - _element_from_coefficients(b, coefs)
-    return element_norm(residual) <= tol
+    nearest = _block_average(b, np.ones(b.shape.num_summands), a.summands)
+    return element_norm(a - AlgebraElement(b.shape, nearest)) <= tol
 
 
 @dataclass(frozen=True)
@@ -324,15 +319,26 @@ def conjugated_subalgebra(b, u: AlgebraElement) -> ConjugatedSubalgebra:
     return ConjugatedSubalgebra(b, u)
 
 
-def subalgebra_to_json(b: StandardSubalgebra) -> dict:
-    return {
-        "shape": list(b.shape.dims),
-        "partitions": [[[n, m] for n, m in p.terms] for p in b.partitions],
-        "groups": [[[k, i] for k, i in g] for g in b.groups],
+def subalgebra_to_json(b) -> dict:
+    """Wire form of a standard subalgebra; a conjugate adds its unitary
+    under the ``"unitary"`` key, in the element encoding."""
+    base = b.base if isinstance(b, ConjugatedSubalgebra) else b
+    out = {
+        "shape": list(base.shape.dims),
+        "partitions": [[[n, m] for n, m in p.terms] for p in base.partitions],
+        "groups": [[[k, i] for k, i in g] for g in base.groups],
     }
+    if isinstance(b, ConjugatedSubalgebra):
+        out["unitary"] = element_to_json(b.unitary)
+    return out
 
 
-def subalgebra_from_json(obj) -> StandardSubalgebra:
+def subalgebra_from_json(obj):
+    """Decode :func:`subalgebra_to_json` output.
+
+    With a ``"unitary"`` key the result is the conjugate U B U*; U must be
+    unitary and match the shape.
+    """
     if not isinstance(obj, dict):
         raise ShapeError("subalgebra object must be a JSON mapping")
     try:
@@ -346,4 +352,7 @@ def subalgebra_from_json(obj) -> StandardSubalgebra:
         raise ShapeError(f"subalgebra object missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ShapeError(f"malformed subalgebra object: {exc}") from exc
-    return StandardSubalgebra(shape, partitions, groups)
+    base = StandardSubalgebra(shape, partitions, groups)
+    if "unitary" not in obj:
+        return base
+    return conjugated_subalgebra(base, element_from_json(obj["unitary"]))

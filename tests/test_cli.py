@@ -8,6 +8,11 @@ import pytest
 
 from frnorms import cli
 from frnorms.errors import ConvergenceError
+from frnorms.subalgebra import (
+    ConjugatedSubalgebra,
+    subalgebra_from_json,
+    subalgebra_to_json,
+)
 
 
 def run_cli(*args, check=False):
@@ -193,6 +198,14 @@ def test_effros_shen_cf_exact_matches_theta_decimal():
     assert abs(a["constant"] - b["constant"]) < 1e-12
 
 
+def test_effros_shen_deep_level_builds_no_basis():
+    # Level 30 has about 9.6e11 canonical basis elements; the command needs
+    # only the partition data.  The constant's precision this deep is a
+    # separate question, so only the exit code and the shape are pinned.
+    proc = run_cli("effros-shen", "--cf", "1", "--level", "30", check=True)
+    assert json.loads(proc.stdout)["shape"] == [1346269, 832040]
+
+
 def test_effros_shen_rejects_rational_theta():
     proc = run_cli("effros-shen", "--theta", "0.5", "--level", "2")
     assert proc.returncode == 2
@@ -278,3 +291,66 @@ def test_main_returns_zero_in_process(capsys):
     rc = cli.main(["baire", "--cf", "2,2", "--cf", "2,2"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out) == {"distance": 0.0}
+
+
+def _conjugated_problem(tmp_path, problem_files, rows, shape=(2,)):
+    """The problem's subalgebra with a ``"unitary"`` key holding ``rows``."""
+    payload = json.loads(open(problem_files["subalgebra"]).read())
+    d = len(rows)
+    payload["unitary"] = {
+        "shape": list(shape),
+        "summands": [
+            {"rows": d, "cols": d, "data": [[x, 0.0] for row in rows for x in row]}
+        ],
+    }
+    path = tmp_path / "conjugated.json"
+    path.write_text(json.dumps(payload))
+    return payload, [
+        "--subalgebra", str(path),
+        "--weights", problem_files["weights"],
+        "--element", problem_files["element"],
+    ]
+
+
+HADAMARD = [[0.5**0.5, 0.5**0.5], [0.5**0.5, -(0.5**0.5)]]
+
+
+def test_norm_honours_the_unitary_key(tmp_path, problem_files):
+    # U diag U* for the Hadamard U is the set of [[a, b], [b, a]], which
+    # holds A = [[1, 2], [2, 1]]; so P(A*A) = A*A and the norm is ||A||^2.
+    _, args = _conjugated_problem(tmp_path, problem_files, HADAMARD)
+    out = json.loads(run_cli("norm", *args, check=True).stdout)
+    assert abs(out["fr_norm_sq"] - 9.0) < 1e-12
+    assert out["op_norm"] == 3.0
+
+
+def test_unitary_key_is_validated(tmp_path, problem_files):
+    _, args = _conjugated_problem(tmp_path, problem_files, [[1.0, 1.0], [0.0, 1.0]])
+    proc = run_cli("norm", *args)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "UnitarityError"
+    _, args = _conjugated_problem(
+        tmp_path, problem_files, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], (3,)
+    )
+    proc = run_cli("norm", *args)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "ShapeError"
+    payload, args = _conjugated_problem(tmp_path, problem_files, HADAMARD)
+    payload["unitary"]["summands"] = 5
+    with open(args[1], "w") as fh:
+        json.dump(payload, fh)
+    proc = run_cli("norm", *args)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "ShapeError"
+
+
+def test_conjugated_subalgebra_json_round_trip(tmp_path, problem_files):
+    payload, args = _conjugated_problem(tmp_path, problem_files, HADAMARD)
+    sub = subalgebra_from_json(payload)
+    assert isinstance(sub, ConjugatedSubalgebra)
+    assert subalgebra_to_json(sub) == payload
+    again = tmp_path / "again.json"
+    again.write_text(json.dumps(subalgebra_to_json(sub)))
+    first = run_cli("expect", *args, check=True)
+    args[1] = str(again)
+    assert run_cli("expect", *args, check=True).stdout == first.stdout

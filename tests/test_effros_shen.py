@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frnorms import effros_shen
 from frnorms.constants import structural_constants
 from frnorms.effros_shen import (
     GOLDEN,
@@ -208,6 +210,25 @@ def test_golden_level_structure():
     assert abs(lvl.t - (3.0 - math.sqrt(5))) < 1e-14
     with pytest.raises(ValueError):
         es_level(GOLDEN, 1)
+
+
+def test_deep_level_builds_in_bounded_memory():
+    """A level is built from partition data alone: golden level 14 has a
+    196418-element canonical basis, which neither the build nor the
+    structural constants may materialise."""
+    theta, cf = periodic_theta((1,), 14)
+    effros_shen._level_structure.cache_clear()
+    tracemalloc.start()
+    try:
+        lvl = es_level(theta, 14, cf)
+        sc = structural_constants(lvl.subalgebra, lvl.weight)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lvl.shape.dims == (610, 377)
+    assert lvl.subalgebra.dimension == 196418
+    assert sc.theorem == "cross-summand"
+    assert peak < 5 * 2**20
 
 
 def test_level_weights_follow_the_parameter():

@@ -146,15 +146,12 @@ def _cmd_search(args) -> int:
     sub, weight, _ = _load_problem(args)
     if args.samples < 1:
         raise InputError("--samples must be at least 1")
-    if args.workers < 1:
-        raise InputError("--workers must be at least 1")
     report = empirical_sharp_constant(
         sub,
         weight,
         samples=args.samples,
         seed=args.seed,
         refine=args.refine,
-        workers=args.workers,
     )
     _emit(
         {
@@ -163,7 +160,6 @@ def _cmd_search(args) -> int:
             "samples": report.samples,
             "seed": report.seed,
             "refine_steps": report.refine_steps,
-            "workers": report.workers,
         }
     )
     return 0
@@ -172,12 +168,7 @@ def _cmd_search(args) -> int:
 def _cmd_table1(args) -> int:
     if args.samples < 0:
         raise InputError("--samples must be nonnegative")
-    rows = table1(
-        samples=args.samples,
-        seed=args.seed,
-        refine=args.refine,
-        workers=args.workers,
-    )
+    rows = table1(samples=args.samples, seed=args.seed, refine=args.refine)
     if args.format == "csv":
         # labels contain commas, so they need real CSV quoting
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -278,22 +269,18 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("search", help="randomized sharp-constant search")
     _add_problem_args(p)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=int, default=100000,
+                   help="random unit vectors drawn per summand")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--workers", type=int, default=1,
-                   help="number of sample substreams; they run one after "
-                   "another in this process, not in parallel")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("table1", help="reference constant table")
     p.add_argument("--samples", type=int, default=0,
-                   help="0 skips the empirical column")
+                   help="random unit vectors drawn per row; 0 skips the "
+                   "empirical column")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--workers", type=int, default=1,
-                   help="number of sample substreams; they run one after "
-                   "another in this process, not in parallel")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_table1)
 

@@ -2,11 +2,13 @@
 
 ``theoretical_bound`` returns the best certified constant c with
 ``c * ||A||_op <= ||A||_{v,B} <= ||A||_op`` for the given subalgebra and
-weight; ``empirical_sharp_constant`` searches the unit sphere for the
-smallest observed ratio, which sandwiches the sharp constant from above.
-``table1`` evaluates both over the reference list of proper unital
-subalgebra types of M_n for n <= 5 and flags any row whose recomputed
-constant deviates from the stored reference value.
+weight, and ``sharp_constant`` the largest such c in closed form.
+``empirical_sharp_constant`` searches the unit vectors of each summand
+for the smallest ratio, which the rank-one theorem says is the sharp
+constant, and so serves as its randomized oracle.  ``table1`` evaluates
+the certified and empirical constants over the reference list of proper
+unital subalgebra types of M_n for n <= 5 and flags any row whose
+recomputed constant deviates from the stored reference value.
 """
 from __future__ import annotations
 
@@ -22,9 +24,8 @@ from .subalgebra import ConjugatedSubalgebra, StandardSubalgebra, single_summand
 
 REFINE_ROUNDS = 200
 REFINE_INITIAL_STEP = 0.1
-REFINE_FAIL_LIMIT = 20
-REFINE_DIRECTIONS = 64
-REFINE_VEC_DIRECTIONS = 16
+REFINE_FAIL_LIMIT = 5
+REFINE_DIRECTIONS = 16
 _CHUNK = 20000
 
 
@@ -82,8 +83,44 @@ def theoretical_bound(b, v: TracialWeight) -> tuple[float, str]:
     return sc.bound, sc.theorem
 
 
+def sharp_constant(b, v: TracialWeight) -> float:
+    """The sharp constant: the minimum of ||A||_{v,B} / ||A||_op.
+
+    By the rank-one theorem (see ``empirical_sharp_constant``) the
+    minimum is sqrt(||P(xx*)||_op) over unit vectors x in one summand k.
+    Slot i of k, with block size n_i and multiplicity m_i, cuts x into
+    m_i pieces of length n_i, the columns of an n_i x m_i matrix X_i.
+    A group holds at most one slot of k, so the closed form of P gives
+    the block (w_k / den_g(i)) X_i X_i* for group g(i), with
+    w_k = v_k / d_k and den_g the group's weighted block count.  Hence
+
+        ||P(xx*)||_op = max_i (w_k / den_g(i)) ||X_i||_op^2,
+
+    and ||X_i||_op^2 >= ||X_i||_F^2 / min(n_i, m_i), with equality when
+    the nonzero singular values of X_i are equal.  Minimizing the
+    maximum subject to sum_i ||X_i||_F^2 = 1 makes all terms equal:
+
+        sharp^2 = min_k w_k / sum_{slots i of k} den_g(i) * min(n_i, m_i).
+
+    With a single summand this is 1 / sum_i m_i * min(n_i, m_i).
+    Invariant under conjugation: it reads the base of a conjugate.
+    """
+    if isinstance(b, ConjugatedSubalgebra):
+        b = b.base
+    w = v.per_trace_factors()
+    den = _weighted_denominators(b, w)
+    group_of = {slot: gi for gi, g in enumerate(b.groups) for slot in g}
+    sq = min(
+        w[k - 1] / sum(
+            den[group_of[(k, i)]] * min(n, m) for i, (n, m) in enumerate(part.terms, start=1)
+        )
+        for k, part in enumerate(b.partitions, start=1)
+    )
+    return float(np.sqrt(sq))
+
+
 class _RatioEvaluator:
-    """Batched evaluation of fr_norm(A) / ||A||_op over sample stacks."""
+    """Batched evaluation of fr_norm(A)^2 and ||A||_op over sample stacks."""
 
     def __init__(self, b: StandardSubalgebra, v: TracialWeight):
         self.b = b
@@ -100,8 +137,12 @@ class _RatioEvaluator:
         proj = _block_average(self.b, self.w, grams)
         return np.max([linalg.hermitian_opnorm_batch(p) for p in proj], axis=0)
 
-    def ratios(self, stacks) -> np.ndarray:
-        return np.sqrt(self.fr_norms_sq(stacks)) / self.opnorms(stacks)
+    def rank_one_ratios(self, k: int, vecs: np.ndarray) -> np.ndarray:
+        """Ratios of the projections xx* onto the unit rows x of ``vecs``,
+        placed in summand k: sqrt(||P(xx*)||_op), as ||xx*||_op = 1."""
+        stacks = [np.zeros((len(vecs), d, d), dtype=np.complex128) for d in self.dims]
+        stacks[k] = vecs[:, :, None] * np.conj(vecs[:, None, :])
+        return np.sqrt(self.fr_norms_sq(stacks))
 
 
 @dataclass(frozen=True)
@@ -113,97 +154,47 @@ class SearchReport:
     samples: int
     seed: int
     refine_steps: int
-    workers: int
+
+
+def _complex_gaussian(rng, shape) -> np.ndarray:
+    """Complex Gaussian array of the given shape: real parts, then
+    imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _gaussian_stacks(rng, dims, count):
     """``count`` complex Gaussian matrices per summand, one (count, d, d)
-    array per dimension in ``dims``: real parts, then imaginary parts,
-    summand by summand.  A count of 1 draws the same stream as a single
-    (d, d) draw."""
-    return [
-        rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
-        for d in dims
-    ]
+    array per dimension in ``dims``, summand by summand.  A count of 1
+    draws the same stream as a single (d, d) draw."""
+    return [_complex_gaussian(rng, (count, d, d)) for d in dims]
 
 
-def _refine(evaluator, witness, best, rng):
-    """Coordinate-perturbation descent on the ratio, batched per round.
+def _unit_rows(vecs: np.ndarray) -> np.ndarray:
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
-    Each round proposes a seeded Gaussian perturbation of every real
-    coordinate singly (both signs) together with a block of full random
-    directions at two scales, then moves to the best improving
-    candidate; the step halves after REFINE_FAIL_LIMIT consecutive
-    failing rounds.  The direction block matters because the objective
-    is a ratio of spectral norms whose minimizers sit on eigenvalue
-    crossings, where single-coordinate moves stall.
 
-    Each round also proposes rank-one projections: A*A dominates t vv*
-    for its top eigenpair (t, v) and conditional expectations are
-    monotone on positives, so the ratio can only drop when the iterate
-    is replaced by the projection onto v.  The minimum is therefore
-    attained on unit rank-one positives supported in a single summand,
-    and jumping onto that manifold (plus perturbed copies of v at the
-    current step) escapes the plateaus where dense moves stall.
+def _refine(evaluator, k, x, best, rng):
+    """Random-direction descent on the unit sphere of summand k.
+
+    Each round moves the unit vector x along 2 * REFINE_DIRECTIONS
+    Gaussian directions, half at scale ``step`` and half at ``step / 4``,
+    renormalizes, and keeps the best candidate if it lowers the ratio;
+    the step halves after REFINE_FAIL_LIMIT consecutive failing rounds.
     """
-    dims = evaluator.dims
-    coord_k, coord_i, coord_j, coord_part = [], [], [], []
-    for k, d in enumerate(dims):
-        for i in range(d):
-            for j in range(d):
-                for part in (1.0, 1j):
-                    coord_k.append(k)
-                    coord_i.append(i)
-                    coord_j.append(j)
-                    coord_part.append(part)
-    coord_k = np.array(coord_k)
-    coord_i = np.array(coord_i)
-    coord_j = np.array(coord_j)
-    coord_part = np.array(coord_part, dtype=np.complex128)
-    ncoord = coord_k.size
-    ndir = REFINE_DIRECTIONS
-    nvec = REFINE_VEC_DIRECTIONS
-    total = 2 * ncoord + 2 * ndir + len(dims) * (1 + nvec)
-    x = [m.copy() for m in witness]
     step = REFINE_INITIAL_STEP
     fails = 0
     accepted = 0
+    ndir = REFINE_DIRECTIONS
     for _ in range(REFINE_ROUNDS):
-        delta = step * rng.standard_normal(ncoord) * coord_part
-        cands = [np.repeat(m[None, :, :], total, axis=0) for m in x]
-        for k in range(len(dims)):
-            sel = coord_k == k
-            rows = np.nonzero(sel)[0]
-            cands[k][rows, coord_i[sel], coord_j[sel]] += delta[sel]
-            cands[k][ncoord + rows, coord_i[sel], coord_j[sel]] -= delta[sel]
-        base = 2 * ncoord
-        for k, g in enumerate(_gaussian_stacks(rng, dims, 2 * ndir)):
-            cands[k][base : base + ndir] += step * g[:ndir]
-            cands[k][base + ndir : base + 2 * ndir] += 0.25 * step * g[ndir:]
-        row = base + 2 * ndir
-        for k, d in enumerate(dims):
-            _, vecs = linalg.hermitian_eigh(linalg.adjoint(x[k]) @ x[k])
-            tops = np.repeat(vecs[:, -1][None, :], 1 + nvec, axis=0)
-            tops[1:] += step * (
-                rng.standard_normal((nvec, d)) + 1j * rng.standard_normal((nvec, d))
-            )
-            nrm = np.linalg.norm(tops, axis=1)
-            degenerate = nrm < 1e-12
-            tops[degenerate] = 0.0
-            tops[degenerate, 0] = 1.0
-            nrm[degenerate] = 1.0
-            tops /= nrm[:, None]
-            for kk in range(len(dims)):
-                cands[kk][row : row + 1 + nvec] = 0.0
-            cands[k][row : row + 1 + nvec] = tops[:, :, None] * np.conj(tops[:, None, :])
-            row += 1 + nvec
-        ratios = evaluator.ratios(cands)
+        g = _complex_gaussian(rng, (2 * ndir, x.size))
+        g[:ndir] *= step
+        g[ndir:] *= 0.25 * step
+        cands = _unit_rows(x + g)
+        ratios = evaluator.rank_one_ratios(k, cands)
         pick = int(np.argmin(ratios))
         if ratios[pick] < best:
             best = float(ratios[pick])
-            x = [c[pick].copy() for c in cands]
-            scale = evaluator.opnorms([m[None] for m in x])[0]
-            x = [m / scale for m in x]
+            x = cands[pick]
             accepted += 1
             fails = 0
         else:
@@ -220,57 +211,54 @@ def empirical_sharp_constant(
     samples: int = 100000,
     seed: int = 0,
     refine: bool = True,
-    workers: int = 1,
 ) -> SearchReport:
     """Randomized search for the smallest fr_norm / op_norm ratio.
 
-    Entries are drawn i.i.d. complex Gaussian per summand; each sample is
-    scored on the unit sphere of the operator norm.  The sample stream is
-    split into ``workers`` deterministic substreams, so the result depends
-    only on (seed, workers).  The substreams run one after another in this
-    process: ``workers`` selects the sample streams, not parallelism.
-    Refinement applies coordinate-perturbation descent to the best sample
-    found.
+    The minimum is attained on a rank-one projection xx*, x a unit
+    vector in one summand.  For any A, A*A dominates t xx* for its top
+    eigenpair (t, x), with t = ||A||_op^2; A*A is block diagonal, so x
+    can be taken inside the summand where ||A||_op is attained.
+    Conditional expectations are positive, so ||P(A*A)||_op >=
+    t ||P(xx*)||_op, and the ratio of A is at least the ratio of xx*,
+    which is sqrt(||P(xx*)||_op).
+
+    The search therefore draws ``samples`` complex Gaussian unit vectors
+    per summand from one generator seeded by ``seed`` and scores the
+    projection onto each.  Refinement then runs random-direction descent
+    on the sphere of the best vector; its draws follow the sampling
+    draws, so the sampling result does not depend on ``refine``.  The
+    witness is the rank-one projection xx*.
     """
     if isinstance(b, ConjugatedSubalgebra):
         # The ratio spectrum is invariant under conjugation; search the base.
         b = b.base
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     evaluator = _RatioEvaluator(b, v)
-    dims = b.shape.dims
-    children = np.random.SeedSequence(seed).spawn(workers + 1)
+    rng = np.random.default_rng(seed)
     best = np.inf
-    witness = None
-    for wi in range(workers):
-        rng = np.random.default_rng(children[wi])
-        quota = samples // workers + (1 if wi < samples % workers else 0)
+    for k, d in enumerate(b.shape.dims):
         done = 0
-        while done < quota:
-            count = min(_CHUNK, quota - done)
-            stacks = _gaussian_stacks(rng, dims, count)
-            ratios = evaluator.ratios(stacks)
+        while done < samples:
+            count = min(_CHUNK, samples - done)
+            vecs = _unit_rows(_complex_gaussian(rng, (count, d)))
+            ratios = evaluator.rank_one_ratios(k, vecs)
             pick = int(np.argmin(ratios))
             if ratios[pick] < best:
                 best = float(ratios[pick])
-                witness = [s[pick].copy() for s in stacks]
+                best_k, x = k, vecs[pick]
             done += count
-    scale = evaluator.opnorms([m[None] for m in witness])[0]
-    witness = [m / scale for m in witness]
     refine_steps = 0
     if refine:
-        rng = np.random.default_rng(children[workers])
-        best, witness, refine_steps = _refine(evaluator, witness, float(best), rng)
-    element = AlgebraElement(b.shape, witness)
+        best, x, refine_steps = _refine(evaluator, best_k, x, best, rng)
+    witness = [np.zeros((d, d), dtype=np.complex128) for d in b.shape.dims]
+    witness[best_k] = np.outer(x, np.conj(x))
     return SearchReport(
-        best_ratio=float(best),
-        witness=element,
+        best_ratio=best,
+        witness=AlgebraElement(b.shape, witness),
         samples=samples,
         seed=seed,
         refine_steps=refine_steps,
-        workers=workers,
     )
 
 
@@ -323,7 +311,6 @@ def table1(
     samples: int = 0,
     seed: int = 0,
     refine: bool = True,
-    workers: int = 1,
 ) -> list[Table1Row]:
     """Recompute the reference constant table, optionally with search.
 
@@ -340,8 +327,7 @@ def table1(
         empirical = None
         if samples > 0:
             report = empirical_sharp_constant(
-                b, v, samples=samples, seed=int(row_seeds[idx]), refine=refine,
-                workers=workers,
+                b, v, samples=samples, seed=int(row_seeds[idx]), refine=refine
             )
             empirical = report.best_ratio
         ref_guess = 1.0 / np.sqrt(guess_inv)

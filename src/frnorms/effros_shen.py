@@ -287,6 +287,11 @@ def es_level(theta: float, n: int, cf: ContinuedFraction | None = None) -> Effro
     )
 
 
+def _tower_constant(num: float, den: float, r_n: int) -> float:
+    """sqrt(num / (den r_n (r_n + 1)^2)) for the residuals num and den."""
+    return float(np.sqrt(num / (den * r_n * (r_n + 1) ** 2)))
+
+
 def es_constant(theta: float, N: int, cf: ContinuedFraction | None = None) -> float:
     """Closed-form equivalence constant at level N.
 
@@ -302,8 +307,7 @@ def es_constant(theta: float, N: int, cf: ContinuedFraction | None = None) -> fl
     table = convergent_table(cf)
     num = abs(convergent_residual(theta, table.q[N], table.p[N]))
     den = abs(convergent_residual(theta, table.q[N - 2], table.p[N - 2]))
-    r_n = cf.r[N]
-    return float(np.sqrt(num / (den * r_n * (r_n + 1) ** 2)))
+    return _tower_constant(num, den, cf.r[N])
 
 
 @dataclass(frozen=True)
@@ -370,8 +374,7 @@ def continuity_probe(
         table = convergent_table(eta_cf)
         num = abs(convergent_residual(eta, table.q[N], table.p[N]))
         den = abs(convergent_residual(theta, table.q[N - 2], table.p[N - 2]))
-        r_n = eta_cf.r[N]
-        c_mixed = float(np.sqrt(num / (den * r_n * (r_n + 1) ** 2)))
+        c_mixed = _tower_constant(num, den, eta_cf.r[N])
         gap = abs(c_theta - c_eta)
         ratio = gap / abs(theta - eta) if theta != eta else 0.0
         entries.append(

@@ -33,11 +33,15 @@ from .algebra import (
     element_norm,
     element_to_json,
 )
-from .errors import GroupingError, PartitionError, ShapeError, UnitarityError
+from .errors import GroupingError, InputError, PartitionError, ShapeError, UnitarityError
 
 # Default membership tolerance, relative to the element norm.
 CONTAINS_RTOL = 1e-9
 UNITARY_TOL = 1e-10
+# Largest dimension whose canonical basis or support counts are built on
+# demand; golden-ratio tower level 14 (196418) fits, level 15 (514229)
+# does not.
+BASIS_LIMIT = 2**18
 
 
 @dataclass(frozen=True)
@@ -180,8 +184,10 @@ class StandardSubalgebra:
         """Canonical 0/1 basis, group-major then row-major in (p, q).
 
         Built on first access: it holds sum n_g^2 Python objects, which
-        nothing but the Gram-projection oracle needs.
+        nothing but the Gram-projection oracle needs.  Refused with
+        InputError above BASIS_LIMIT elements.
         """
+        self._check_basis_limit()
         return tuple(
             CanonicalBasisElement(
                 gi + 1, p, q, n, tuple((k, off + p, off + q) for k, off in occ)
@@ -204,6 +210,13 @@ class StandardSubalgebra:
         """Linear dimension of the subalgebra: sum of n_g^2."""
         return sum(n * n for n in self._group_sizes)
 
+    def _check_basis_limit(self):
+        if self.dimension > BASIS_LIMIT:
+            raise InputError(
+                f"subalgebra dimension {self.dimension} exceeds BASIS_LIMIT "
+                f"{BASIS_LIMIT}; its canonical basis is not built"
+            )
+
     @property
     def trivially_grouped(self) -> bool:
         """True when every slot is its own group (no identifications)."""
@@ -214,8 +227,10 @@ class StandardSubalgebra:
 
         Every entry of a group's block is supported once per diagonal
         block of the group, so this repeats the per-group block counts
-        n_g^2 times; it has one column per basis element.
+        n_g^2 times; it has one column per basis element.  Refused with
+        InputError above BASIS_LIMIT columns.
         """
+        self._check_basis_limit()
         return np.repeat(self._counts, np.square(self._group_sizes), axis=1)
 
     def __repr__(self):

@@ -105,7 +105,7 @@ def test_search_command_schema_and_determinism(problem_files):
     assert p1.stdout == p2.stdout  # byte-identical for a fixed seed
     out = json.loads(p1.stdout)
     assert set(out) == {
-        "best_ratio", "witness", "samples", "seed", "refine_steps", "workers",
+        "best_ratio", "witness", "samples", "seed", "refine_steps",
     }
     assert out["samples"] == 200 and out["seed"] == 3
     assert out["refine_steps"] == 0

@@ -8,6 +8,7 @@ from frnorms.constants import (
     TABLE1_SPECS,
     empirical_sharp_constant,
     min_ratio_over_samples,
+    sharp_constant,
     structural_constants,
     table1,
     table1_subalgebra,
@@ -151,7 +152,7 @@ def test_search_is_deterministic_and_consistent():
     )
     r3 = empirical_sharp_constant(b, v, samples=400, seed=6, refine=False)
     assert r3.best_ratio != r1.best_ratio
-    assert r1.samples == 400 and r1.seed == 5 and r1.workers == 1
+    assert r1.samples == 400 and r1.seed == 5
     assert r1.refine_steps == 0
 
 
@@ -174,14 +175,6 @@ def test_refinement_improves_or_matches_sampling():
     plain = empirical_sharp_constant(b, v, samples=300, seed=9, refine=False)
     refined = empirical_sharp_constant(b, v, samples=300, seed=9, refine=True)
     assert refined.best_ratio <= plain.best_ratio + 1e-15
-
-
-def test_multi_worker_search_is_deterministic_per_layout():
-    b, v = uniform_single(2, [(1, 1), (1, 1)])
-    a1 = empirical_sharp_constant(b, v, samples=300, seed=2, refine=False, workers=2)
-    a2 = empirical_sharp_constant(b, v, samples=300, seed=2, refine=False, workers=2)
-    assert a1.best_ratio == a2.best_ratio
-    assert a1.workers == 2
 
 
 def test_search_tightens_toward_sharp_value_on_diagonal_m2():
@@ -210,5 +203,46 @@ def test_invalid_search_arguments():
     b, v = uniform_single(2, [(1, 1), (1, 1)])
     with pytest.raises(ValueError):
         empirical_sharp_constant(b, v, samples=0)
-    with pytest.raises(ValueError):
-        empirical_sharp_constant(b, v, samples=100, workers=0)
+
+
+def _all_problems():
+    rows = [(label, *table1_subalgebra(label)) for label, *_ in TABLE1_SPECS]
+    return rows + [(f.name, f.subalgebra, f.weight) for f in FLEET]
+
+
+def test_sharp_constant_closed_form():
+    b, v = table1_subalgebra("B^5_{2^2,1}")
+    assert abs(sharp_constant(b, v) - 1.0 / math.sqrt(5)) < 1e-15
+    b, v = uniform_single(2, [(1, 1), (1, 1)])
+    assert abs(sharp_constant(b, v) - 1.0 / math.sqrt(2)) < 1e-15
+    problems = _all_problems()
+    assert len(problems) == 30
+    for name, b, v in problems:
+        assert sharp_constant(b, v) >= structural_constants(b, v).bound - 1e-15, name
+        assert sharp_constant(b, v) <= 1.0 + 1e-15, name
+
+
+def test_sharp_constant_invariant_under_conjugation():
+    rng = np.random.default_rng(31)
+    for f in FLEET:
+        c = conjugated_subalgebra(f.subalgebra, random_unitary(f.shape, rng))
+        assert sharp_constant(c, f.weight) == sharp_constant(f.subalgebra, f.weight)
+
+
+def test_refined_search_attains_the_sharp_constant():
+    for name, b, v in _all_problems():
+        sharp = sharp_constant(b, v)
+        for seed in range(3):
+            best = empirical_sharp_constant(b, v, samples=2000, seed=seed).best_ratio
+            assert sharp - 1e-12 <= best <= sharp + 1e-6, (name, seed, best - sharp)
+
+
+def test_search_witness_is_a_rank_one_projection():
+    f = next(x for x in FLEET if x.name == "dsum-cross")
+    rep = empirical_sharp_constant(f.subalgebra, f.weight, samples=300, seed=3)
+    nonzero = [m for m in rep.witness.summands if np.any(m)]
+    assert len(nonzero) == 1
+    p = nonzero[0]
+    assert np.allclose(p @ p, p, atol=1e-12)
+    assert np.allclose(p, p.conj().T, atol=0.0)
+    assert abs(np.trace(p) - 1.0) < 1e-12

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from frnorms.effros_shen import (
     periodic_theta,
 )
 from frnorms.errors import InputError, RationalityError, WeightError
+from frnorms.subalgebra import BASIS_LIMIT, canonical_basis
 
 
 def test_module_constants_are_the_advertised_irrationals():
@@ -229,6 +231,27 @@ def test_deep_level_builds_in_bounded_memory():
     assert lvl.subalgebra.dimension == 196418
     assert sc.theorem == "cross-summand"
     assert peak < 5 * 2**20
+
+
+def test_on_demand_builds_are_bounded():
+    """The basis and the support counts of golden level 30 (956722026041
+    elements) and level 15 (514229) are refused before anything is
+    allocated; level 14 (196418) still builds."""
+    theta, cf = periodic_theta((1,), 30)
+    sub = es_level(theta, 30, cf).subalgebra
+    t0 = time.monotonic()
+    with pytest.raises(InputError, match="BASIS_LIMIT"):
+        canonical_basis(sub)
+    with pytest.raises(InputError, match="BASIS_LIMIT"):
+        sub.support_counts()
+    assert time.monotonic() - t0 < 1.0
+    theta, cf = periodic_theta((1,), 15)
+    with pytest.raises(InputError):
+        es_level(theta, 15, cf).subalgebra.support_counts()
+    theta, cf = periodic_theta((1,), 14)
+    counts = es_level(theta, 14, cf).subalgebra.support_counts()
+    assert counts.shape == (2, 196418)
+    assert counts.shape[1] <= BASIS_LIMIT
 
 
 def test_level_weights_follow_the_parameter():

@@ -234,7 +234,10 @@ def shape_to_json(shape: AlgebraShape) -> dict:
 def shape_from_json(obj) -> AlgebraShape:
     if not isinstance(obj, dict) or "shape" not in obj:
         raise ShapeError("expected a mapping with a 'shape' field")
-    return AlgebraShape(tuple(int(d) for d in obj["shape"]))
+    try:
+        return AlgebraShape(tuple(int(d) for d in obj["shape"]))
+    except TypeError as exc:
+        raise ShapeError(f"malformed shape object: {exc}") from exc
 
 
 def element_to_json(a: AlgebraElement) -> dict:
@@ -264,4 +267,8 @@ def weight_to_json(v: TracialWeight) -> dict:
 def weight_from_json(shape: AlgebraShape, obj) -> TracialWeight:
     if not isinstance(obj, dict) or "weights" not in obj:
         raise WeightError("expected a mapping with a 'weights' field")
-    return TracialWeight(shape, tuple(float(x) for x in obj["weights"]))
+    try:
+        raw = tuple(float(x) for x in obj["weights"])
+    except TypeError as exc:
+        raise WeightError(f"malformed weights object: {exc}") from exc
+    return TracialWeight(shape, raw)

@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 
 from .algebra import (
     AlgebraShape,
@@ -66,6 +67,18 @@ def _load_json(path: str):
 
 def _emit(obj):
     sys.stdout.write(json.dumps(obj) + "\n")
+
+
+def _record(obj, names=None) -> dict:
+    """The named fields of a result dataclass, all of them by default, in
+    declaration order."""
+    if names is None:
+        names = [f.name for f in fields(obj)]
+    return {name: getattr(obj, name) for name in names}
+
+
+# The structural constants that effros-shen reports.
+_ES_STRUCTURAL = ("r", "ell", "m", "alpha", "gamma")
 
 
 def _load_problem(args, need_element=False):
@@ -126,19 +139,7 @@ def _cmd_expect(args) -> int:
 
 def _cmd_constants(args) -> int:
     sub, weight, _ = _load_problem(args)
-    sc = structural_constants(sub, weight)
-    _emit(
-        {
-            "L": sc.L,
-            "r": sc.r,
-            "ell": sc.ell,
-            "m": sc.m,
-            "alpha": sc.alpha,
-            "gamma": sc.gamma,
-            "bound": sc.bound,
-            "theorem": sc.theorem,
-        }
-    )
+    _emit(_record(structural_constants(sub, weight)))
     return 0
 
 
@@ -153,15 +154,7 @@ def _cmd_search(args) -> int:
         seed=args.seed,
         refine=args.refine,
     )
-    _emit(
-        {
-            "best_ratio": report.best_ratio,
-            "witness": element_to_json(report.witness),
-            "samples": report.samples,
-            "seed": report.seed,
-            "refine_steps": report.refine_steps,
-        }
-    )
+    _emit({**_record(report), "witness": element_to_json(report.witness)})
     return 0
 
 
@@ -177,22 +170,7 @@ def _cmd_table1(args) -> int:
             emp = "" if row.empirical is None else repr(row.empirical)
             writer.writerow([row.label, repr(row.theoretical), emp, row.theorem])
     else:
-        _emit(
-            [
-                {
-                    "label": row.label,
-                    "dim": row.dim,
-                    "terms": [list(t) for t in row.terms],
-                    "theoretical": row.theoretical,
-                    "theorem": row.theorem,
-                    "empirical": row.empirical,
-                    "reference_guess": row.reference_guess,
-                    "reference_theoretical": row.reference_theoretical,
-                    "flagged": row.flagged,
-                }
-                for row in rows
-            ]
-        )
+        _emit([_record(row) for row in rows])
     return 0
 
 
@@ -214,13 +192,7 @@ def _cmd_effros_shen(args) -> int:
             "shape": list(lev.shape.dims),
             "t": lev.t,
             "constant": es_constant(theta, args.level, cf),
-            "structural": {
-                "r": sc.r,
-                "ell": sc.ell,
-                "m": sc.m,
-                "alpha": sc.alpha,
-                "gamma": sc.gamma,
-            },
+            "structural": _record(sc, _ES_STRUCTURAL),
         }
     )
     return 0

@@ -19,14 +19,17 @@ import numpy as np
 
 from . import linalg
 from .algebra import AlgebraElement, AlgebraShape, TracialWeight
-from .expectation import _block_average, _weighted_denominators, fr_norm
+from .expectation import _expected_opnorms, _weighted_denominators, fr_norm
 from .subalgebra import ConjugatedSubalgebra, StandardSubalgebra, single_summand_subalgebra
 
 REFINE_ROUNDS = 200
 REFINE_INITIAL_STEP = 0.1
 REFINE_FAIL_LIMIT = 5
 REFINE_DIRECTIONS = 16
-_CHUNK = 20000
+# Complex entries per sampling chunk.  A sampled vector carries a d_k x d_k
+# matrix for every summand, so a chunk holds _CHUNK_ENTRIES // sum_k d_k^2
+# vectors: 20000 whenever sum_k d_k^2 <= 32, fewer for larger shapes.
+_CHUNK_ENTRIES = 20000 * 32
 
 
 @dataclass(frozen=True)
@@ -134,15 +137,15 @@ class _RatioEvaluator:
         """Squared induced norms for a stack of elements (one array per
         summand, shapes (nb, d_k, d_k))."""
         grams = [np.conj(np.swapaxes(s, 1, 2)) @ s for s in stacks]
-        proj = _block_average(self.b, self.w, grams)
-        return np.max([linalg.hermitian_opnorm_batch(p) for p in proj], axis=0)
+        return _expected_opnorms(self.b, self.w, grams)
 
     def rank_one_ratios(self, k: int, vecs: np.ndarray) -> np.ndarray:
         """Ratios of the projections xx* onto the unit rows x of ``vecs``,
-        placed in summand k: sqrt(||P(xx*)||_op), as ||xx*||_op = 1."""
+        placed in summand k: sqrt(||P(xx*)||_op), as ||xx*||_op = 1.  A
+        projection is its own square, so xx* goes in without a Gram step."""
         stacks = [np.zeros((len(vecs), d, d), dtype=np.complex128) for d in self.dims]
         stacks[k] = vecs[:, :, None] * np.conj(vecs[:, None, :])
-        return np.sqrt(self.fr_norms_sq(stacks))
+        return np.sqrt(_expected_opnorms(self.b, self.w, stacks))
 
 
 @dataclass(frozen=True)
@@ -236,11 +239,12 @@ def empirical_sharp_constant(
         raise ValueError("samples must be >= 1")
     evaluator = _RatioEvaluator(b, v)
     rng = np.random.default_rng(seed)
+    chunk = max(1, _CHUNK_ENTRIES // sum(d * d for d in b.shape.dims))
     best = np.inf
     for k, d in enumerate(b.shape.dims):
         done = 0
         while done < samples:
-            count = min(_CHUNK, samples - done)
+            count = min(chunk, samples - done)
             vecs = _unit_rows(_complex_gaussian(rng, (count, d)))
             ratios = evaluator.rank_one_ratios(k, vecs)
             pick = int(np.argmin(ratios))
@@ -351,8 +355,9 @@ def table1(
 def min_ratio_over_samples(b, v: TracialWeight, count: int, seed: int) -> float:
     """Minimum fr_norm/op_norm ratio over a fixed seeded sample set.
 
-    Evaluated through ``cond_expect``, so a conjugated subalgebra
-    exercises the transport path sample by sample.
+    Evaluated through ``fr_norm``, which carries A* A to the base of a
+    conjugated subalgebra, so a conjugate exercises the transport path
+    sample by sample.
     """
     shape = b.shape if not isinstance(b, ConjugatedSubalgebra) else b.base.shape
     rng = np.random.default_rng(seed)

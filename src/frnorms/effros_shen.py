@@ -19,7 +19,6 @@ precision" used throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -144,10 +143,6 @@ def _tail_value(period: tuple[int, ...]) -> float:
     cf = ContinuedFraction((0,) + tuple(period))
     table = convergent_table(cf)
     k = cf.depth
-    if k == 1:
-        # Single-term period: x = 1/(r + x).
-        r = period[0]
-        return (np.sqrt(r * r + 4.0) - r) / 2.0
     a = table.q[k - 1]
     b = table.q[k] - table.p[k - 1]
     c = -table.p[k]
@@ -207,12 +202,20 @@ def baire_distance(x, y) -> float:
     """
     x = tuple(x)
     y = tuple(y)
-    for idx in range(min(len(x), len(y))):
-        if x[idx] != y[idx]:
-            return 2.0 ** (-(idx + 1))
-    if len(x) == len(y):
+    n = _common_prefix(x, y)
+    if n == len(x) == len(y):
         return 0.0
-    return 2.0 ** (-(min(len(x), len(y)) + 1))
+    return 2.0 ** (-(n + 1))
+
+
+def _common_prefix(x, y) -> int:
+    """Length of the longest common prefix of the sequences x and y."""
+    n = 0
+    for a, b in zip(x, y):
+        if a != b:
+            break
+        n += 1
+    return n
 
 
 def es_weight_t(theta: float, n: int, cf: ContinuedFraction | None = None) -> float:
@@ -248,14 +251,6 @@ class EffrosShenLevel:
     q: tuple[int, ...]
 
 
-@lru_cache(maxsize=256)
-def _level_structure(q_n: int, q_n1: int, q_n2: int, r_n: int) -> StandardSubalgebra:
-    shape = AlgebraShape((q_n, q_n1))
-    partitions = [((q_n1, r_n), (q_n2, 1)), ((q_n1, 1),)]
-    groups = [[(1, 1), (2, 1)], [(1, 2)]]
-    return make_standard_subalgebra(shape, partitions, groups)
-
-
 def es_level(theta: float, n: int, cf: ContinuedFraction | None = None) -> EffrosShenLevel:
     """The level-n algebra M_{q_n} + M_{q_{n-1}} with the embedded image
     of level n-1 and the weight (t, 1-t).
@@ -272,7 +267,12 @@ def es_level(theta: float, n: int, cf: ContinuedFraction | None = None) -> Effro
         raise InputError(f"continued fraction depth {cf.depth} below level {n}")
     table = convergent_table(cf)
     t = es_weight_t(theta, n, cf)
-    sub = _level_structure(table.q[n], table.q[n - 1], table.q[n - 2], cf.r[n])
+    q_n, q_n1, q_n2 = table.q[n], table.q[n - 1], table.q[n - 2]
+    sub = make_standard_subalgebra(
+        (q_n, q_n1),
+        [((q_n1, cf.r[n]), (q_n2, 1)), ((q_n1, 1),)],
+        [[(1, 1), (2, 1)], [(1, 2)]],
+    )
     weight = TracialWeight(sub.shape, (t, 1.0 - t))
     return EffrosShenLevel(
         n=n,
@@ -364,11 +364,7 @@ def continuity_probe(
             eta_cf = cf_expand(eta, depth)
         elif eta_cf.depth < depth:
             raise InputError(f"perturbation depth {eta_cf.depth} below {depth}")
-        agree = 0
-        for a, b in zip(cf.tail[:depth], eta_cf.tail[:depth]):
-            if a != b:
-                break
-            agree += 1
+        agree = _common_prefix(cf.tail[:depth], eta_cf.tail[:depth])
         d_b = baire_distance(cf.tail[:depth], eta_cf.tail[:depth])
         c_eta = es_constant(eta, N, eta_cf)
         table = convergent_table(eta_cf)

@@ -14,7 +14,10 @@ membership test run the same code; ``cond_expect_gram`` is an
 independent oracle that projects onto the canonical basis with Gram
 coefficients <A, e>/<e, e> computed from the tracial inner product.
 
-The induced norm is ||A||_{v,B} = sqrt(||P(A* A)||_op).  Conjugation
+The induced norm is ||A||_{v,B} = sqrt(||P(A* A)||_op).  Its square is
+computed for whole stacks of positive elements at once, block average
+then batched Hermitian spectra; ``fr_norm_squared`` is a stack of one
+and the sharp-constant search passes thousands.  Conjugation
 pipelines reproduce the expectation through averages of unitary
 conjugates and carry the structure behind the equivalence-constant
 bounds.
@@ -38,9 +41,6 @@ from .algebra import (
 )
 from .errors import ShapeError
 from .subalgebra import ConjugatedSubalgebra, StandardSubalgebra
-
-PIPELINE_MATCH_TOL = 1e-9
-
 
 def _weighted_denominators(b: StandardSubalgebra, w: np.ndarray) -> np.ndarray:
     """Per-group normalization sum_blocks w_k for per-summand weights w."""
@@ -86,24 +86,39 @@ def cond_expect_gram(b, v: TracialWeight, a: AlgebraElement) -> AlgebraElement:
         u = b.unitary
         inner = cond_expect_gram(b.base, v, u.adjoint() @ a @ u)
         return u @ inner @ u.adjoint()
-    dense = getattr(b, "_dense_basis", None)
-    if dense is None:
-        dense = tuple(e.element(b.shape) for e in b.basis)
-        b._dense_basis = dense
     out = AlgebraElement.zero(b.shape)
-    for e in dense:
+    for e in b.dense_basis:
         coef = inner_product(v, a, e) / inner_product(v, e, e)
         out = out + coef * e
     return out
 
 
-def _hermitian_element_opnorm(a: AlgebraElement) -> float:
-    return max(linalg.hermitian_opnorm(m) for m in a.summands)
+def _expected_opnorms(b: StandardSubalgebra, w: np.ndarray, summands) -> np.ndarray:
+    """||P(B)||_op for a stack of positive elements B.
+
+    ``summands`` and ``w`` are as for :func:`_block_average`; the result
+    has one entry per element of the stack, the largest operator norm
+    over the summands of its block average.
+    """
+    proj = _block_average(b, w, summands)
+    return np.max([linalg.hermitian_opnorm_batch(p) for p in proj], axis=0)
 
 
 def fr_norm_squared(b, v: TracialWeight, a: AlgebraElement) -> float:
-    """||P(A* A)||_op, the square of the induced norm."""
-    return _hermitian_element_opnorm(cond_expect(b, v, a.adjoint() @ a))
+    """||P(A* A)||_op, the square of the induced norm, as a batch of one.
+
+    On a conjugate U B U* the expectation is U P_B(U* X U) U*, whose
+    operator norm is that of P_B(U* X U), so A* A is carried to the base.
+    """
+    x = a.adjoint() @ a
+    if isinstance(b, ConjugatedSubalgebra):
+        u = b.unitary
+        x = u.adjoint() @ x @ u
+        b = b.base
+    if x.shape.dims != b.shape.dims or v.shape.dims != b.shape.dims:
+        raise ShapeError("element, weight and subalgebra shapes must agree")
+    stack = [m[None] for m in x.summands]
+    return float(_expected_opnorms(b, v.per_trace_factors(), stack)[0])
 
 
 def fr_norm(b, v: TracialWeight, a: AlgebraElement) -> float:

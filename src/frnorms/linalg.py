@@ -1,9 +1,10 @@
 """Dense complex-matrix kernel.
 
-Matrices are plain ``numpy.ndarray`` values of dtype complex128.  Hermitian
-spectra are computed by numpy's LAPACK drivers (``eigvalsh``/``eigh``) on
-the Hermitian part of the input, one call per stack of matrices; a LAPACK
-failure surfaces as :class:`ConvergenceError`.  The cyclic Jacobi
+Matrices are plain ``numpy.ndarray`` values of dtype complex128.  Spectra
+are computed on stacks only: :func:`eigvalsh_batch` hands a whole
+(batch, n, n) stack to numpy's LAPACK ``eigvalsh`` in one call, and the
+operator norms are built on it; a single matrix is a batch of one.  A
+LAPACK failure surfaces as :class:`ConvergenceError`.  The cyclic Jacobi
 eigensolver :func:`jacobi_eigh` is kept as an independent oracle for the
 tests and as the fixed unitary generator of the fixture fleet.
 """
@@ -15,8 +16,6 @@ from .errors import ConvergenceError, DimensionError, HermitianError
 
 # Relative tolerance for the Hermitian-input gate.
 HERMITIAN_RTOL = 1e-12
-# Slack allowed below zero when classifying eigenvalues as nonnegative.
-PSD_SLACK = 1e-10
 # Jacobi sweep convergence: off-diagonal Frobenius mass below this
 # multiple of the diagonal mass.
 JACOBI_OFF_RTOL = 1e-14
@@ -143,82 +142,54 @@ def jacobi_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
-def _lapack(solver, h: np.ndarray):
-    # Symmetrizing first makes the result independent of which triangle
-    # LAPACK reads.
-    h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
-    try:
-        return solver(h)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"LAPACK eigensolver did not converge: {exc}") from exc
-
-
 def eigvalsh_batch(h: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending) for a stack of Hermitian matrices.
 
     ``h`` has shape (batch, n, n) and is replaced by its Hermitian part
-    0.5 (h + h^H) before the whole stack goes to LAPACK in one call.
+    0.5 (h + h^H) before the whole stack goes to LAPACK in one call;
+    symmetrizing first makes the result independent of which triangle
+    LAPACK reads.  Non-finite entries (an overflowed Gram matrix, say)
+    are refused with ValueError.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
         raise DimensionError(f"expected a (batch, n, n) stack, got shape {h.shape}")
-    return _lapack(np.linalg.eigvalsh, h)
-
-
-def hermitian_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (w ascending, unitary v) of a Hermitian matrix by LAPACK."""
-    return _lapack(np.linalg.eigh, ensure_hermitian(m))
-
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix."""
-    return eigvalsh_batch(ensure_hermitian(m)[None])[0]
-
-
-def hermitian_opnorm(m: np.ndarray) -> float:
-    """Operator norm of a Hermitian matrix (largest eigenvalue magnitude)."""
-    w = hermitian_eigenvalues(m)
-    return float(np.max(np.abs(w), initial=0.0))
-
-
-def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value, via the Hermitian eigenproblem for m^H m.
-
-    Exactly Hermitian inputs skip the squaring and use the eigenvalue
-    magnitudes directly, which avoids the precision loss of the m^H m
-    detour (a spectral value of 3 comes back as 3.0, not 2.9999...96).
-    """
-    m = ensure_square(m)
-    if not m.any():
-        return 0.0
-    if np.array_equal(m, adjoint(m)):
-        return hermitian_opnorm(m)
-    w = hermitian_eigenvalues(adjoint(m) @ m)
-    return float(np.sqrt(max(w[-1], 0.0)))
+    if not np.isfinite(h).all():
+        raise ValueError("matrix entries must be finite")
+    h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+    try:
+        return np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigensolver did not converge: {exc}") from exc
 
 
 def opnorm_batch(m: np.ndarray) -> np.ndarray:
-    """Operator norms for a stack of (not necessarily Hermitian) matrices."""
+    """Operator norms for a stack of (not necessarily Hermitian) matrices,
+    via the top eigenvalue of each Gram matrix m^H m."""
     gram = np.conj(np.swapaxes(m, 1, 2)) @ m
     w = eigvalsh_batch(gram)
     return np.sqrt(np.maximum(w[:, -1], 0.0))
 
 
 def hermitian_opnorm_batch(h: np.ndarray) -> np.ndarray:
+    """Operator norms for a stack of Hermitian matrices: the largest
+    eigenvalue magnitude of each."""
     w = eigvalsh_batch(h)
-    return np.max(np.abs(w), axis=1)
+    return np.max(np.abs(w), axis=1, initial=0.0)
 
 
-def is_positive_semidefinite(m: np.ndarray) -> bool:
-    """True iff m is Hermitian within tolerance and its spectrum is
-    nonnegative up to PSD_SLACK * max(1, ||m||_op)."""
+def operator_norm(m: np.ndarray) -> float:
+    """Largest singular value of one matrix, as a batch of one.
+
+    Exactly Hermitian inputs go to :func:`hermitian_opnorm_batch`, which
+    avoids the precision loss of the m^H m detour (a spectral value of 3
+    comes back as 3.0, not 2.9999...96); the rest go to
+    :func:`opnorm_batch`.
+    """
     m = ensure_square(m)
-    try:
-        w = hermitian_eigenvalues(m)
-    except HermitianError:
-        return False
-    opn = float(np.max(np.abs(w), initial=0.0))
-    return bool(w.size == 0 or w[0] >= -PSD_SLACK * max(1.0, opn))
+    if np.array_equal(m, adjoint(m)):
+        return float(hermitian_opnorm_batch(m[None])[0])
+    return float(opnorm_batch(m[None])[0])
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

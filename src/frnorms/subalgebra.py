@@ -42,6 +42,10 @@ UNITARY_TOL = 1e-10
 # demand; golden-ratio tower level 14 (196418) fits, level 15 (514229)
 # does not.
 BASIS_LIMIT = 2**18
+# Largest dense basis, in complex entries (dimension * sum_k d_k^2, 16
+# bytes each), that the Gram-projection oracle builds: 128 MiB.  Golden
+# tower level 9 (6.7e6 entries) fits, level 10 (4.6e7) does not.
+DENSE_BASIS_LIMIT = 2**23
 
 
 @dataclass(frozen=True)
@@ -196,6 +200,21 @@ class StandardSubalgebra:
             for p in range(1, n + 1)
             for q in range(1, n + 1)
         )
+
+    @cached_property
+    def dense_basis(self) -> tuple[AlgebraElement, ...]:
+        """The canonical basis as dense elements, for the Gram oracle.
+
+        Refused with InputError, before the basis is built, when it would
+        hold more than DENSE_BASIS_LIMIT complex entries.
+        """
+        entries = self.dimension * sum(d * d for d in self.shape.dims)
+        if entries > DENSE_BASIS_LIMIT:
+            raise InputError(
+                f"dense basis of {entries} entries exceeds DENSE_BASIS_LIMIT "
+                f"{DENSE_BASIS_LIMIT}"
+            )
+        return tuple(e.element(self.shape) for e in self.basis)
 
     @property
     def num_groups(self) -> int:

@@ -97,6 +97,30 @@ def test_constants_command_schema(problem_files):
     assert abs(out["bound"] - 2**-0.5) < 1e-15
 
 
+def test_constants_command_exact_stdout(problem_files, capsys):
+    assert cli.main(["constants", *problem_args(problem_files)]) == 0
+    assert capsys.readouterr().out == (
+        '{"L": 2, "r": 2, "ell": 1, "m": 1, "alpha": 0.5, "gamma": 0.5, '
+        '"bound": 0.7071067811865475, "theorem": "multiplicity-free"}\n'
+    )
+
+
+def test_malformed_weight_and_shape_files_exit_2(tmp_path, problem_files, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"weights": 5}))
+    args = ["--subalgebra", problem_files["subalgebra"], "--weights", str(bad)]
+    assert cli.main(["constants", *args]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "WeightError"
+    bad.write_text(json.dumps({"shape": 5}))
+    args = [
+        "--algebra", str(bad),
+        "--subalgebra", problem_files["subalgebra"],
+        "--weights", problem_files["weights"],
+    ]
+    assert cli.main(["constants", *args]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ShapeError"
+
+
 def test_search_command_schema_and_determinism(problem_files):
     args = ("search", *problem_args(problem_files),
             "--samples", "200", "--seed", "3", "--no-refine")
@@ -153,6 +177,24 @@ def test_table1_json_flags_the_divergent_row():
             "reference_guess", "reference_theoretical", "flagged",
         }
         for r in rows
+    )
+
+
+def test_table1_json_row_layout(capsys):
+    assert cli.main(["table1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(
+        '[{"label": "B^3_{2,1}", "dim": 3, "terms": [[2, 1], [1, 1]], '
+        '"theoretical": 0.7071067811865475, "theorem": "multiplicity-free", '
+        '"empirical": null, "reference_guess": 0.7071067811865475, '
+        '"reference_theoretical": 0.7071067811865475, "flagged": false}, '
+    )
+    assert all(
+        list(r) == [
+            "label", "dim", "terms", "theoretical", "theorem", "empirical",
+            "reference_guess", "reference_theoretical", "flagged",
+        ]
+        for r in json.loads(out)
     )
 
 
@@ -295,7 +337,8 @@ def test_main_returns_zero_in_process(capsys):
 
 def _conjugated_problem(tmp_path, problem_files, rows, shape=(2,)):
     """The problem's subalgebra with a ``"unitary"`` key holding ``rows``."""
-    payload = json.loads(open(problem_files["subalgebra"]).read())
+    with open(problem_files["subalgebra"]) as fh:
+        payload = json.load(fh)
     d = len(rows)
     payload["unitary"] = {
         "shape": list(shape),

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frnorms import effros_shen
-from frnorms.constants import structural_constants
+from frnorms.algebra import AlgebraElement
+from frnorms.constants import empirical_sharp_constant, sharp_constant, structural_constants
 from frnorms.effros_shen import (
     GOLDEN,
     SQRT2_MINUS_1,
@@ -27,6 +27,7 @@ from frnorms.effros_shen import (
     periodic_theta,
 )
 from frnorms.errors import InputError, RationalityError, WeightError
+from frnorms.expectation import cond_expect, cond_expect_gram
 from frnorms.subalgebra import BASIS_LIMIT, canonical_basis
 
 
@@ -219,7 +220,6 @@ def test_deep_level_builds_in_bounded_memory():
     196418-element canonical basis, which neither the build nor the
     structural constants may materialise."""
     theta, cf = periodic_theta((1,), 14)
-    effros_shen._level_structure.cache_clear()
     tracemalloc.start()
     try:
         lvl = es_level(theta, 14, cf)
@@ -252,6 +252,43 @@ def test_on_demand_builds_are_bounded():
     counts = es_level(theta, 14, cf).subalgebra.support_counts()
     assert counts.shape == (2, 196418)
     assert counts.shape[1] <= BASIS_LIMIT
+
+
+def test_gram_oracle_is_bounded():
+    """The Gram oracle's dense basis (dimension * sum d_k^2 entries) is
+    refused at golden level 11 (3.1e8 entries, about 5 GB) before it is
+    built; level 8 (9.7e5 entries) still runs and agrees with the block
+    average."""
+    theta, cf = periodic_theta((1,), 11)
+    lvl = es_level(theta, 11, cf)
+    one = AlgebraElement.identity(lvl.shape)
+    t0 = time.monotonic()
+    with pytest.raises(InputError, match="DENSE_BASIS_LIMIT"):
+        cond_expect_gram(lvl.subalgebra, lvl.weight, one)
+    assert time.monotonic() - t0 < 1.0
+    theta, cf = periodic_theta((1,), 8)
+    lvl = es_level(theta, 8, cf)
+    a = AlgebraElement(lvl.shape, [np.diag(np.arange(1.0, d + 1)) for d in lvl.shape.dims])
+    g = cond_expect_gram(lvl.subalgebra, lvl.weight, a)
+    p = cond_expect(lvl.subalgebra, lvl.weight, a)
+    assert max(np.abs(x - y).max() for x, y in zip(g.summands, p.summands)) < 1e-12
+
+
+def test_deep_level_search_is_bounded():
+    """Sampling chunks are capped by entry count, so the search on golden
+    level 8 (dims 34, 21) at 2000 samples stays small in memory and still
+    lands on the sharp constant."""
+    theta, cf = periodic_theta((1,), 8)
+    lvl = es_level(theta, 8, cf)
+    tracemalloc.start()
+    try:
+        rep = empirical_sharp_constant(lvl.subalgebra, lvl.weight, samples=2000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sharp = sharp_constant(lvl.subalgebra, lvl.weight)
+    assert sharp - 1e-12 <= rep.best_ratio <= sharp + 1e-3
+    assert peak < 64 * 2**20
 
 
 def test_level_weights_follow_the_parameter():

@@ -73,6 +73,18 @@ class AlgebraElement:
         self.summands = summands
 
     @classmethod
+    def _adopt(cls, shape: AlgebraShape, summands) -> "AlgebraElement":
+        """Freeze and wrap freshly built complex (d_k, d_k) arrays that
+        the caller hands over, without the copy and the checks of
+        construction: a dense element at deep tower levels is tens of MB."""
+        out = cls.__new__(cls)
+        for m in summands:
+            m.setflags(write=False)
+        out.shape = shape
+        out.summands = tuple(summands)
+        return out
+
+    @classmethod
     def zero(cls, shape: AlgebraShape) -> "AlgebraElement":
         return cls(shape, [np.zeros((d, d)) for d in shape.dims])
 

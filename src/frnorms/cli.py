@@ -23,7 +23,6 @@ import sys
 from dataclasses import fields
 
 from .algebra import (
-    AlgebraShape,
     element_from_json,
     element_norm,
     element_to_json,

@@ -26,9 +26,11 @@ REFINE_ROUNDS = 200
 REFINE_INITIAL_STEP = 0.1
 REFINE_FAIL_LIMIT = 5
 REFINE_DIRECTIONS = 16
-# Complex entries per sampling chunk.  A sampled vector carries a d_k x d_k
-# matrix for every summand, so a chunk holds _CHUNK_ENTRIES // sum_k d_k^2
-# vectors: 20000 whenever sum_k d_k^2 <= 32, fewer for larger shapes.
+# Sampling chunk rule: a chunk holds _CHUNK_ENTRIES // sum_k d_k^2 vectors
+# (at least one), e.g. 25600 on M_5 and 160000 on M_2.  The vectors are
+# scored on slot Grams and so need only d_k entries each, but the rule
+# stays as it is: the chunk sizes fix the order of the draws, and with it
+# every sample stream and search result for a given seed.
 _CHUNK_ENTRIES = 20000 * 32
 
 
@@ -86,6 +88,23 @@ def theoretical_bound(b, v: TracialWeight) -> tuple[float, str]:
     return sc.bound, sc.theorem
 
 
+def _slot_table(b: StandardSubalgebra, w: np.ndarray) -> list[list[tuple[int, int, int, float]]]:
+    """Per summand k (0-based), one (offset, n, m, den) row per slot of k,
+    in slot order: the slot's 0-based row offset, block size n,
+    multiplicity m, and den_g, the weighted block count of the group g
+    holding the slot, for per-summand weights w."""
+    den = _weighted_denominators(b, w)
+    group_of = {slot: gi for gi, g in enumerate(b.groups) for slot in g}
+    table = []
+    for k, part in enumerate(b.partitions, start=1):
+        rows, off = [], 0
+        for i, (n, m) in enumerate(part.terms, start=1):
+            rows.append((off, n, m, float(den[group_of[(k, i)]])))
+            off += n * m
+        table.append(rows)
+    return table
+
+
 def sharp_constant(b, v: TracialWeight) -> float:
     """The sharp constant: the minimum of ||A||_{v,B} / ||A||_op.
 
@@ -111,24 +130,35 @@ def sharp_constant(b, v: TracialWeight) -> float:
     if isinstance(b, ConjugatedSubalgebra):
         b = b.base
     w = v.per_trace_factors()
-    den = _weighted_denominators(b, w)
-    group_of = {slot: gi for gi, g in enumerate(b.groups) for slot in g}
     sq = min(
-        w[k - 1] / sum(
-            den[group_of[(k, i)]] * min(n, m) for i, (n, m) in enumerate(part.terms, start=1)
-        )
-        for k, part in enumerate(b.partitions, start=1)
+        w[k] / sum(den * min(n, m) for _, n, m, den in slots)
+        for k, slots in enumerate(_slot_table(b, w))
     )
     return float(np.sqrt(sq))
 
 
 class _RatioEvaluator:
-    """Batched evaluation of fr_norm(A)^2 and ||A||_op over sample stacks."""
+    """Ratios ||A||_{v,B} / ||A||_op for the search.
+
+    The search scores rank-one projections xx* on slot Grams: with slot i
+    of summand k cut from x as in ``sharp_constant`` and
+    c_i = w_k / den_g(i), the ratio is sqrt(max_i c_i lambda_max(X_i* X_i)),
+    read from the d_k entries of x alone.  ``opnorms`` and
+    ``fr_norms_sq`` evaluate stacks of general elements through the block
+    average.
+    """
 
     def __init__(self, b: StandardSubalgebra, v: TracialWeight):
         self.b = b
-        self.dims = b.shape.dims
         self.w = v.per_trace_factors()
+        # Per summand: slot offsets, c_i, and the slots with
+        # min(n_i, m_i) > 1, the only ones that need an eigensolver.
+        self.slots = []
+        for k, rows in enumerate(_slot_table(b, self.w)):
+            offsets = np.array([off for off, _, _, _ in rows])
+            coef = np.array([self.w[k] / den for _, _, _, den in rows])
+            grams = [(i, off, n, m) for i, (off, n, m, _) in enumerate(rows) if min(n, m) > 1]
+            self.slots.append((offsets, coef, grams))
 
     def opnorms(self, stacks) -> np.ndarray:
         return np.max([linalg.opnorm_batch(s) for s in stacks], axis=0)
@@ -141,11 +171,17 @@ class _RatioEvaluator:
 
     def rank_one_ratios(self, k: int, vecs: np.ndarray) -> np.ndarray:
         """Ratios of the projections xx* onto the unit rows x of ``vecs``,
-        placed in summand k: sqrt(||P(xx*)||_op), as ||xx*||_op = 1.  A
-        projection is its own square, so xx* goes in without a Gram step."""
-        stacks = [np.zeros((len(vecs), d, d), dtype=np.complex128) for d in self.dims]
-        stacks[k] = vecs[:, :, None] * np.conj(vecs[:, None, :])
-        return np.sqrt(_expected_opnorms(self.b, self.w, stacks))
+        placed in summand k.  A slot with min(n_i, m_i) = 1 has
+        lambda_max = ||X_i||_F^2, summed for all slots at once; the others
+        take the top eigenvalue of the Gram on the smaller side of X_i."""
+        offsets, coef, grams = self.slots[k]
+        lam = np.add.reduceat(vecs.real**2 + vecs.imag**2, offsets, axis=1)
+        for i, off, n, m in grams:
+            piece = vecs[:, off : off + n * m].reshape(len(vecs), m, n)
+            adj = np.conj(np.swapaxes(piece, 1, 2))
+            gram = piece @ adj if m <= n else adj @ piece
+            lam[:, i] = linalg.hermitian_opnorm_batch(gram)
+        return np.sqrt(np.max(coef * lam, axis=1))
 
 
 @dataclass(frozen=True)
@@ -255,11 +291,13 @@ def empirical_sharp_constant(
     refine_steps = 0
     if refine:
         best, x, refine_steps = _refine(evaluator, best_k, x, best, rng)
-    witness = [np.zeros((d, d), dtype=np.complex128) for d in b.shape.dims]
-    witness[best_k] = np.outer(x, np.conj(x))
+    witness = [
+        np.outer(x, np.conj(x)) if k == best_k else np.zeros((d, d), dtype=np.complex128)
+        for k, d in enumerate(b.shape.dims)
+    ]
     return SearchReport(
         best_ratio=best,
-        witness=AlgebraElement(b.shape, witness),
+        witness=AlgebraElement._adopt(b.shape, witness),
         samples=samples,
         seed=seed,
         refine_steps=refine_steps,

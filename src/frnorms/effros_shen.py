@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraShape, TracialWeight
-from .constants import structural_constants
 from .errors import InputError, RationalityError, WeightError
 from .subalgebra import StandardSubalgebra, make_standard_subalgebra
 

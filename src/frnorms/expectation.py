@@ -9,18 +9,19 @@ gets
 the sums running over the diagonal blocks of g (``occurrences``), and
 P(A) writes X_g back into every block of g, zero elsewhere.
 ``cond_expect`` evaluates this through one kernel that takes any leading
-batch axes, so the batched sharp-constant search and the unweighted
-membership test run the same code; ``cond_expect_gram`` is an
-independent oracle that projects onto the canonical basis with Gram
-coefficients <A, e>/<e, e> computed from the tracial inner product.
+batch axes, so batched induced norms and the unweighted membership
+test run the same code; ``cond_expect_gram`` is an independent oracle
+that projects onto the canonical basis with Gram coefficients
+<A, e>/<e, e> computed from the tracial inner product.
 
 The induced norm is ||A||_{v,B} = sqrt(||P(A* A)||_op).  Its square is
 computed for whole stacks of positive elements at once, block average
-then batched Hermitian spectra; ``fr_norm_squared`` is a stack of one
-and the sharp-constant search passes thousands.  Conjugation
-pipelines reproduce the expectation through averages of unitary
-conjugates and carry the structure behind the equivalence-constant
-bounds.
+then batched Hermitian spectra; ``fr_norm_squared`` is a stack of one.
+The sharp-constant search does not come through here: it scores
+rank-one projections on slot Grams (``constants._RatioEvaluator``),
+which tests check against ``fr_norm_squared``.  Conjugation pipelines
+reproduce the expectation through averages of unitary conjugates and
+carry the structure behind the equivalence-constant bounds.
 """
 from __future__ import annotations
 

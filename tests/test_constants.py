@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from frnorms.algebra import AlgebraShape, TracialWeight
+from frnorms.algebra import AlgebraElement, AlgebraShape, TracialWeight
 from frnorms.constants import (
     TABLE1_SPECS,
+    _RatioEvaluator,
     empirical_sharp_constant,
     min_ratio_over_samples,
     sharp_constant,
@@ -14,9 +15,11 @@ from frnorms.constants import (
     table1_subalgebra,
     theoretical_bound,
 )
-from frnorms.expectation import fr_norm
+from frnorms.effros_shen import es_level, periodic_theta
+from frnorms.expectation import fr_norm, fr_norm_squared
 from frnorms.fleet import build_fleet, random_unitary
 from frnorms.subalgebra import (
+    ConjugatedSubalgebra,
     conjugated_subalgebra,
     make_standard_subalgebra,
     single_summand_subalgebra,
@@ -227,6 +230,34 @@ def test_sharp_constant_invariant_under_conjugation():
     for f in FLEET:
         c = conjugated_subalgebra(f.subalgebra, random_unitary(f.shape, rng))
         assert sharp_constant(c, f.weight) == sharp_constant(f.subalgebra, f.weight)
+
+
+def test_slot_gram_ratios_match_the_induced_norm():
+    """The search scores xx* on slot Grams; the closed form of P behind
+    them is checked here against fr_norm_squared(xx*), a block average
+    of the full d_k x d_k projection, on every table row and fixture,
+    golden tower levels 6-8 and a sqrt(2) level whose slot Grams are
+    2 x 2."""
+    problems = _all_problems()
+    for period, level in (((1,), 6), ((1,), 7), ((1,), 8), ((2,), 4)):
+        theta, cf = periodic_theta(period, level)
+        lvl = es_level(theta, level, cf)
+        problems.append((f"{period}-{level}", lvl.subalgebra, lvl.weight))
+    assert any(min(n, m) == 2 for n, m in problems[-1][1].partitions[0].terms)
+    rng = np.random.default_rng(17)
+    for name, b, v in problems:
+        if isinstance(b, ConjugatedSubalgebra):
+            b = b.base
+        ev = _RatioEvaluator(b, v)
+        for k, d in enumerate(b.shape.dims):
+            vecs = rng.standard_normal((200, d)) + 1j * rng.standard_normal((200, d))
+            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+            ratios = ev.rank_one_ratios(k, vecs)
+            for x, ratio in zip(vecs, ratios):
+                mats = [np.zeros((e, e), dtype=complex) for e in b.shape.dims]
+                mats[k] = np.outer(x, np.conj(x))
+                want = math.sqrt(fr_norm_squared(b, v, AlgebraElement(b.shape, mats)))
+                assert abs(ratio - want) < 1e-14, (name, k, ratio - want)
 
 
 def test_refined_search_attains_the_sharp_constant():

@@ -26,7 +26,7 @@ from frnorms.effros_shen import (
     eventually_periodic_theta,
     periodic_theta,
 )
-from frnorms.errors import InputError, RationalityError, WeightError
+from frnorms.errors import InputError, RationalityError
 from frnorms.expectation import cond_expect, cond_expect_gram
 from frnorms.subalgebra import BASIS_LIMIT, canonical_basis
 
@@ -275,20 +275,25 @@ def test_gram_oracle_is_bounded():
 
 
 def test_deep_level_search_is_bounded():
-    """Sampling chunks are capped by entry count, so the search on golden
-    level 8 (dims 34, 21) at 2000 samples stays small in memory and still
-    lands on the sharp constant."""
-    theta, cf = periodic_theta((1,), 8)
-    lvl = es_level(theta, 8, cf)
-    tracemalloc.start()
-    try:
-        rep = empirical_sharp_constant(lvl.subalgebra, lvl.weight, samples=2000, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    sharp = sharp_constant(lvl.subalgebra, lvl.weight)
-    assert sharp - 1e-12 <= rep.best_ratio <= sharp + 1e-3
-    assert peak < 64 * 2**20
+    """The search scores each candidate on its own d_k entries, so on
+    golden level 8 (dims 34, 21), golden level 16 (dims 1597, 987) and
+    period (2) level 8 (dims 985, 408) a refined 2000-sample search stays
+    small in time and memory and lands on the sharp constant: the
+    empirical oracle for the tower's sharp constant."""
+    for period, level in (((1,), 8), ((1,), 16), ((2,), 8)):
+        theta, cf = periodic_theta(period, level)
+        lvl = es_level(theta, level, cf)
+        t0 = time.monotonic()
+        tracemalloc.start()
+        try:
+            rep = empirical_sharp_constant(lvl.subalgebra, lvl.weight, samples=2000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.monotonic() - t0 < 5.0, (period, level)
+        sharp = sharp_constant(lvl.subalgebra, lvl.weight)
+        assert sharp - 1e-12 <= rep.best_ratio <= sharp + 1e-6, (period, level)
+        assert peak < 64 * 2**20, (period, level)
 
 
 def test_level_weights_follow_the_parameter():

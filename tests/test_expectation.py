@@ -9,14 +9,12 @@ from frnorms.algebra import (
     TracialWeight,
     element_norm,
     inner_product,
-    matrix_unit,
     trace_state,
 )
 from frnorms.constants import structural_constants
 from frnorms.errors import ShapeError
 from frnorms.expectation import (
     apply_pipeline,
-    apply_stage,
     cond_expect,
     cond_expect_gram,
     fr_norm,
@@ -30,7 +28,6 @@ from frnorms.fleet import build_fleet, random_element, random_positive
 from frnorms.subalgebra import (
     contains,
     embed,
-    make_standard_subalgebra,
     single_summand_subalgebra,
 )
 

@@ -7,7 +7,6 @@ from frnorms.algebra import (
     TracialWeight,
     element_norm,
     inner_product,
-    matrix_unit,
 )
 from frnorms.errors import (
     GroupingError,

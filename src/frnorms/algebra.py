@@ -54,13 +54,18 @@ class AlgebraElement:
     """An element of a direct-sum matrix algebra.
 
     Supports ``+``, ``-``, scalar ``*``, the algebra product ``@`` and
-    ``adjoint()``.  Summand arrays are copied on construction and frozen.
+    ``adjoint()``.  Summand arrays are copied on construction and frozen;
+    the arrays an operation computes are new, so its result is checked
+    and frozen without a second copy.
     """
 
     __slots__ = ("shape", "summands")
 
     def __init__(self, shape: AlgebraShape, summands):
-        summands = tuple(linalg.as_matrix(m) for m in summands)
+        self._freeze(shape, [linalg.as_matrix(m) for m in summands])
+
+    def _freeze(self, shape: AlgebraShape, summands):
+        summands = tuple(summands)
         if len(summands) != shape.num_summands:
             raise ShapeError(
                 f"expected {shape.num_summands} summands, got {len(summands)}"
@@ -73,15 +78,13 @@ class AlgebraElement:
         self.summands = summands
 
     @classmethod
-    def _adopt(cls, shape: AlgebraShape, summands) -> "AlgebraElement":
-        """Freeze and wrap freshly built complex (d_k, d_k) arrays that
-        the caller hands over, without the copy and the checks of
-        construction: a dense element at deep tower levels is tens of MB."""
+    def _result(cls, shape: AlgebraShape, summands) -> "AlgebraElement":
+        """Wrap freshly computed arrays that no one else holds, such as
+        the result of an operation on elements, with the checks of
+        construction (an entry that overflowed is refused) but without
+        its copy: a dense element at deep tower levels is tens of MB."""
         out = cls.__new__(cls)
-        for m in summands:
-            m.setflags(write=False)
-        out.shape = shape
-        out.summands = tuple(summands)
+        out._freeze(shape, [linalg.as_matrix(m, copy=False) for m in summands])
         return out
 
     @classmethod
@@ -100,32 +103,32 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._require_same_shape(other)
-        return AlgebraElement(
+        return AlgebraElement._result(
             self.shape, [a + b for a, b in zip(self.summands, other.summands)]
         )
 
     def __sub__(self, other):
         self._require_same_shape(other)
-        return AlgebraElement(
+        return AlgebraElement._result(
             self.shape, [a - b for a, b in zip(self.summands, other.summands)]
         )
 
     def __neg__(self):
-        return AlgebraElement(self.shape, [-a for a in self.summands])
+        return AlgebraElement._result(self.shape, [-a for a in self.summands])
 
     def __mul__(self, scalar):
-        return AlgebraElement(self.shape, [scalar * a for a in self.summands])
+        return AlgebraElement._result(self.shape, [scalar * a for a in self.summands])
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         self._require_same_shape(other)
-        return AlgebraElement(
+        return AlgebraElement._result(
             self.shape, [a @ b for a, b in zip(self.summands, other.summands)]
         )
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.shape, [linalg.adjoint(a) for a in self.summands])
+        return AlgebraElement._result(self.shape, [linalg.adjoint(a) for a in self.summands])
 
     def is_hermitian(self, rtol: float = linalg.HERMITIAN_RTOL) -> bool:
         for a in self.summands:

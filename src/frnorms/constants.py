@@ -32,6 +32,14 @@ REFINE_DIRECTIONS = 16
 # stays as it is: the chunk sizes fix the order of the draws, and with it
 # every sample stream and search result for a given seed.
 _CHUNK_ENTRIES = 20000 * 32
+# Refine rounds scored per rank_one_ratios call (see _refine).
+_SPECULATE = 8
+# Doubles of refine directions per draw (512 KiB): all 200 rounds at once
+# up to d = 5, fewer rounds above.  On a 2-core x86 host, draws of
+# _CHUNK_ENTRIES (5 MB) fell out of cache and made refinement at golden
+# level 16 (d = 1597) 13-18% slower than a draw per round; at this size
+# it matched a draw per round.
+_REFINE_DRAW_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -173,14 +181,18 @@ class _RatioEvaluator:
         """Ratios of the projections xx* onto the unit rows x of ``vecs``,
         placed in summand k.  A slot with min(n_i, m_i) = 1 has
         lambda_max = ||X_i||_F^2, summed for all slots at once; the others
-        take the top eigenvalue of the Gram on the smaller side of X_i."""
+        take the top eigenvalue of the Gram on the smaller side of X_i,
+        in closed form when that Gram is 2 x 2 and from LAPACK above."""
         offsets, coef, grams = self.slots[k]
         lam = np.add.reduceat(vecs.real**2 + vecs.imag**2, offsets, axis=1)
         for i, off, n, m in grams:
             piece = vecs[:, off : off + n * m].reshape(len(vecs), m, n)
             adj = np.conj(np.swapaxes(piece, 1, 2))
             gram = piece @ adj if m <= n else adj @ piece
-            lam[:, i] = linalg.hermitian_opnorm_batch(gram)
+            if min(n, m) == 2:
+                lam[:, i] = linalg.top_eigvals_2x2(gram)
+            else:
+                lam[:, i] = linalg.hermitian_opnorm_batch(gram)
         return np.sqrt(np.max(coef * lam, axis=1))
 
 
@@ -219,28 +231,54 @@ def _refine(evaluator, k, x, best, rng):
     Gaussian directions, half at scale ``step`` and half at ``step / 4``,
     renormalizes, and keeps the best candidate if it lowers the ratio;
     the step halves after REFINE_FAIL_LIMIT consecutive failing rounds.
+
+    The rounds run in speculative blocks.  One draw gives the directions
+    of as many rounds as fit in _REFINE_DRAW_ENTRIES doubles, in the order
+    that a draw per round would give them.  Up to _SPECULATE rounds are then
+    scored in one call, on the guess that all of them fail: x stays put,
+    and round j of the block takes the step that j failing rounds leave,
+    step * 0.5**((fails + j) // REFINE_FAIL_LIMIT), which is exact since
+    halving is.  The first round that beats ``best`` is accepted as a
+    round-by-round loop accepts it; the scores after it are dropped, and
+    their directions are rescored from the new x.  A candidate's score
+    depends on its own row alone, so x, ``best`` and the accept count
+    equal those of the round-by-round loop bit for bit.
     """
+    ndir = REFINE_DIRECTIONS
+    d = x.size
+    # Direction scales within a round, in units of the step.
+    tiers = np.repeat([1.0 + 0j, 0.25 + 0j], ndir)[:, None]
+    per_draw = max(1, _REFINE_DRAW_ENTRIES // (4 * ndir * d))
     step = REFINE_INITIAL_STEP
     fails = 0
     accepted = 0
-    ndir = REFINE_DIRECTIONS
-    for _ in range(REFINE_ROUNDS):
-        g = _complex_gaussian(rng, (2 * ndir, x.size))
-        g[:ndir] *= step
-        g[ndir:] *= 0.25 * step
-        cands = _unit_rows(x + g)
-        ratios = evaluator.rank_one_ratios(k, cands)
-        pick = int(np.argmin(ratios))
-        if ratios[pick] < best:
-            best = float(ratios[pick])
-            x = cands[pick]
+    done = 0
+    dirs = np.empty((0, 2 * ndir, d), dtype=np.complex128)
+    while done < REFINE_ROUNDS:
+        if not len(dirs):
+            raw = rng.standard_normal((min(per_draw, REFINE_ROUNDS - done), 2, 2 * ndir, d))
+            dirs = raw[:, 0] + 1j * raw[:, 1]
+        span = min(_SPECULATE, len(dirs))
+        steps = step * 0.5 ** ((fails + np.arange(span)) // REFINE_FAIL_LIMIT)
+        cands = dirs[:span] * (steps[:, None, None] * tiers)
+        cands += x
+        cands = _unit_rows(cands.reshape(-1, d))
+        ratios = evaluator.rank_one_ratios(k, cands).reshape(span, 2 * ndir)
+        hits = np.flatnonzero(ratios.min(axis=1) < best)
+        # The rounds before the first hit, or all of them, failed.
+        failed = int(hits[0]) if hits.size else span
+        halvings, fails = divmod(fails + failed, REFINE_FAIL_LIMIT)
+        step *= 0.5**halvings
+        used = failed
+        if hits.size:
+            pick = int(np.argmin(ratios[failed]))
+            best = float(ratios[failed, pick])
+            x = cands[failed * 2 * ndir + pick]
             accepted += 1
             fails = 0
-        else:
-            fails += 1
-            if fails >= REFINE_FAIL_LIMIT:
-                step *= 0.5
-                fails = 0
+            used += 1
+        dirs = dirs[used:]
+        done += used
     return best, x, accepted
 
 
@@ -297,7 +335,7 @@ def empirical_sharp_constant(
     ]
     return SearchReport(
         best_ratio=best,
-        witness=AlgebraElement._adopt(b.shape, witness),
+        witness=AlgebraElement._result(b.shape, witness),
         samples=samples,
         seed=seed,
         refine_steps=refine_steps,

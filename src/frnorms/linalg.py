@@ -3,10 +3,12 @@
 Matrices are plain ``numpy.ndarray`` values of dtype complex128.  Spectra
 are computed on stacks only: :func:`eigvalsh_batch` hands a whole
 (batch, n, n) stack to numpy's LAPACK ``eigvalsh`` in one call, and the
-operator norms are built on it; a single matrix is a batch of one.  A
-LAPACK failure surfaces as :class:`ConvergenceError`.  The cyclic Jacobi
-eigensolver :func:`jacobi_eigh` is kept as an independent oracle for the
-tests and as the fixed unitary generator of the fixture fleet.
+operator norms are built on it; a single matrix is a batch of one.
+:func:`top_eigvals_2x2` gives the top eigenvalues of a 2 x 2 stack in
+closed form.  A LAPACK failure surfaces as :class:`ConvergenceError`.
+The cyclic Jacobi eigensolver :func:`jacobi_eigh` is kept as an
+independent oracle for the tests and as the fixed unitary generator of
+the fixture fleet.
 """
 from __future__ import annotations
 
@@ -22,11 +24,15 @@ JACOBI_OFF_RTOL = 1e-14
 JACOBI_MAX_SWEEPS = 100
 
 _TINY = 1e-300
+# Largest entry whose Gram products are formed unscaled: squares of
+# larger entries can overflow (see opnorm_batch).
+GRAM_SAFE_ENTRY = 1e150
 
 
-def as_matrix(values) -> np.ndarray:
-    """Coerce to a finite complex 2-d array."""
-    arr = np.array(values, dtype=np.complex128)
+def as_matrix(values, copy: bool = True) -> np.ndarray:
+    """Coerce to a finite complex 2-d array.  With ``copy=False`` a
+    complex128 array is checked and returned as it is."""
+    arr = (np.array if copy else np.asarray)(values, dtype=np.complex128)
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got ndim={arr.ndim}")
     if arr.size and not np.all(np.isfinite(arr)):
@@ -163,12 +169,56 @@ def eigvalsh_batch(h: np.ndarray) -> np.ndarray:
         raise ConvergenceError(f"LAPACK eigensolver did not converge: {exc}") from exc
 
 
+def top_eigvals_2x2(h: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each matrix in a (batch, 2, 2) Hermitian stack,
+    in closed form: with Hermitian part [[a, b], [conj(b), c]] it is
+
+        (a + c)/2 + sqrt(((a - c)/2)^2 + |b|^2),
+
+    the square root taken as a hypot so that finite entries give a finite
+    result.  This is ``eigvalsh_batch(h)[:, -1]`` without a LAPACK call;
+    non-finite entries are refused with ValueError in the same way.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim != 3 or h.shape[1:] != (2, 2):
+        raise DimensionError(f"expected a (batch, 2, 2) stack, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("matrix entries must be finite")
+    a = 0.5 * h[:, 0, 0].real
+    c = 0.5 * h[:, 1, 1].real
+    b = 0.5 * h[:, 0, 1] + 0.5 * np.conj(h[:, 1, 0])
+    return (a + c) + np.hypot(a - c, np.abs(b))
+
+
 def opnorm_batch(m: np.ndarray) -> np.ndarray:
     """Operator norms for a stack of (not necessarily Hermitian) matrices,
-    via the top eigenvalue of each Gram matrix m^H m."""
+    via the top eigenvalue of each Gram matrix m^H m.
+
+    The Gram squares the entries, so a matrix whose largest entry exceeds
+    GRAM_SAFE_ENTRY is first divided by the power of two 2**e above that
+    entry (``np.frexp``) and its norm multiplied back by 2**e; scaling by
+    a power of two is exact, and the other matrices are untouched.
+    Non-finite entries, and a norm beyond the float range, are refused
+    with ValueError.
+    """
+    rescale = np.abs(m).max(initial=0.0) > GRAM_SAFE_ENTRY
+    if rescale:
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
+        peak = np.abs(m).max(axis=(1, 2))
+        big = peak > GRAM_SAFE_ENTRY
+        exp = np.frexp(peak[big])[1]
+        m = np.array(m, dtype=np.complex128)
+        m[big] *= np.ldexp(1.0, -exp)[:, None, None]
     gram = np.conj(np.swapaxes(m, 1, 2)) @ m
     w = eigvalsh_batch(gram)
-    return np.sqrt(np.maximum(w[:, -1], 0.0))
+    norms = np.sqrt(np.maximum(w[:, -1], 0.0))
+    if rescale:
+        with np.errstate(over="ignore"):
+            norms[big] = np.ldexp(norms[big], exp)
+        if not np.isfinite(norms).all():
+            raise ValueError("operator norm exceeds the float range")
+    return norms
 
 
 def hermitian_opnorm_batch(h: np.ndarray) -> np.ndarray:

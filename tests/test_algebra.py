@@ -82,6 +82,47 @@ def test_construction_copies_input():
     assert a.summands[0][0, 0] == 1.0
 
 
+def test_arithmetic_results_are_checked_without_a_copy():
+    import tracemalloc
+
+    d = 600
+    shape = AlgebraShape((d,))
+    a = AlgebraElement(shape, [np.full((d, d), 1.0 + 1.0j)])
+    size = a.summands[0].nbytes
+    ops = {
+        "+": lambda: a + a,
+        "-": lambda: a - a,
+        "neg": lambda: -a,
+        "scalar *": lambda: 2.0 * a,
+        "@": lambda: a @ a,
+        "adjoint": lambda: a.adjoint(),
+    }
+    tracemalloc.start()
+    try:
+        for name, op in ops.items():
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = op()
+            peak = tracemalloc.get_traced_memory()[1] - base
+            # One new array per summand; a second copy would double it.
+            assert peak < 1.5 * size, (name, peak / size)
+            assert not out.summands[0].flags.writeable, name
+            del out
+    finally:
+        tracemalloc.stop()
+    # The checks of construction stay: an overflowed entry is refused.
+    big = AlgebraElement(AlgebraShape((2,)), [np.full((2, 2), 1e200)])
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        1e200 * big
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        big @ big
+    top = 1e108 * big
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        top + top
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        top - (-top)
+
+
 def test_mismatched_shapes_refuse_arithmetic():
     a = AlgebraElement.identity(AlgebraShape((2,)))
     b = AlgebraElement.identity(AlgebraShape((3,)))

@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from frnorms import constants
 from frnorms.algebra import AlgebraElement, AlgebraShape, TracialWeight
 from frnorms.constants import (
+    REFINE_DIRECTIONS,
+    REFINE_FAIL_LIMIT,
+    REFINE_INITIAL_STEP,
+    REFINE_ROUNDS,
     TABLE1_SPECS,
     _RatioEvaluator,
     empirical_sharp_constant,
@@ -277,3 +282,74 @@ def test_search_witness_is_a_rank_one_projection():
     assert np.allclose(p @ p, p, atol=1e-12)
     assert np.allclose(p, p.conj().T, atol=0.0)
     assert abs(np.trace(p) - 1.0) < 1e-12
+
+
+def _refine_by_rounds(evaluator, k, x, best, rng, accepts):
+    """The refine loop one round per draw and per call: the reference for
+    the speculative blocks of ``_refine``.  Appends each accepting
+    round's index to ``accepts``."""
+    step = REFINE_INITIAL_STEP
+    fails = 0
+    ndir = REFINE_DIRECTIONS
+    for r in range(REFINE_ROUNDS):
+        g = rng.standard_normal((2 * ndir, x.size)) + 1j * rng.standard_normal((2 * ndir, x.size))
+        g[:ndir] *= step
+        g[ndir:] *= 0.25 * step
+        cands = x + g
+        cands = cands / np.linalg.norm(cands, axis=1, keepdims=True)
+        ratios = evaluator.rank_one_ratios(k, cands)
+        pick = int(np.argmin(ratios))
+        if ratios[pick] < best:
+            best = float(ratios[pick])
+            x = cands[pick]
+            accepts.append(r)
+            fails = 0
+        else:
+            fails += 1
+            if fails >= REFINE_FAIL_LIMIT:
+                step *= 0.5
+                fails = 0
+    return best, x, len(accepts)
+
+
+def _refine_both_ways(monkeypatch, b, v, samples, seed):
+    """Search (b, v) and run both ``_refine`` and the round-by-round loop
+    from the state the sampling leaves; return both results and the
+    rounds the loop accepted in."""
+    runs = {}
+    blocks = constants._refine
+
+    def both(evaluator, k, x, best, rng):
+        state = rng.bit_generator.state
+        runs["blocks"] = blocks(evaluator, k, x, best, rng)
+        rng.bit_generator.state = state
+        runs["accepts"] = []
+        runs["rounds"] = _refine_by_rounds(evaluator, k, x, best, rng, runs["accepts"])
+        return runs["blocks"]
+
+    monkeypatch.setattr(constants, "_refine", both)
+    empirical_sharp_constant(b, v, samples=samples, seed=seed)
+    monkeypatch.undo()
+    return runs["blocks"], runs["rounds"], runs["accepts"]
+
+
+def test_block_refine_equals_the_round_by_round_loop(monkeypatch):
+    problems = [(name, b, v, 2000, seed) for name, b, v in _all_problems() for seed in range(3)]
+    # Period (1, 2) level 6 refines in its summand of dimension 41 and
+    # refills its directions every 24 rounds; the deep levels draw one
+    # round at a time.
+    for period, level in (((1, 2), 6), ((1,), 16), ((2,), 8)):
+        theta, cf = periodic_theta(period, level)
+        lvl = es_level(theta, level, cf)
+        problems.append((f"{period}-{level}", lvl.subalgebra, lvl.weight, 100, 0))
+    accepts = {}
+    for name, b, v, samples, seed in problems:
+        got, want, accepts[name, seed] = _refine_both_ways(monkeypatch, b, v, samples, seed)
+        assert got[0] == want[0], (name, seed)
+        assert np.array_equal(got[1], want[1]), (name, seed)
+        assert got[2] == want[2], (name, seed)
+    # The set covers a refine that never accepts and one that accepts in
+    # its last round.
+    assert accepts["es-golden-2", 0] == []
+    assert accepts["B^5_{2^2,1}", 0][-1] == REFINE_ROUNDS - 1
+    assert len(accepts["(1, 2)-6", 0]) > 1

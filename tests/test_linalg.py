@@ -72,13 +72,58 @@ def test_hermitian_opnorm_uses_magnitude():
     assert linalg.operator_norm(np.diag([-5.0, 1.0])) == 5.0
 
 
-def test_overflowing_gram_is_refused():
-    # The Gram matrix of this input overflows to inf; the eigen layer
-    # refuses non-finite stacks instead of returning nan.
-    with np.errstate(all="ignore"), pytest.raises(ValueError):
-        linalg.operator_norm(np.array([[1e200, 2e200], [0.0, 1.0]]))
+def test_overflowing_gram_is_rescaled():
+    # The unscaled Gram of this input overflows; a power-of-two rescaling
+    # keeps it finite, and the norm is sqrt(5) * 1e200.
+    got = linalg.operator_norm(np.array([[1e200, 2e200], [0.0, 1.0]]))
+    assert abs(got - np.sqrt(5.0) * 1e200) <= 1e-15 * got
+    # Only matrices with an entry above GRAM_SAFE_ENTRY are rescaled;
+    # the others give bit for bit what the Gram route gives.
+    rng = np.random.default_rng(12)
+    stack = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+    stack[3] *= 1e180
+    out = linalg.opnorm_batch(stack)
+    small = np.delete(stack, 3, axis=0)
+    gram = np.conj(np.swapaxes(small, 1, 2)) @ small
+    assert np.array_equal(np.delete(out, 3), np.sqrt(linalg.eigvalsh_batch(gram)[:, -1]))
+    assert abs(out[3] - np.linalg.norm(stack[3], 2)) <= 1e-14 * out[3]
+    # Non-finite input, and a norm past the float range, are refused.
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            linalg.operator_norm(np.array([[bad, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        linalg.operator_norm(np.array([[1.5e308, 1.5e308], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         linalg.hermitian_opnorm_batch(np.full((2, 3, 3), np.nan))
+
+
+def test_top_eigvals_2x2_match_lapack():
+    rng = np.random.default_rng(23)
+    z = rng.standard_normal((400, 2, 3)) + 1j * rng.standard_normal((400, 2, 3))
+    a = np.array([0.0, 1.0, 3.0, 1e-200, 7e150])
+    diag = np.zeros((5, 2, 2), dtype=complex)
+    diag[:, 0, 0], diag[:, 1, 1] = a, a[::-1]
+    equal = np.zeros((5, 2, 2), dtype=complex)
+    equal[:, 0, 0] = equal[:, 1, 1] = a
+    equal[:, 0, 1] = 0.5j * a
+    equal[:, 1, 0] = -0.5j * a
+    x = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
+    stacks = {
+        "random psd": z @ np.conj(np.swapaxes(z, 1, 2)),
+        "diagonal": diag,
+        "equal diagonal": equal,
+        "rank one": x[:, :, None] * np.conj(x[:, None, :]),
+        "zero": np.zeros((3, 2, 2), dtype=complex),
+    }
+    for name, h in stacks.items():
+        got = linalg.top_eigvals_2x2(h)
+        want = linalg.eigvalsh_batch(h)[:, -1]
+        trace = np.trace(h, axis1=1, axis2=2).real
+        assert np.all(np.abs(got - want) <= 1e-15 * trace), name
+    with pytest.raises(DimensionError):
+        linalg.top_eigvals_2x2(np.zeros((4, 3, 3)))
+    with pytest.raises(ValueError):
+        linalg.top_eigvals_2x2(np.full((1, 2, 2), np.inf))
 
 
 def test_batch_agrees_with_scalar_path():

@@ -72,7 +72,8 @@ def test_hermitian_opnorm_uses_magnitude():
     assert linalg.operator_norm(np.diag([-5.0, 1.0])) == 5.0
 
 
-def test_overflowing_gram_is_rescaled():
+def test_overflowing_gram_is_refused():
+    # Only a norm past the float range, or non-finite input, is refused.
     # The unscaled Gram of this input overflows; a power-of-two rescaling
     # keeps it finite, and the norm is sqrt(5) * 1e200.
     got = linalg.operator_norm(np.array([[1e200, 2e200], [0.0, 1.0]]))

@@ -4,8 +4,9 @@ Matrices are plain ``numpy.ndarray`` values of dtype complex128.  Spectra
 are computed on stacks only: :func:`eigvalsh_batch` hands a whole
 (batch, n, n) stack to numpy's LAPACK ``eigvalsh`` in one call, and the
 operator norms are built on it; a single matrix is a batch of one.
-:func:`top_eigvals_2x2` gives the top eigenvalues of a 2 x 2 stack in
-closed form.  A LAPACK failure surfaces as :class:`ConvergenceError`.
+:func:`top_gram_eigvals_2` gives the top eigenvalue of the Gram matrix
+of two vectors in closed form, from their squared norms and inner
+product.  A LAPACK failure surfaces as :class:`ConvergenceError`.
 The cyclic Jacobi eigensolver :func:`jacobi_eigh` is kept as an
 independent oracle for the tests and as the fixed unitary generator of
 the fixture fleet.
@@ -154,40 +155,35 @@ def eigvalsh_batch(h: np.ndarray) -> np.ndarray:
     ``h`` has shape (batch, n, n) and is replaced by its Hermitian part
     0.5 (h + h^H) before the whole stack goes to LAPACK in one call;
     symmetrizing first makes the result independent of which triangle
-    LAPACK reads.  Non-finite entries (an overflowed Gram matrix, say)
-    are refused with ValueError.
+    LAPACK reads.  The halving comes first, so entries near the float
+    limit do not overflow in the sum.  Non-finite entries (an overflowed
+    Gram matrix, say) are refused with ValueError.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
         raise DimensionError(f"expected a (batch, n, n) stack, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
-    h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+    h = 0.5 * h
+    h = h + np.conj(np.swapaxes(h, -1, -2))
     try:
         return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigensolver did not converge: {exc}") from exc
 
 
-def top_eigvals_2x2(h: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of each matrix in a (batch, 2, 2) Hermitian stack,
-    in closed form: with Hermitian part [[a, b], [conj(b), c]] it is
+def top_gram_eigvals_2(mass, pp, qq, pq) -> np.ndarray:
+    """Largest eigenvalue of the Gram matrix [[pp, pq], [conj(pq), qq]] of
+    two vectors p, q, elementwise over arrays: pp = ||p||^2, qq = ||q||^2,
+    pq = <p, q> and mass = pp + qq, which a caller may have summed
+    already.  In closed form it is
 
-        (a + c)/2 + sqrt(((a - c)/2)^2 + |b|^2),
+        mass/2 + sqrt(((pp - qq)/2)^2 + |pq|^2),
 
-    the square root taken as a hypot so that finite entries give a finite
-    result.  This is ``eigvalsh_batch(h)[:, -1]`` without a LAPACK call;
-    non-finite entries are refused with ValueError in the same way.
+    the square root taken as a hypot so that finite inputs give a finite
+    result.  The inputs are not checked for finiteness.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 3 or h.shape[1:] != (2, 2):
-        raise DimensionError(f"expected a (batch, 2, 2) stack, got shape {h.shape}")
-    if not np.isfinite(h).all():
-        raise ValueError("matrix entries must be finite")
-    a = 0.5 * h[:, 0, 0].real
-    c = 0.5 * h[:, 1, 1].real
-    b = 0.5 * h[:, 0, 1] + 0.5 * np.conj(h[:, 1, 0])
-    return (a + c) + np.hypot(a - c, np.abs(b))
+    return 0.5 * mass + np.hypot(0.5 * (pp - qq), np.abs(pq))
 
 
 def opnorm_batch(m: np.ndarray) -> np.ndarray:

@@ -16,8 +16,10 @@ from frnorms.subalgebra import (
 
 
 def run_cli(*args, check=False):
+    # pytest's warning filter does not reach the subprocess, so numeric
+    # warnings are made errors there explicitly.
     proc = subprocess.run(
-        [sys.executable, "-m", "frnorms.cli", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "frnorms.cli", *args],
         capture_output=True,
         text=True,
     )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frnorms import constants
+from frnorms import constants, linalg
 from frnorms.algebra import AlgebraElement, AlgebraShape, TracialWeight
 from frnorms.constants import (
     REFINE_DIRECTIONS,
@@ -12,6 +12,7 @@ from frnorms.constants import (
     REFINE_ROUNDS,
     TABLE1_SPECS,
     _RatioEvaluator,
+    _slot_table,
     empirical_sharp_constant,
     min_ratio_over_samples,
     sharp_constant,
@@ -263,6 +264,66 @@ def test_slot_gram_ratios_match_the_induced_norm():
                 mats[k] = np.outer(x, np.conj(x))
                 want = math.sqrt(fr_norm_squared(b, v, AlgebraElement(b.shape, mats)))
                 assert abs(ratio - want) < 1e-14, (name, k, ratio - want)
+
+
+# Slots with min(n, m) = 2 in both orientations: n < m, so the two rows
+# of X_i are its rows, and m < n, so they are its columns.
+TWO_ROW_PROBLEMS = (
+    (((2, 3),), 1 / math.sqrt(6)),
+    (((3, 2),), 0.5),
+    (((2, 3), (1, 1)), 1 / math.sqrt(7)),
+    (((3, 2), (2, 1)), 1 / math.sqrt(5)),
+)
+
+
+def _two_row_vectors(rng, b):
+    """Random unit vectors of b's summand, then, for each slot with
+    min(n, m) = 2 and its short-side rows p, q: p orthogonal to q with
+    equal masses, q = 0, and q = e^{i phi} p, with the rest of x zero
+    and with it random."""
+    d = b.shape.dims[0]
+    vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(50)]
+    for off, n, m, _ in _slot_table(b, np.ones(1))[0]:
+        if min(n, m) != 2:
+            continue
+        p = rng.standard_normal(max(n, m)) + 1j * rng.standard_normal(max(n, m))
+        perp = rng.standard_normal(p.size) + 1j * rng.standard_normal(p.size)
+        perp -= np.vdot(p, perp) / np.vdot(p, p) * p
+        perp *= np.linalg.norm(p) / np.linalg.norm(perp)
+        for q in (perp, np.zeros_like(p), np.exp(0.7j) * p):
+            piece = np.stack([p, q]) if m == 2 else np.stack([p, q], axis=1)
+            for rest in (np.zeros(d), rng.standard_normal(d) + 1j * rng.standard_normal(d)):
+                x = rest.astype(complex)
+                x[off : off + n * m] = piece.reshape(-1)
+                vecs.append(x)
+    vecs = np.array(vecs)
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
+def test_two_row_slot_grams_in_both_orientations():
+    """A slot with min(n, m) = 2 is scored in closed form from the two
+    rows of X_i on its short side.  Checked against the induced norm of
+    xx* and against LAPACK on the explicit slot Grams X_i X_i*, and the
+    refined search must reach the sharp constant."""
+    rng = np.random.default_rng(29)
+    for terms, sharp in TWO_ROW_PROBLEMS:
+        b, v = uniform_single(sum(n * m for n, m in terms), terms)
+        assert abs(sharp_constant(b, v) - sharp) < 1e-15
+        vecs = _two_row_vectors(rng, b)
+        ratios = _RatioEvaluator(b, v).rank_one_ratios(0, vecs)
+        w = v.per_trace_factors()
+        slots = _slot_table(b, w)[0]
+        for x, ratio in zip(vecs, ratios):
+            a = AlgebraElement(b.shape, [np.outer(x, np.conj(x))])
+            assert abs(ratio - math.sqrt(fr_norm_squared(b, v, a))) < 1e-14, terms
+            lam = []
+            for off, n, m, den in slots:
+                xi = x[off : off + n * m].reshape(m, n).T
+                lam.append(w[0] / den * linalg.eigvalsh_batch((xi @ np.conj(xi.T))[None])[0, -1])
+            assert abs(ratio - math.sqrt(max(lam))) < 1e-14, terms
+        for seed in range(3):
+            best = empirical_sharp_constant(b, v, samples=2000, seed=seed).best_ratio
+            assert sharp - 1e-12 <= best <= sharp + 1e-6, (terms, seed, best - sharp)
 
 
 def test_refined_search_attains_the_sharp_constant():

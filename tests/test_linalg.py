@@ -98,7 +98,23 @@ def test_overflowing_gram_is_refused():
         linalg.hermitian_opnorm_batch(np.full((2, 3, 3), np.nan))
 
 
+def test_hermitian_part_does_not_overflow():
+    # Halving before the sum keeps entries near the float limit finite;
+    # pytest turns an overflow warning into an error.
+    h = np.array([[1e308, 1e308], [1e308, -1e308]])
+    assert linalg.operator_norm(h) == 1.4142135623730951e308
+    # Elsewhere the Hermitian part, and so the spectrum, keeps its bits.
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 3, 5):
+        for scale in (1e-300, 1.0, 1e300):
+            g = scale * (rng.standard_normal((20, n, n)) + 1j * rng.standard_normal((20, n, n)))
+            herm = 0.5 * (g + np.conj(np.swapaxes(g, 1, 2)))
+            assert np.array_equal(linalg.eigvalsh_batch(g), np.linalg.eigvalsh(herm))
+
+
 def test_top_eigvals_2x2_match_lapack():
+    """The closed form of the top eigenvalue of a two-row Gram, from its
+    entries, against LAPACK on the Gram matrix."""
     rng = np.random.default_rng(23)
     z = rng.standard_normal((400, 2, 3)) + 1j * rng.standard_normal((400, 2, 3))
     a = np.array([0.0, 1.0, 3.0, 1e-200, 7e150])
@@ -117,14 +133,19 @@ def test_top_eigvals_2x2_match_lapack():
         "zero": np.zeros((3, 2, 2), dtype=complex),
     }
     for name, h in stacks.items():
-        got = linalg.top_eigvals_2x2(h)
+        pp, qq = h[:, 0, 0].real, h[:, 1, 1].real
+        got = linalg.top_gram_eigvals_2(pp + qq, pp, qq, h[:, 0, 1])
         want = linalg.eigvalsh_batch(h)[:, -1]
         trace = np.trace(h, axis1=1, axis2=2).real
         assert np.all(np.abs(got - want) <= 1e-15 * trace), name
-    with pytest.raises(DimensionError):
-        linalg.top_eigvals_2x2(np.zeros((4, 3, 3)))
-    with pytest.raises(ValueError):
-        linalg.top_eigvals_2x2(np.full((1, 2, 2), np.inf))
+    # From the rows themselves, as the search calls it.
+    sq = np.abs(z) ** 2
+    pp, qq = sq[:, 0].sum(axis=1), sq[:, 1].sum(axis=1)
+    got = linalg.top_gram_eigvals_2(
+        sq.sum(axis=(1, 2)), pp, qq, np.sum(z[:, 0] * np.conj(z[:, 1]), axis=1)
+    )
+    want = linalg.eigvalsh_batch(stacks["random psd"])[:, -1]
+    assert np.all(np.abs(got - want) <= 1e-15 * (pp + qq))
 
 
 def test_batch_agrees_with_scalar_path():

@@ -28,6 +28,25 @@ from .subalgebra import StandardSubalgebra, make_standard_subalgebra
 
 GAUSS_REMAINDER_TOL = 1e-13
 _INT64_MAX = 2**63 - 1
+# Deepest continued fraction whose convergents fit the 64-bit range.  For
+# any [r_0; r_1, r_2, ...], q_0 = 1, q_1 = r_1 >= 1 and
+# q_n = r_n q_{n-1} + q_{n-2} >= q_{n-1} + q_{n-2}, so q_n >= F_{n+1}
+# (Fibonacci, F_1 = F_2 = 1).  F_93 = 12200160415121876738 exceeds
+# 2**63 - 1, so convergent_table refuses every depth above 91.
+_MAX_DEPTH = 91
+
+
+def _check_depth(depth: int) -> None:
+    """Refuse a depth below 1, or one whose q_depth cannot fit 64 bits,
+    before any term is built."""
+    if depth < 1:
+        raise InputError("depth must be at least 1")
+    if depth > _MAX_DEPTH:
+        raise InputError(
+            f"depth {depth} exceeds {_MAX_DEPTH}: the convergent denominator "
+            f"q_{_MAX_DEPTH + 1} of every continued fraction exceeds the 64-bit "
+            "integer range"
+        )
 
 
 def convergent_residual(theta: float, q: int, p: int) -> float:
@@ -73,8 +92,7 @@ def cf_expand(theta: float, depth: int) -> ContinuedFraction:
     threshold, which happens exactly when theta is rational (or
     indistinguishable from rational) within the requested depth.
     """
-    if depth < 1:
-        raise InputError("depth must be at least 1")
+    _check_depth(depth)
     if not 0.0 < theta < 1.0:
         raise InputError("theta must lie strictly between 0 and 1")
     terms = [0]
@@ -159,8 +177,7 @@ def periodic_theta(period, depth: int) -> tuple[float, ContinuedFraction]:
     period = tuple(int(t) for t in period)
     if not period or any(t < 1 for t in period):
         raise InputError("period must be a nonempty list of positive integers")
-    if depth < 1:
-        raise InputError("depth must be at least 1")
+    _check_depth(depth)
     reps = -(-depth // len(period))
     terms = (period * reps)[:depth]
     theta = _tail_value(period)
@@ -175,8 +192,7 @@ def eventually_periodic_theta(prefix, period, depth: int) -> tuple[float, Contin
         raise InputError("prefix terms must be positive integers")
     if not period or any(t < 1 for t in period):
         raise InputError("period must be a nonempty list of positive integers")
-    if depth < 1:
-        raise InputError("depth must be at least 1")
+    _check_depth(depth)
     tail = _tail_value(period)
     # Complete quotient entering after the prefix.
     c = 1.0 / tail

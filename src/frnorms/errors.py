@@ -13,10 +13,6 @@ class DimensionError(InputError):
     """Matrix is not square or has inconsistent dimensions."""
 
 
-class HermitianError(InputError):
-    """Matrix required to be Hermitian is not."""
-
-
 class ShapeError(InputError):
     """Direct-sum shapes of two objects do not match."""
 
@@ -42,4 +38,4 @@ class RationalityError(InputError):
 
 
 class ConvergenceError(FrnormsError):
-    """Iterative eigensolver did not converge (CLI exit code 3)."""
+    """LAPACK eigensolver failed to converge (CLI exit code 3)."""

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .algebra import (
     AlgebraElement,
     AlgebraShape,
@@ -61,15 +60,16 @@ def random_positive(shape: AlgebraShape, rng) -> AlgebraElement:
 
 
 def random_unitary(shape: AlgebraShape, rng) -> AlgebraElement:
-    """Haar-like unitary from eigenvectors of a random Hermitian matrix."""
+    """Haar unitary, summand by summand: the QR factor q of a complex
+    Gaussian matrix g = qr, with column j multiplied by the phase
+    r_jj / |r_jj|.  Without that phase fix q is not Haar distributed
+    (Mezzadri 2007, "How to generate random matrices from the classical
+    compact groups")."""
     mats = []
-    for d in shape.dims:
-        # One summand at a time: the phase draw sits between the summands.
-        g = _gaussian_stacks(rng, (d,), 1)[0][0]
-        h = (g + linalg.adjoint(g)) / 2.0
-        _, vecs = linalg.jacobi_eigh(h)
-        phases = np.exp(2j * np.pi * rng.random(d))
-        mats.append(vecs * phases)
+    for g in _gaussian_stacks(rng, shape.dims, 1):
+        q, r = np.linalg.qr(g[0])
+        d = np.diagonal(r)
+        mats.append(q * (d / np.abs(d)))
     return AlgebraElement(shape, mats)
 
 

@@ -7,26 +7,20 @@ operator norms are built on it; a single matrix is a batch of one.
 :func:`top_gram_eigvals_2` gives the top eigenvalue of the Gram matrix
 of two vectors in closed form, from their squared norms and inner
 product.  A LAPACK failure surfaces as :class:`ConvergenceError`.
-The cyclic Jacobi eigensolver :func:`jacobi_eigh` is kept as an
-independent oracle for the tests and as the fixed unitary generator of
-the fixture fleet.
+LAPACK is the one eigensolver; the tests check it against matrices
+U diag(w) U^H whose spectrum w is known exactly.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, HermitianError
+from .errors import ConvergenceError, DimensionError
 
-# Relative tolerance for the Hermitian-input gate.
+# Relative tolerance of AlgebraElement.is_hermitian.
 HERMITIAN_RTOL = 1e-12
-# Jacobi sweep convergence: off-diagonal Frobenius mass below this
-# multiple of the diagonal mass.
-JACOBI_OFF_RTOL = 1e-14
-JACOBI_MAX_SWEEPS = 100
-
-_TINY = 1e-300
 # Largest entry whose Gram products are formed unscaled: squares of
-# larger entries can overflow (see opnorm_batch).
+# larger entries can overflow, and a matrix whose nonzero peak is below
+# its reciprocal has squares that underflow (see opnorm_batch).
 GRAM_SAFE_ENTRY = 1e150
 
 
@@ -51,102 +45,6 @@ def ensure_square(m: np.ndarray) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def ensure_hermitian(m: np.ndarray) -> np.ndarray:
-    """Validate Hermitian symmetry within HERMITIAN_RTOL (relative)."""
-    m = ensure_square(m)
-    dev = np.abs(m - adjoint(m)).max(initial=0.0)
-    scale = np.abs(m).max(initial=0.0)
-    if dev > HERMITIAN_RTOL * scale:
-        raise HermitianError(
-            f"matrix is not Hermitian: max deviation {dev:.3e} vs scale {scale:.3e}"
-        )
-    return m
-
-
-def _rotation_params(a, d, b):
-    """Jacobi angle for the 2x2 Hermitian block [[a, b], [conj(b), d]].
-
-    Returns (c, sigma, delta) with G = [[c, sigma], [-conj(sigma), c]],
-    c real, such that (G^H H G)[0, 1] = 0; delta = t|b| is the exact
-    shift of the two diagonal entries (a - delta, d + delta), applied
-    directly because routing it through the column arithmetic loses a
-    few ulps to the rounding of c^2.
-    """
-    absb = abs(b)
-    if absb <= _TINY:
-        return 1.0, 0.0j, 0.0
-    tau = (d - a) / (2.0 * absb)
-    tau = min(max(tau, -1e150), 1e150)
-    t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    sigma = (t * c) * (b / absb)
-    return c, sigma, t * absb
-
-
-def _off_diag_mass(h: np.ndarray) -> tuple[float, float]:
-    # Summing the off-diagonal entries directly avoids the catastrophic
-    # cancellation of a total-minus-diagonal formulation near convergence.
-    abs2 = np.abs(h) ** 2
-    diag2 = float(np.trace(abs2))
-    np.fill_diagonal(abs2, 0.0)
-    off2 = float(abs2.sum())
-    return np.sqrt(off2), np.sqrt(diag2)
-
-
-def jacobi_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns (w, v) with eigenvalues w ascending and unitary v such that
-    m ~= v @ diag(w) @ v^H.  Convergence: off-diagonal Frobenius mass
-    below JACOBI_OFF_RTOL times the diagonal mass, hard cap
-    JACOBI_MAX_SWEEPS sweeps.
-    """
-    m = ensure_hermitian(m)
-    n = m.shape[0]
-    h = 0.5 * (m + adjoint(m))
-    v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return h.real.reshape(1).copy(), v
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off, diag = _off_diag_mass(h)
-        if off <= JACOBI_OFF_RTOL * diag:
-            break
-        # Entries already below this level cannot push the off-diagonal
-        # mass over the convergence criterion; rotating on them would only
-        # re-inject roundoff, so they are skipped this sweep.
-        skip = JACOBI_OFF_RTOL * diag / (2.0 * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(h[p, q]) <= skip:
-                    continue
-                app = h[p, p].real
-                aqq = h[q, q].real
-                c, sigma, delta = _rotation_params(app, aqq, h[p, q])
-                if sigma == 0.0:
-                    continue
-                sigma_c = np.conj(sigma)
-                colp = h[:, p].copy()
-                h[:, p] = c * colp - sigma_c * h[:, q]
-                h[:, q] = sigma * colp + c * h[:, q]
-                rowp = h[p, :].copy()
-                h[p, :] = c * rowp - sigma * h[q, :]
-                h[q, :] = sigma_c * rowp + c * h[q, :]
-                h[p, q] = 0.0
-                h[q, p] = 0.0
-                h[p, p] = app - delta
-                h[q, q] = aqq + delta
-                vcolp = v[:, p].copy()
-                v[:, p] = c * vcolp - sigma_c * v[:, q]
-                v[:, q] = sigma * vcolp + c * v[:, q]
-    else:
-        raise ConvergenceError(
-            f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-        )
-    w = np.diagonal(h).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
 
 
 def eigvalsh_batch(h: np.ndarray) -> np.ndarray:
@@ -191,27 +89,31 @@ def opnorm_batch(m: np.ndarray) -> np.ndarray:
     via the top eigenvalue of each Gram matrix m^H m.
 
     The Gram squares the entries, so a matrix whose largest entry exceeds
-    GRAM_SAFE_ENTRY is first divided by the power of two 2**e above that
-    entry (``np.frexp``) and its norm multiplied back by 2**e; scaling by
-    a power of two is exact, and the other matrices are untouched.
-    Non-finite entries, and a norm beyond the float range, are refused
-    with ValueError.
+    GRAM_SAFE_ENTRY, or whose nonzero peak is below 1/GRAM_SAFE_ENTRY, is
+    first divided by the power of two 2**e just above its peak
+    (``np.frexp``) and its norm multiplied back by 2**e; scaling by a
+    power of two is exact, and the other matrices are untouched.  The
+    scaling goes through ``np.ldexp`` on the real and imaginary parts,
+    because 2**-e itself overflows for subnormal peaks.  Non-finite
+    entries, and a norm beyond the float range, are refused with
+    ValueError.
     """
-    rescale = np.abs(m).max(initial=0.0) > GRAM_SAFE_ENTRY
+    peak = np.abs(m).max(axis=(1, 2), initial=0.0)
+    scaled = (peak > GRAM_SAFE_ENTRY) | ((peak < 1.0 / GRAM_SAFE_ENTRY) & (peak > 0.0))
+    rescale = scaled.any()
     if rescale:
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
-        peak = np.abs(m).max(axis=(1, 2))
-        big = peak > GRAM_SAFE_ENTRY
-        exp = np.frexp(peak[big])[1]
+        exp = np.frexp(peak[scaled])[1]
         m = np.array(m, dtype=np.complex128)
-        m[big] *= np.ldexp(1.0, -exp)[:, None, None]
+        for part in (m.real, m.imag):
+            part[scaled] = np.ldexp(part[scaled], -exp[:, None, None])
     gram = np.conj(np.swapaxes(m, 1, 2)) @ m
     w = eigvalsh_batch(gram)
     norms = np.sqrt(np.maximum(w[:, -1], 0.0))
     if rescale:
         with np.errstate(over="ignore"):
-            norms[big] = np.ldexp(norms[big], exp)
+            norms[scaled] = np.ldexp(norms[scaled], exp)
         if not np.isfinite(norms).all():
             raise ValueError("operator norm exceeds the float range")
     return norms

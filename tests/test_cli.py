@@ -267,6 +267,11 @@ def test_effros_shen_argument_validation():
     assert proc.returncode == 2
     proc = run_cli("effros-shen", "--theta", "1.5", "--level", "2")
     assert proc.returncode == 2
+    # No depth above 91 has 64-bit convergents; it is refused up front.
+    for source in (("--cf", "1"), ("--theta", "0.6180339887498949")):
+        proc = run_cli("effros-shen", *source, "--level", "1000000")
+        assert proc.returncode == 2
+        assert "exceeds 91" in json.loads(proc.stdout)["error"]["message"]
 
 
 def test_baire_command():

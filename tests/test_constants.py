@@ -109,6 +109,15 @@ def test_theoretical_bound_wrapper_matches():
         assert theorem == c.theorem
 
 
+def test_random_unitary_is_unitary_and_seeded():
+    for f in FLEET:
+        u = random_unitary(f.shape, np.random.default_rng(5))
+        again = random_unitary(f.shape, np.random.default_rng(5))
+        for s, t in zip(u.summands, again.summands):
+            assert np.abs(s.conj().T @ s - np.eye(len(s))).max() < 1e-13, f.name
+            assert np.array_equal(s, t), f.name
+
+
 def test_constants_invariant_under_conjugation():
     rng = np.random.default_rng(3)
     for f in FLEET[:8]:

@@ -58,6 +58,34 @@ def test_rational_inputs_are_rejected():
         cf_expand(GOLDEN, 0)
 
 
+def test_depth_beyond_64_bit_convergents_is_refused():
+    """q_n >= F_{n+1} for every fraction, and F_93 > 2**63 - 1, so depth 91
+    is the deepest with a convergent table; deeper requests are refused
+    before any term is built."""
+    fib = [1, 1]
+    while len(fib) < 93:
+        fib.append(fib[-1] + fib[-2])
+    assert fib[91] <= 2**63 - 1 < fib[92]  # F_92 fits, F_93 does not
+    _, cf = periodic_theta((1,), 91)
+    assert convergent_table(cf).q[-1] == fib[91]
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="exceeds 91"):
+            periodic_theta((1,), 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    for call in (
+        lambda: periodic_theta((1, 2), 92),
+        lambda: eventually_periodic_theta((1,), (2,), 92),
+        lambda: cf_expand(GOLDEN, 92),
+    ):
+        with pytest.raises(InputError, match="exceeds 91"):
+            call()
+
+
 def test_continued_fraction_validation():
     ContinuedFraction((0, 1, 2))
     ContinuedFraction((3, 1))  # r_0 > 0 is allowed by the container

@@ -250,7 +250,7 @@ def shape_from_json(obj) -> AlgebraShape:
     if not isinstance(obj, dict) or "shape" not in obj:
         raise ShapeError("expected a mapping with a 'shape' field")
     try:
-        return AlgebraShape(tuple(int(d) for d in obj["shape"]))
+        return AlgebraShape(tuple(linalg.json_number(d, ShapeError) for d in obj["shape"]))
     except TypeError as exc:
         raise ShapeError(f"malformed shape object: {exc}") from exc
 
@@ -266,7 +266,7 @@ def element_from_json(obj) -> AlgebraElement:
     if not isinstance(obj, dict):
         raise ShapeError("element object must be a JSON mapping")
     try:
-        shape = AlgebraShape(tuple(int(d) for d in obj["shape"]))
+        shape = AlgebraShape(tuple(linalg.json_number(d, ShapeError) for d in obj["shape"]))
         mats = [linalg.matrix_from_json(m) for m in obj["summands"]]
     except KeyError as exc:
         raise ShapeError(f"element object missing field {exc}") from exc
@@ -283,7 +283,7 @@ def weight_from_json(shape: AlgebraShape, obj) -> TracialWeight:
     if not isinstance(obj, dict) or "weights" not in obj:
         raise WeightError("expected a mapping with a 'weights' field")
     try:
-        raw = tuple(float(x) for x in obj["weights"])
+        raw = tuple(linalg.json_number(x, WeightError, integral=False) for x in obj["weights"])
     except TypeError as exc:
         raise WeightError(f"malformed weights object: {exc}") from exc
     return TracialWeight(shape, raw)

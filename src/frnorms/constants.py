@@ -19,7 +19,8 @@ import numpy as np
 
 from . import linalg
 from .algebra import AlgebraElement, AlgebraShape, TracialWeight
-from .expectation import _expected_opnorms, _weighted_denominators, fr_norm
+from .errors import ShapeError
+from .expectation import _expected_opnorms, fr_norm
 from .subalgebra import ConjugatedSubalgebra, StandardSubalgebra, single_summand_subalgebra
 
 REFINE_ROUNDS = 200
@@ -63,18 +64,23 @@ class StructuralConstants:
     theorem: str
 
 
+def _standard(b, v: TracialWeight) -> tuple[StandardSubalgebra, np.ndarray]:
+    """The standard base of b, whose constants a conjugate shares, and
+    the factors v_k/d_k; a weight of another shape is refused."""
+    if v.shape.dims != b.shape.dims:
+        raise ShapeError(f"weight shape {v.shape.dims} does not match {b.shape.dims}")
+    return (b.base if isinstance(b, ConjugatedSubalgebra) else b), v.per_trace_factors()
+
+
 def structural_constants(b, v: TracialWeight) -> StructuralConstants:
     """Structural invariants and the certified lower constant for (b, v)."""
-    if isinstance(b, ConjugatedSubalgebra):
-        # Equivalence constants are invariant under unitary conjugation.
-        return structural_constants(b.base, v)
+    b, w = _standard(b, v)
     L = sum(p.num_slots for p in b.partitions)
     r = lcm(*(p.num_blocks for p in b.partitions))
     ell = lcm(*(m for p in b.partitions for _, m in p.terms))
     m = lcm(*(len(o) for o in b.occurrences))
-    w = v.per_trace_factors()
     alpha = float(np.min(w))
-    gamma = float(np.max(_weighted_denominators(b, w)))
+    gamma = float(np.max(b.denominators(w)))
     if b.trivially_grouped:
         if b.shape.num_summands == 1 and all(
             mult == 1 for p in b.partitions for _, mult in p.terms
@@ -101,16 +107,8 @@ def _slot_table(b: StandardSubalgebra, w: np.ndarray) -> list[list[tuple[int, in
     in slot order: the slot's 0-based row offset, block size n,
     multiplicity m, and den_g, the weighted block count of the group g
     holding the slot, for per-summand weights w."""
-    den = _weighted_denominators(b, w)
-    group_of = {slot: gi for gi, g in enumerate(b.groups) for slot in g}
-    table = []
-    for k, part in enumerate(b.partitions, start=1):
-        rows, off = [], 0
-        for i, (n, m) in enumerate(part.terms, start=1):
-            rows.append((off, n, m, float(den[group_of[(k, i)]])))
-            off += n * m
-        table.append(rows)
-    return table
+    den = b.denominators(w)
+    return [[(off, n, m, float(den[g])) for off, n, m, g in rows] for rows in b.slots]
 
 
 def sharp_constant(b, v: TracialWeight) -> float:
@@ -135,9 +133,7 @@ def sharp_constant(b, v: TracialWeight) -> float:
     With a single summand this is 1 / sum_i m_i * min(n_i, m_i).
     Invariant under conjugation: it reads the base of a conjugate.
     """
-    if isinstance(b, ConjugatedSubalgebra):
-        b = b.base
-    w = v.per_trace_factors()
+    b, w = _standard(b, v)
     sq = min(
         w[k] / sum(den * min(n, m) for _, n, m, den in slots)
         for k, slots in enumerate(_slot_table(b, w))
@@ -319,9 +315,8 @@ def empirical_sharp_constant(
     draws, so the sampling result does not depend on ``refine``.  The
     witness is the rank-one projection xx*.
     """
-    if isinstance(b, ConjugatedSubalgebra):
-        # The ratio spectrum is invariant under conjugation; search the base.
-        b = b.base
+    # The ratio spectrum is invariant under conjugation; search the base.
+    b, _ = _standard(b, v)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     evaluator = _RatioEvaluator(b, v)
@@ -448,12 +443,11 @@ def min_ratio_over_samples(b, v: TracialWeight, count: int, seed: int) -> float:
     conjugated subalgebra, so a conjugate exercises the transport path
     sample by sample.
     """
-    shape = b.shape if not isinstance(b, ConjugatedSubalgebra) else b.base.shape
     rng = np.random.default_rng(seed)
     best = np.inf
     for _ in range(count):
-        mats = [s[0] for s in _gaussian_stacks(rng, shape.dims, 1)]
-        a = AlgebraElement(shape, mats)
+        mats = [s[0] for s in _gaussian_stacks(rng, b.shape.dims, 1)]
+        a = AlgebraElement(b.shape, mats)
         opn = max(linalg.operator_norm(m) for m in mats)
         best = min(best, fr_norm(b, v, a) / opn)
     return float(best)

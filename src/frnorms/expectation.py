@@ -8,9 +8,10 @@ gets
 
 the sums running over the diagonal blocks of g (``occurrences``), and
 P(A) writes X_g back into every block of g, zero elsewhere.
-``cond_expect`` evaluates this through one kernel that takes any leading
-batch axes, so batched induced norms and the unweighted membership
-test run the same code; ``cond_expect_gram`` is an independent oracle
+``cond_expect`` evaluates this through the subalgebra's own kernel,
+``StandardSubalgebra.block_average``, which takes any leading batch
+axes, so batched induced norms and the unweighted membership test run
+the same code; ``cond_expect_gram`` is an independent oracle
 that projects onto the canonical basis with Gram coefficients
 <A, e>/<e, e> computed from the tracial inner product.
 
@@ -21,7 +22,8 @@ The sharp-constant search does not come through here: it scores
 rank-one projections on slot Grams (``constants._RatioEvaluator``),
 which tests check against ``fr_norm_squared``.  Conjugation pipelines
 reproduce the expectation through averages of unitary conjugates and
-carry the structure behind the equivalence-constant bounds.
+carry the structure behind the equivalence-constant bounds; their
+phases and permutations are read from the subalgebra's block layout.
 """
 from __future__ import annotations
 
@@ -43,32 +45,6 @@ from .algebra import (
 from .errors import ShapeError
 from .subalgebra import ConjugatedSubalgebra, StandardSubalgebra
 
-def _weighted_denominators(b: StandardSubalgebra, w: np.ndarray) -> np.ndarray:
-    """Per-group normalization sum_blocks w_k for per-summand weights w."""
-    return w @ b._counts
-
-
-def _block_average(b: StandardSubalgebra, w: np.ndarray, summands) -> list[np.ndarray]:
-    """Weighted block average onto b, applied to a stack of elements.
-
-    ``summands`` holds one array per summand of shape (..., d_k, d_k), all
-    with the same leading batch axes; ``w`` holds one weight per summand.
-    With w_k = v_k/d_k this is the conditional expectation, with unit
-    weights the entrywise-orthogonal projection.  The blocks of a group
-    are summed in summand-major, offset order starting from zero.
-    """
-    lead = summands[0].shape[:-2]
-    out = [np.zeros(lead + (d, d), dtype=np.complex128) for d in b.shape.dims]
-    dens = _weighted_denominators(b, w)
-    for occ, n, den in zip(b.occurrences, b._group_sizes, dens):
-        avg = np.zeros(lead + (n, n), dtype=np.complex128)
-        for k, off in occ:
-            avg += w[k - 1] * summands[k - 1][..., off : off + n, off : off + n]
-        avg /= den
-        for k, off in occ:
-            out[k - 1][..., off : off + n, off : off + n] = avg
-    return out
-
 
 def cond_expect(b, v: TracialWeight, a: AlgebraElement) -> AlgebraElement:
     """Conditional expectation onto b with respect to the tracial state v."""
@@ -78,7 +54,7 @@ def cond_expect(b, v: TracialWeight, a: AlgebraElement) -> AlgebraElement:
         return u @ inner @ u.adjoint()
     if a.shape.dims != b.shape.dims or v.shape.dims != b.shape.dims:
         raise ShapeError("element, weight and subalgebra shapes must agree")
-    return AlgebraElement(b.shape, _block_average(b, v.per_trace_factors(), a.summands))
+    return AlgebraElement(b.shape, b.block_average(v.per_trace_factors(), a.summands))
 
 
 def cond_expect_gram(b, v: TracialWeight, a: AlgebraElement) -> AlgebraElement:
@@ -97,11 +73,11 @@ def cond_expect_gram(b, v: TracialWeight, a: AlgebraElement) -> AlgebraElement:
 def _expected_opnorms(b: StandardSubalgebra, w: np.ndarray, summands) -> np.ndarray:
     """||P(B)||_op for a stack of positive elements B.
 
-    ``summands`` and ``w`` are as for :func:`_block_average`; the result
-    has one entry per element of the stack, the largest operator norm
-    over the summands of its block average.
+    ``summands`` and ``w`` are as for ``StandardSubalgebra.block_average``;
+    the result has one entry per element of the stack, the largest
+    operator norm over the summands of its block average.
     """
-    proj = _block_average(b, w, summands)
+    proj = b.block_average(w, summands)
     return np.max([linalg.hermitian_opnorm_batch(p) for p in proj], axis=0)
 
 
@@ -215,17 +191,10 @@ def apply_pipeline(pipeline: ConjugationPipeline, x: AlgebraElement) -> AlgebraE
     return x
 
 
-def _flattened_blocks(b: StandardSubalgebra, k: int) -> list[int]:
-    """Fine block sizes of summand k (0-based), one entry per copy."""
-    out = []
-    for n, m in b.partitions[k].terms:
-        out.extend([n] * m)
-    return out
-
-
 def _phase_stage(b: StandardSubalgebra) -> PipelineStage:
     shape = b.shape
-    fine = [_flattened_blocks(b, k) for k in range(shape.num_summands)]
+    # Fine block sizes of each summand, one entry per copy.
+    fine = [[n for _, n, m, _ in rows for _ in range(m)] for rows in b.slots]
     r_k = [len(f) for f in fine]
     r = lcm(*r_k)
     # Phase accumulators: block index times the member index, advanced by
@@ -242,33 +211,18 @@ def _phase_stage(b: StandardSubalgebra) -> PipelineStage:
     return PipelineStage("block-phase", tuple(members))
 
 
-def _shift_matrix(size: int, shift: int) -> np.ndarray:
-    m = np.zeros((size, size))
-    for a in range(size):
-        m[a, (a + shift) % size] = 1.0
-    return m
-
-
 def _circulant_stage(b: StandardSubalgebra) -> PipelineStage:
-    shape = b.shape
-    mults = [m for part in b.partitions for _, m in part.terms]
-    ell = lcm(*mults)
+    # Member j permutes each slot's span cyclically by (j mod m) * n rows.
+    ell = lcm(*(m for rows in b.slots for _, _, m, _ in rows))
     members = []
     for j in range(ell):
         mats = []
-        for k in range(shape.num_summands):
-            blocks = []
-            for n, m in b.partitions[k].terms:
-                blocks.append(_shift_matrix(n * m, (j % m) * n))
-            d = shape.dims[k]
-            full = np.zeros((d, d))
-            pos = 0
-            for blk in blocks:
-                s = blk.shape[0]
-                full[pos : pos + s, pos : pos + s] = blk
-                pos += s
-            mats.append(full)
-        members.append(AlgebraElement(shape, mats))
+        for d, rows in zip(b.shape.dims, b.slots):
+            cols = np.concatenate(
+                [np.roll(np.arange(off, off + n * m), -(j % m) * n) for off, n, m, _ in rows]
+            )
+            mats.append(np.eye(d)[cols])
+        members.append(AlgebraElement(b.shape, mats))
     return PipelineStage("circulant-shift", tuple(members))
 
 
@@ -276,8 +230,8 @@ def _permutation_stage(b: StandardSubalgebra, v: TracialWeight) -> PipelineStage
     # Diagonal blocks in the block-diagonal embedding into M_d.
     base = np.cumsum((0,) + b.shape.dims)
     occ = [
-        [(int(base[k - 1]) + off, n) for k, off in o]
-        for o, n in zip(b.occurrences, b._group_sizes)
+        [(int(base[k - 1]) + off, b.group_block_size(g)) for k, off in o]
+        for g, o in enumerate(b.occurrences, start=1)
     ]
     m = lcm(*(len(o) for o in occ))
     d = b.shape.total_dim
@@ -313,5 +267,5 @@ def pipeline_for(b: StandardSubalgebra, v: TracialWeight) -> ConjugationPipeline
     final = 1.0
     if not b.trivially_grouped:
         stages.append(_permutation_stage(b, v))
-        final = 1.0 / float(np.max(_weighted_denominators(b, v.per_trace_factors())))
+        final = 1.0 / float(np.max(b.denominators(v.per_trace_factors())))
     return ConjugationPipeline(b.shape, tuple(stages), final)

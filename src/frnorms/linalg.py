@@ -147,15 +147,32 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
+def json_number(value, error: type[Exception], integral: bool = True):
+    """A number of the JSON wire format, checked for every decoder: an int
+    or float, as an int if ``integral`` (a float must then be integral),
+    else as a float.  Anything else is refused with the decoder's
+    ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"expected a number, got {value!r}")
+    if not integral:
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise error(f"number out of the float range: {exc}") from exc
+    if isinstance(value, float) and not value.is_integer():
+        raise error(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Decode the matrix encoding produced by :func:`matrix_to_json`."""
     if not isinstance(obj, dict):
         raise DimensionError("matrix object must be a JSON mapping")
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = json_number(obj["rows"], DimensionError)
+        cols = json_number(obj["cols"], DimensionError)
         data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DimensionError(f"malformed matrix object: {exc}") from exc
     if rows < 0 or cols < 0 or len(data) != rows * cols:
         raise DimensionError(
@@ -165,7 +182,7 @@ def matrix_from_json(obj) -> np.ndarray:
     for idx, pair in enumerate(data):
         if len(pair) != 2:
             raise DimensionError("matrix entries must be [re, im] pairs")
-        out[idx] = complex(float(pair[0]), float(pair[1]))
+        out[idx] = complex(*(json_number(x, DimensionError, integral=False) for x in pair))
     out = out.reshape(rows, cols)
     if out.size and not np.all(np.isfinite(out)):
         raise ValueError("matrix entries must be finite")

@@ -10,9 +10,9 @@ repeats must be entered as a conjugated subalgebra with an explicit
 permutation unitary.
 
 Everything the package computes about a subalgebra comes from where
-each group's diagonal blocks sit: ``StandardSubalgebra.occurrences``
-lists them per group, and the conditional expectation, the embedding,
-the structural constants and the membership test all read that list.
+its blocks sit, and only this module works that out: ``slots`` per
+summand, ``occurrences`` per group, and the block average over them,
+the one kernel of the expectation, its norm and the membership test.
 The canonical basis, one 0/1 matrix per group and block entry (p, q),
 is built only when it is asked for; supports of distinct basis elements
 are disjoint, which makes them orthogonal for every tracial inner
@@ -21,7 +21,7 @@ product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -75,10 +75,6 @@ class RefinedPartition:
         """r_k: number of diagonal blocks, counting multiplicity."""
         return sum(m for _, m in self.terms)
 
-    def slot_offset(self, i: int) -> int:
-        """0-based row offset of slot i (1-based) inside the summand."""
-        return sum(n * m for n, m in self.terms[: i - 1])
-
 
 @dataclass(frozen=True)
 class CanonicalBasisElement:
@@ -106,11 +102,12 @@ class StandardSubalgebra:
 
     ``partitions`` has one :class:`RefinedPartition` per summand and
     ``groups`` partitions the set of slots (k, i), all indices 1-based.
-    Construction validates the description and lists where each group's
-    diagonal blocks sit: ``occurrences[g]`` holds one (k, offset) pair per
-    block of group g + 1, with k the 1-based summand and offset the
-    0-based row offset, in summand-major then offset order.  The
-    canonical basis is built on first access.
+    Construction validates the description and lays out the blocks:
+    ``slots[k-1]`` holds one (row offset, n, m, group) row per slot of
+    summand k, and ``occurrences[g]`` one (k, row offset) pair per block
+    of group g + 1, in summand-major then offset order; offsets and groups
+    are 0-based, k is 1-based.  The canonical basis is built on first
+    access.
     """
 
     def __init__(self, shape: AlgebraShape, partitions, groups):
@@ -167,21 +164,51 @@ class StandardSubalgebra:
             raise GroupingError(f"slots not covered by any group: {sorted(missing)}")
 
     def _block_layout(self):
-        """Set ``occurrences`` and ``_counts[k-1, g]``, the number of
-        blocks of group g + 1 in summand k."""
+        """Set ``slots``, ``occurrences`` and ``_counts[k-1, g]``, the
+        number of blocks of group g + 1 in summand k."""
         group_of_slot = {slot: gi for gi, g in enumerate(self.groups) for slot in g}
+        slots = []
         occ: list[list[tuple[int, int]]] = [[] for _ in self.groups]
         counts = np.zeros((self.shape.num_summands, len(self.groups)), dtype=np.int64)
         for k, part in enumerate(self.partitions, start=1):
-            pos = 0
+            rows, pos = [], 0
             for i, (n, m) in enumerate(part.terms, start=1):
                 gi = group_of_slot[(k, i)]
-                for _ in range(m):
-                    occ[gi].append((k, pos))
-                    pos += n
+                rows.append((pos, n, m, gi))
+                occ[gi].extend((k, pos + j * n) for j in range(m))
                 counts[k - 1, gi] += m
+                pos += n * m
+            slots.append(tuple(rows))
+        self.slots = tuple(slots)
         self.occurrences = tuple(tuple(o) for o in occ)
         self._counts = counts
+
+    def denominators(self, w: np.ndarray) -> np.ndarray:
+        """Per-group normalization sum_blocks w_k for per-summand weights w."""
+        return w @ self._counts
+
+    def block_average(self, w: np.ndarray, summands) -> list[np.ndarray]:
+        """Weighted block average onto the subalgebra, applied to a stack
+        of elements.
+
+        ``summands`` holds one array per summand of shape (..., d_k, d_k),
+        all with the same leading batch axes; ``w`` holds one weight per
+        summand.  With w_k = v_k/d_k this is the conditional expectation,
+        with unit weights the entrywise-orthogonal projection.  The blocks
+        of a group are summed in summand-major, offset order starting
+        from zero.
+        """
+        lead = summands[0].shape[:-2]
+        out = [np.zeros(lead + (d, d), dtype=np.complex128) for d in self.shape.dims]
+        dens = self.denominators(w)
+        for occ, n, den in zip(self.occurrences, self._group_sizes, dens):
+            avg = np.zeros(lead + (n, n), dtype=np.complex128)
+            for k, off in occ:
+                avg += w[k - 1] * summands[k - 1][..., off : off + n, off : off + n]
+            avg /= den
+            for k, off in occ:
+                out[k - 1][..., off : off + n, off : off + n] = avg
+        return out
 
     @cached_property
     def basis(self) -> tuple[CanonicalBasisElement, ...]:
@@ -310,13 +337,11 @@ def contains(b: StandardSubalgebra, a, tol: float | None = None) -> bool:
     """
     if isinstance(b, ConjugatedSubalgebra):
         return contains(b.base, b.unitary.adjoint() @ a @ b.unitary, tol)
-    from .expectation import _block_average
-
     if a.shape.dims != b.shape.dims:
         raise ShapeError("element shape does not match subalgebra shape")
     if tol is None:
         tol = CONTAINS_RTOL * element_norm(a)
-    nearest = _block_average(b, np.ones(b.shape.num_summands), a.summands)
+    nearest = b.block_average(np.ones(b.shape.num_summands), a.summands)
     return element_norm(a - AlgebraElement(b.shape, nearest)) <= tol
 
 
@@ -375,13 +400,14 @@ def subalgebra_from_json(obj):
     """
     if not isinstance(obj, dict):
         raise ShapeError("subalgebra object must be a JSON mapping")
+    count = partial(linalg.json_number, error=ShapeError)
     try:
-        shape = AlgebraShape(tuple(int(d) for d in obj["shape"]))
+        shape = AlgebraShape(tuple(count(d) for d in obj["shape"]))
         partitions = [
-            RefinedPartition(tuple((int(n), int(m)) for n, m in terms))
+            RefinedPartition(tuple((count(n), count(m)) for n, m in terms))
             for terms in obj["partitions"]
         ]
-        groups = [tuple((int(k), int(i)) for k, i in g) for g in obj["groups"]]
+        groups = [tuple((count(k), count(i)) for k, i in g) for g in obj["groups"]]
     except KeyError as exc:
         raise ShapeError(f"subalgebra object missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +122,54 @@ def test_malformed_weight_and_shape_files_exit_2(tmp_path, problem_files, capsys
     ]
     assert cli.main(["constants", *args]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ShapeError"
+
+
+# Count fields of the wire format, as (file, path to the field).
+_COUNT_FIELDS = (
+    ("algebra", ("shape", 0)),
+    ("subalgebra", ("shape", 0)),
+    ("subalgebra", ("partitions", 0, 0, 0)),
+    ("subalgebra", ("partitions", 0, 1, 1)),
+    ("subalgebra", ("groups", 0, 0, 0)),
+    ("subalgebra", ("groups", 1, 0, 1)),
+    ("element", ("shape", 0)),
+    ("element", ("summands", 0, "rows")),
+    ("element", ("summands", 0, "cols")),
+)
+
+
+def test_wire_format_refuses_non_integer_counts(tmp_path, problem_files, capsys):
+    """A count given as 2.5, true or a string exits 2, and the same count
+    written as an integral float reads as the integer.  Weights and
+    matrix entries refuse true, strings and integers beyond the float
+    range."""
+    assert cli.main(["norm", *problem_args(problem_files, element=True)]) == 0
+    want = capsys.readouterr().out
+
+    def run_with(name, path, value):
+        payload = json.loads(Path(problem_files[name]).read_text())
+        *head, last = path
+        node = payload
+        for key in head:
+            node = node[key]
+        node[last] = value(node[last])
+        edited = tmp_path / f"{name}.json"
+        edited.write_text(json.dumps(payload))
+        files = {**problem_files, name: str(edited)}
+        code = cli.main(["norm", *problem_args(files, element=True)])
+        return code, capsys.readouterr().out
+
+    for name, path in _COUNT_FIELDS:
+        for bad in (lambda x: x + 0.5, lambda x: True, str):
+            code, out = run_with(name, path, bad)
+            assert code == 2, (name, path, out)
+            assert "error" in json.loads(out)
+        assert run_with(name, path, float) == (0, want), (name, path)
+    for name, path in (("weights", ("weights", 0)), ("element", ("summands", 0, "data", 0, 0))):
+        for bad in (lambda x: True, str, lambda x: 10**400):
+            code, out = run_with(name, path, bad)
+            assert code == 2, (name, path, out)
+            assert "error" in json.loads(out)
 
 
 def test_search_command_schema_and_determinism(problem_files):

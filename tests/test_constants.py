@@ -22,6 +22,7 @@ from frnorms.constants import (
     theoretical_bound,
 )
 from frnorms.effros_shen import es_level, periodic_theta
+from frnorms.errors import ShapeError
 from frnorms.expectation import fr_norm, fr_norm_squared
 from frnorms.fleet import build_fleet, random_unitary
 from frnorms.subalgebra import (
@@ -221,6 +222,24 @@ def test_invalid_search_arguments():
     b, v = uniform_single(2, [(1, 1), (1, 1)])
     with pytest.raises(ValueError):
         empirical_sharp_constant(b, v, samples=0)
+
+
+def test_constants_refuse_a_weight_of_another_shape():
+    """dsum-cross has shape (2, 2); a weight declared for (2, 4) or for
+    three summands is refused by every constant, also on a conjugate."""
+    f = next(f for f in FLEET if f.name == "dsum-cross")
+    u = random_unitary(f.shape, np.random.default_rng(2))
+    weights = (
+        TracialWeight(AlgebraShape((2, 4)), (0.25, 0.75)),
+        TracialWeight(AlgebraShape((2, 2, 1)), (0.25, 0.5, 0.25)),
+    )
+    for b in (f.subalgebra, conjugated_subalgebra(f.subalgebra, u)):
+        for v in weights:
+            for entry in (structural_constants, theoretical_bound, sharp_constant):
+                with pytest.raises(ShapeError):
+                    entry(b, v)
+            with pytest.raises(ShapeError):
+                empirical_sharp_constant(b, v, samples=10)
 
 
 def _all_problems():

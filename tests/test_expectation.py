@@ -11,7 +11,8 @@ from frnorms.algebra import (
     inner_product,
     trace_state,
 )
-from frnorms.constants import structural_constants
+from frnorms.constants import TABLE1_SPECS, structural_constants, table1_subalgebra
+from frnorms.effros_shen import GOLDEN, es_level
 from frnorms.errors import ShapeError
 from frnorms.expectation import (
     apply_pipeline,
@@ -260,6 +261,73 @@ def test_circulant_stage_shifts_by_block():
     for a in range(4):
         want[a, (a + 2) % 4] = 1.0
     assert np.array_equal(m, want)
+
+
+def _literal_shift_matrix(size, shift):
+    m = np.zeros((size, size))
+    for a in range(size):
+        m[a, (a + shift) % size] = 1.0
+    return m
+
+
+def _literal_circulant(b, j):
+    """Member j of the circulant stage, assembled block by block from the
+    partitions: slot i of summand k is shifted cyclically by (j mod m) n
+    within its own span."""
+    mats = []
+    for d, part in zip(b.shape.dims, b.partitions):
+        full = np.zeros((d, d))
+        pos = 0
+        for n, m in part.terms:
+            full[pos : pos + n * m, pos : pos + n * m] = _literal_shift_matrix(n * m, (j % m) * n)
+            pos += n * m
+        mats.append(full)
+    return mats
+
+
+def _literal_phases(b, count):
+    """The first ``count`` members of the block-phase stage from the
+    partitions: fine block t of summand k gets phase exp(2 pi i t / r_k)
+    to the member index, accumulated by repeated multiplication."""
+    fine = [[n for n, m in part.terms for _ in range(m)] for part in b.partitions]
+    step = [np.exp(2j * np.pi * np.arange(len(f)) / len(f)) for f in fine]
+    cur = [np.ones(len(f), dtype=np.complex128) for f in fine]
+    out = []
+    for _ in range(count):
+        out.append([np.diag(np.repeat(c, f)) for c, f in zip(cur, fine)])
+        cur = [c * s for c, s in zip(cur, step)]
+    return out
+
+
+def test_block_layout_and_stages_on_multi_slot_fixtures():
+    """On every standard fixture, golden level 5 and the reference table
+    rows (whose multiplicities reach 3, where a shift and its inverse
+    differ), the slot table tiles each summand, each slot's m copies sit
+    in its group's occurrences at offset + j n, and the circulant and
+    phase stages equal the matrices built literally from the
+    partitions."""
+    problems = [(f.name, f.subalgebra, f.weight) for f in FLEET if hasattr(f.subalgebra, "slots")]
+    lev = es_level(GOLDEN, 5)
+    problems.append(("golden-5", lev.subalgebra, lev.weight))
+    problems += [(label, *table1_subalgebra(label)) for label, *_ in TABLE1_SPECS]
+    for name, b, v in problems:
+        group_of = {slot: g for g, slots in enumerate(b.groups) for slot in slots}
+        for k, (d, part, rows) in enumerate(zip(b.shape.dims, b.partitions, b.slots), start=1):
+            assert [(n, m) for _, n, m, _ in rows] == list(part.terms), name
+            assert [g for *_, g in rows] == [group_of[(k, i)] for i in range(1, len(rows) + 1)], name
+            ends = [off + n * m for off, n, m, _ in rows]
+            assert [off for off, *_ in rows] == [0] + ends[:-1], name
+            assert ends[-1] == d, name
+            for off, n, m, g in rows:
+                copies = [o for kk, o in b.occurrences[g] if kk == k]
+                assert copies == [off + j * n for j in range(m)], name
+        phase, circulant = pipeline_for(b, v).stages[:2]
+        for j, u in enumerate(circulant.unitaries):
+            for got, want in zip(u.summands, _literal_circulant(b, j)):
+                assert np.array_equal(got, want), (name, j)
+        for u, want in zip(phase.unitaries, _literal_phases(b, phase.size)):
+            for got, w in zip(u.summands, want):
+                assert np.array_equal(got, w), name
 
 
 def test_cross_summand_pipeline_structure():

@@ -34,8 +34,9 @@ def test_partition_validation():
     assert p.total == 4
     assert p.num_slots == 2
     assert p.num_blocks == 3
-    assert p.slot_offset(1) == 0
-    assert p.slot_offset(2) == 2
+    b = single_summand_subalgebra(4, p.terms)
+    assert b.slots[0][0][0] == 0
+    assert b.slots[0][1][0] == 2
     with pytest.raises(PartitionError):
         RefinedPartition(())
     with pytest.raises(PartitionError):

@@ -10,9 +10,9 @@ stdout), 3 numerical non-convergence.
 Notes on inputs: matrices arrive as {"rows", "cols", "data"} with data
 a row-major list of [re, im] pairs; an irrational parameter may be given
 as a decimal (--theta) or as continued-fraction terms (--cf r1,r2,...,
-repeated periodically, which pins the value exactly and is the
-reproducible form).  Rationality is decided operationally: the expansion
-aborts if a Gauss-map remainder drops below 1e-13.
+repeated periodically; exact, reproducible terms, though theta is
+rounded to a double for the tower constant).  Rationality is decided
+operationally: the expansion aborts if a Gauss-map remainder is < 1e-13.
 """
 from __future__ import annotations
 
@@ -261,7 +261,7 @@ def build_parser() -> _Parser:
     group.add_argument(
         "--cf",
         help="comma-separated positive terms, repeated periodically "
-        "(exact, preferred for reproducibility)",
+        "(exact terms, reproducible)",
     )
     p.add_argument("--level", type=int, required=True)
     p.set_defaults(func=_cmd_effros_shen)

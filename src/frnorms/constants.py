@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .algebra import AlgebraElement, AlgebraShape, TracialWeight
 from .errors import ShapeError
-from .expectation import _expected_opnorms, fr_norm
+from .expectation import fr_norm
 from .subalgebra import ConjugatedSubalgebra, StandardSubalgebra, single_summand_subalgebra
 
 REFINE_ROUNDS = 200
@@ -148,8 +148,8 @@ class _RatioEvaluator:
     of summand k cut from x as in ``sharp_constant`` and
     c_i = w_k / den_g(i), the ratio is sqrt(max_i c_i lambda_max(X_i* X_i)),
     read from the d_k entries of x alone.  ``opnorms`` and
-    ``fr_norms_sq`` evaluate stacks of general elements through the block
-    average.
+    ``fr_norms_sq`` evaluate stacks of general elements, the latter on
+    their column blocks (``StandardSubalgebra.induced_opnorms_sq``).
     """
 
     def __init__(self, b: StandardSubalgebra, v: TracialWeight):
@@ -179,8 +179,7 @@ class _RatioEvaluator:
     def fr_norms_sq(self, stacks) -> np.ndarray:
         """Squared induced norms for a stack of elements (one array per
         summand, shapes (nb, d_k, d_k))."""
-        grams = [np.conj(np.swapaxes(s, 1, 2)) @ s for s in stacks]
-        return _expected_opnorms(self.b, self.w, grams)
+        return self.b.induced_opnorms_sq(self.w, stacks)
 
     def rank_one_ratios(self, k: int, vecs: np.ndarray) -> np.ndarray:
         """Ratios of the projections xx* onto the unit rows x of ``vecs``,
@@ -439,8 +438,8 @@ def table1(
 def min_ratio_over_samples(b, v: TracialWeight, count: int, seed: int) -> float:
     """Minimum fr_norm/op_norm ratio over a fixed seeded sample set.
 
-    Evaluated through ``fr_norm``, which carries A* A to the base of a
-    conjugated subalgebra, so a conjugate exercises the transport path
+    Evaluated through ``fr_norm``, which carries A U to the base of a
+    conjugated subalgebra U B U*, so a conjugate exercises the transport path
     sample by sample.
     """
     rng = np.random.default_rng(seed)

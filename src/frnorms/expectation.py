@@ -9,15 +9,15 @@ gets
 the sums running over the diagonal blocks of g (``occurrences``), and
 P(A) writes X_g back into every block of g, zero elsewhere.
 ``cond_expect`` evaluates this through the subalgebra's own kernel,
-``StandardSubalgebra.block_average``, which takes any leading batch
-axes, so batched induced norms and the unweighted membership test run
-the same code; ``cond_expect_gram`` is an independent oracle
+``StandardSubalgebra.block_average``, which the unweighted membership
+test shares; ``cond_expect_gram`` is an independent oracle
 that projects onto the canonical basis with Gram coefficients
 <A, e>/<e, e> computed from the tracial inner product.
 
 The induced norm is ||A||_{v,B} = sqrt(||P(A* A)||_op).  Its square is
-computed for whole stacks of positive elements at once, block average
-then batched Hermitian spectra; ``fr_norm_squared`` is a stack of one.
+max_g lambda_max(X_g) for the group averages X_g of P(A* A), which
+``StandardSubalgebra.induced_opnorms_sq`` builds from A's column blocks;
+``fr_norm_squared`` is a stack of one.
 The sharp-constant search does not come through here: it scores
 rank-one projections on slot Grams (``constants._RatioEvaluator``),
 which tests check against ``fr_norm_squared``.  Conjugation pipelines
@@ -70,32 +70,19 @@ def cond_expect_gram(b, v: TracialWeight, a: AlgebraElement) -> AlgebraElement:
     return out
 
 
-def _expected_opnorms(b: StandardSubalgebra, w: np.ndarray, summands) -> np.ndarray:
-    """||P(B)||_op for a stack of positive elements B.
-
-    ``summands`` and ``w`` are as for ``StandardSubalgebra.block_average``;
-    the result has one entry per element of the stack, the largest
-    operator norm over the summands of its block average.
-    """
-    proj = b.block_average(w, summands)
-    return np.max([linalg.hermitian_opnorm_batch(p) for p in proj], axis=0)
-
-
 def fr_norm_squared(b, v: TracialWeight, a: AlgebraElement) -> float:
-    """||P(A* A)||_op, the square of the induced norm, as a batch of one.
+    """||P(A* A)||_op, the square of the induced norm, as a stack of one.
 
-    On a conjugate U B U* the expectation is U P_B(U* X U) U*, whose
-    operator norm is that of P_B(U* X U), so A* A is carried to the base.
+    On a conjugate U B U* the norm is that of P_B(U* A* A U), and
+    U* A* A U = (AU)* (AU), so A U is carried to the base.
     """
-    x = a.adjoint() @ a
     if isinstance(b, ConjugatedSubalgebra):
-        u = b.unitary
-        x = u.adjoint() @ x @ u
+        a = a @ b.unitary
         b = b.base
-    if x.shape.dims != b.shape.dims or v.shape.dims != b.shape.dims:
+    if a.shape.dims != b.shape.dims or v.shape.dims != b.shape.dims:
         raise ShapeError("element, weight and subalgebra shapes must agree")
-    stack = [m[None] for m in x.summands]
-    return float(_expected_opnorms(b, v.per_trace_factors(), stack)[0])
+    stack = [m[None] for m in a.summands]
+    return float(b.induced_opnorms_sq(v.per_trace_factors(), stack)[0])
 
 
 def fr_norm(b, v: TracialWeight, a: AlgebraElement) -> float:

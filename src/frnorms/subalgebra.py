@@ -11,8 +11,8 @@ permutation unitary.
 
 Everything the package computes about a subalgebra comes from where
 its blocks sit, and only this module works that out: ``slots`` per
-summand, ``occurrences`` per group, and the block average over them,
-the one kernel of the expectation, its norm and the membership test.
+summand, ``occurrences`` per group, the block average over them (the
+expectation and the membership test) and the induced norm on them.
 The canonical basis, one 0/1 matrix per group and block entry (p, q),
 is built only when it is asked for; supports of distinct basis elements
 are disjoint, which makes them orthogonal for every tracial inner
@@ -188,27 +188,40 @@ class StandardSubalgebra:
         return w @ self._counts
 
     def block_average(self, w: np.ndarray, summands) -> list[np.ndarray]:
-        """Weighted block average onto the subalgebra, applied to a stack
-        of elements.
+        """Weighted block average of one element onto the subalgebra.
 
-        ``summands`` holds one array per summand of shape (..., d_k, d_k),
-        all with the same leading batch axes; ``w`` holds one weight per
-        summand.  With w_k = v_k/d_k this is the conditional expectation,
-        with unit weights the entrywise-orthogonal projection.  The blocks
-        of a group are summed in summand-major, offset order starting
-        from zero.
+        ``summands`` holds one d_k x d_k matrix per summand and ``w`` one
+        weight per summand.  With w_k = v_k/d_k this is the conditional
+        expectation, with unit weights the entrywise-orthogonal
+        projection.  The blocks of a group are summed in summand-major,
+        offset order starting from zero.
         """
-        lead = summands[0].shape[:-2]
-        out = [np.zeros(lead + (d, d), dtype=np.complex128) for d in self.shape.dims]
+        out = [np.zeros((d, d), dtype=np.complex128) for d in self.shape.dims]
         dens = self.denominators(w)
         for occ, n, den in zip(self.occurrences, self._group_sizes, dens):
-            avg = np.zeros(lead + (n, n), dtype=np.complex128)
+            blocks = (w[k - 1] * summands[k - 1][off : off + n, off : off + n] for k, off in occ)
+            avg = sum(blocks) / den
             for k, off in occ:
-                avg += w[k - 1] * summands[k - 1][..., off : off + n, off : off + n]
-            avg /= den
-            for k, off in occ:
-                out[k - 1][..., off : off + n, off : off + n] = avg
+                out[k - 1][off : off + n, off : off + n] = avg
         return out
+
+    def induced_opnorms_sq(self, w: np.ndarray, summands) -> np.ndarray:
+        """||P(A* A)||_op for a stack of elements A, given as one (nb, d_k,
+        d_k) array per summand, with weights w as for ``block_average``.
+
+        Every block of group g in P(A* A) holds X_g = sum_blocks w_k
+        A_k[:, I]* A_k[:, I] / den_g, I the block's columns, so the norm
+        is max_g lambda_max(X_g), read from A's column blocks alone.
+        """
+        dens = self.denominators(w)
+        best = np.zeros(len(summands[0]))
+        for occ, n, den in zip(self.occurrences, self._group_sizes, dens):
+            x = 0
+            for k, off in occ:
+                cols = summands[k - 1][:, :, off : off + n]
+                x = x + w[k - 1] * (np.conj(np.swapaxes(cols, 1, 2)) @ cols)
+            best = np.maximum(best, linalg.hermitian_opnorm_batch(x / den))
+        return best
 
     @cached_property
     def basis(self) -> tuple[CanonicalBasisElement, ...]:

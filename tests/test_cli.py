@@ -79,6 +79,20 @@ def test_norm_command_pinned_output(problem_files):
     assert out["op_norm"] == 3.0
 
 
+def test_norm_refuses_an_overflowing_element(tmp_path, problem_files):
+    path = tmp_path / "huge.json"
+    huge = {"rows": 2, "cols": 2, "data": [[1e160, 0.0]] * 4}
+    path.write_text(json.dumps({"shape": [2], "summands": [huge]}))
+    args = problem_args(problem_files) + ["--element", str(path)]
+    # Not run_cli: numpy's overflow warnings precede the typed refusal,
+    # so they are left as warnings here.
+    proc = subprocess.run(
+        [sys.executable, "-m", "frnorms.cli", "norm", *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "ValueError"
+
+
 def test_expect_command_output(problem_files):
     proc = run_cli("expect", *problem_args(problem_files, element=True), check=True)
     out = json.loads(proc.stdout)

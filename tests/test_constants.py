@@ -268,10 +268,10 @@ def test_sharp_constant_invariant_under_conjugation():
 
 def test_slot_gram_ratios_match_the_induced_norm():
     """The search scores xx* on slot Grams; the closed form of P behind
-    them is checked here against fr_norm_squared(xx*), a block average
-    of the full d_k x d_k projection, on every table row and fixture,
-    golden tower levels 6-8 and a sqrt(2) level whose slot Grams are
-    2 x 2."""
+    them is checked here against fr_norm_squared(xx*), built from the
+    group averages of the projection's column blocks, on every table row
+    and fixture, golden tower levels 6-8 and a sqrt(2) level whose slot
+    Grams are 2 x 2."""
     problems = _all_problems()
     for period, level in (((1,), 6), ((1,), 7), ((1,), 8), ((2,), 4)):
         theta, cf = periodic_theta(period, level)

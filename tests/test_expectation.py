@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,12 @@ from frnorms.algebra import (
     inner_product,
     trace_state,
 )
-from frnorms.constants import TABLE1_SPECS, structural_constants, table1_subalgebra
+from frnorms.constants import (
+    TABLE1_SPECS,
+    _RatioEvaluator,
+    structural_constants,
+    table1_subalgebra,
+)
 from frnorms.effros_shen import GOLDEN, es_level
 from frnorms.errors import ShapeError
 from frnorms.expectation import (
@@ -27,6 +34,7 @@ from frnorms.expectation import (
 )
 from frnorms.fleet import build_fleet, random_element, random_positive
 from frnorms.subalgebra import (
+    ConjugatedSubalgebra,
     contains,
     embed,
     single_summand_subalgebra,
@@ -194,6 +202,55 @@ def test_transport_identity_for_conjugated_subalgebras():
         lhs = fr_norm(c, v, a)
         rhs = fr_norm(base, v, u.adjoint() @ a @ u)
         assert abs(lhs - rhs) < 1e-9
+
+
+def test_induced_norm_kernel_matches_the_dense_route():
+    """fr_norm_squared reads A's column blocks; the dense route forms
+    A* A and takes the operator norm of its expectation.  Every fixture,
+    circulant-M3 through the A U transport, and golden levels 2-10.
+    _RatioEvaluator.fr_norms_sq runs the same kernel on a whole stack."""
+    rng = np.random.default_rng(41)
+    problems = [(f.name, f.subalgebra, f.weight) for f in FLEET]
+    for level in range(2, 11):
+        lev = es_level(GOLDEN, level)
+        problems.append((f"golden-{level}", lev.subalgebra, lev.weight))
+    assert any(isinstance(b, ConjugatedSubalgebra) for _, b, _ in problems)
+    for name, b, v in problems:
+        elems = [random_element(b.shape, rng) for _ in range(3)]
+        got = np.array([fr_norm_squared(b, v, a) for a in elems])
+        dense = [element_norm(cond_expect(b, v, a.adjoint() @ a)) for a in elems]
+        np.testing.assert_allclose(got, dense, rtol=1e-12, atol=0, err_msg=name)
+        base = b
+        if isinstance(b, ConjugatedSubalgebra):
+            base = b.base
+            elems = [a @ b.unitary for a in elems]
+        stacks = [np.stack(mats) for mats in zip(*(a.summands for a in elems))]
+        batch = _RatioEvaluator(base, v).fr_norms_sq(stacks)
+        np.testing.assert_allclose(batch, got, rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_induced_norm_forms_no_dense_product():
+    """At golden level 13 (dims 377 and 233) one fr_norm_squared call
+    peaks below twice the bytes of A; forming A* A and its d x d
+    expectation costs about 3.5 times."""
+    lev = es_level(GOLDEN, 13)
+    a = random_element(lev.subalgebra.shape, np.random.default_rng(13))
+    fr_norm_squared(lev.subalgebra, lev.weight, a)
+    tracemalloc.start()
+    try:
+        fr_norm_squared(lev.subalgebra, lev.weight, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * sum(m.nbytes for m in a.summands), peak
+
+
+def test_overflowing_element_is_refused_with_value_error():
+    f = fixture("B4_2_1_1")
+    a = AlgebraElement(f.shape, [np.full((d, d), 1e160) for d in f.shape.dims])
+    # the complex products of inf also set the invalid flag
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        fr_norm_squared(f.subalgebra, f.weight, a)
 
 
 def test_faithfulness_lower_bound():

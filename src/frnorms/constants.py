@@ -41,6 +41,9 @@ _SPECULATE = 8
 # level 16 (d = 1597) 13-18% slower than a draw per round; at this size
 # it matched a draw per round.
 _REFINE_DRAW_ENTRIES = 1 << 16
+# numpy's pairwise summation adds a run of fewer than this many terms one
+# at a time (see _slot_masses).
+_PAIRWISE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,13 @@ class _RatioEvaluator:
     The search scores rank-one projections xx* on slot Grams: with slot i
     of summand k cut from x as in ``sharp_constant`` and
     c_i = w_k / den_g(i), the ratio is sqrt(max_i c_i lambda_max(X_i* X_i)),
-    read from the d_k entries of x alone.  ``opnorms`` and
+    read from the d_k entries of x alone.  A stack of candidates, one per
+    row, is scored column by column: a numpy reduction along rows of two to
+    five entries costs many times the arithmetic it does.  The column sums
+    keep the order of the row reductions they replace, so every score,
+    and with it every sample stream's search result, is the same bit for
+    bit; a different order would move last digits and, through the refine
+    loop's comparisons, whole trajectories.  ``opnorms`` and
     ``fr_norms_sq`` evaluate stacks of general elements, the latter on
     their column blocks (``StandardSubalgebra.induced_opnorms_sq``).
     """
@@ -155,23 +164,26 @@ class _RatioEvaluator:
     def __init__(self, b: StandardSubalgebra, v: TracialWeight):
         self.b = b
         self.w = v.per_trace_factors()
-        # Per summand: slot offsets, c_i, the slots with min(n_i, m_i) = 2
-        # as (i, p, q), the slices of x holding the two rows p, q of X_i
-        # on its short side, and the slots with min(n_i, m_i) > 2, the
-        # only ones that need an eigensolver.
+        # Per summand: the c_i, the slots with min(n_i, m_i) <= 2 as
+        # (i, lo, hi), the column range of X_i in x, whose mass they need,
+        # those with min(n_i, m_i) = 2 as (i, p, q), the slices of x
+        # holding the two rows p, q of X_i on its short side, and the
+        # slots with min(n_i, m_i) > 2, the only ones that need an
+        # eigensolver.
         self.slots = []
         for k, rows in enumerate(_slot_table(b, self.w)):
-            offsets = np.array([off for off, _, _, _ in rows])
-            coef = np.array([self.w[k] / den for _, _, _, den in rows])
-            pairs, grams = [], []
+            coef = [self.w[k] / den for _, _, _, den in rows]
+            cols, pairs, grams = [], [], []
             for i, (off, n, m, _) in enumerate(rows):
+                if min(n, m) <= 2:
+                    cols.append((i, off, off + n * m))
                 if m == 2 <= n:
                     pairs.append((i, slice(off, off + n), slice(off + n, off + 2 * n)))
                 elif n == 2 < m:
                     pairs.append((i, slice(off, off + 2 * m, 2), slice(off + 1, off + 2 * m, 2)))
                 elif min(n, m) > 2:
                     grams.append((i, off, n, m))
-            self.slots.append((offsets, coef, pairs, grams))
+            self.slots.append((coef, cols, pairs, grams))
 
     def opnorms(self, stacks) -> np.ndarray:
         return np.max([linalg.opnorm_batch(s) for s in stacks], axis=0)
@@ -183,25 +195,33 @@ class _RatioEvaluator:
 
     def rank_one_ratios(self, k: int, vecs: np.ndarray) -> np.ndarray:
         """Ratios of the projections xx* onto the unit rows x of ``vecs``,
-        placed in summand k.  A slot with min(n_i, m_i) = 1 has
-        lambda_max = ||X_i||_F^2, summed for all slots at once.  With
+        placed in summand k, column by column.  A slot with
+        min(n_i, m_i) = 1 has lambda_max = ||X_i||_F^2, its mass, a sum of
+        whole columns of |x|^2 in a fixed order (``_slot_masses``).  With
         min(n_i, m_i) = 2 the Gram on the smaller side of X_i is that of
         two rows p, q, whose top eigenvalue has a closed form in ||p||^2,
-        ||q||^2 and <p, q>; larger Grams go to LAPACK."""
-        offsets, coef, pairs, grams = self.slots[k]
+        ||q||^2 and <p, q>; larger Grams go to LAPACK.  The maximum over
+        the slots is a running maximum of the columns c_i lambda_i, exact
+        in any order."""
+        coef, cols, pairs, grams = self.slots[k]
         sq = vecs.real**2 + vecs.imag**2
-        lam = np.add.reduceat(sq, offsets, axis=1)
+        lam = [None] * len(coef)
+        for i, lo, hi in cols:
+            lam[i] = _slot_masses(sq, lo, hi)
         # einsum sums these short rows about twice as fast as np.sum.
         for i, p, q in pairs:
             pp = np.einsum("ij->i", sq[:, p])
             qq = np.einsum("ij->i", sq[:, q])
             pq = np.einsum("ij,ij->i", vecs[:, p], np.conj(vecs[:, q]))
-            lam[:, i] = linalg.top_gram_eigvals_2(lam[:, i], pp, qq, pq)
+            lam[i] = linalg.top_gram_eigvals_2(lam[i], pp, qq, pq)
         for i, off, n, m in grams:
             piece = vecs[:, off : off + n * m].reshape(len(vecs), m, n)
             adj = np.conj(np.swapaxes(piece, 1, 2))
-            lam[:, i] = linalg.hermitian_opnorm_batch(piece @ adj if m <= n else adj @ piece)
-        return np.sqrt(np.max(coef * lam, axis=1))
+            lam[i] = linalg.hermitian_opnorm_batch(piece @ adj if m <= n else adj @ piece)
+        top = coef[0] * lam[0]
+        for c, mass in zip(coef[1:], lam[1:]):
+            np.maximum(top, c * mass, out=top)
+        return np.sqrt(top, out=top)
 
 
 @dataclass(frozen=True)
@@ -215,10 +235,35 @@ class SearchReport:
     refine_steps: int
 
 
-def _complex_gaussian(rng, shape) -> np.ndarray:
-    """Complex Gaussian array of the given shape: real parts, then
-    imaginary parts."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def _slot_masses(sq: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Row sums of sq[:, lo:hi], bit for bit those of
+    ``np.add.reduceat(sq, [lo, hi], axis=1)[:, 0]``.
+
+    Up to _PAIRWISE_BLOCK entries the sum is taken over whole columns, in
+    the order reduceat adds them: a_0 + (a_1 + a_2 + ...), the tail one
+    term at a time, as numpy's pairwise summation adds a run of fewer
+    than _PAIRWISE_BLOCK terms.  It unrolls longer runs, so a longer slot
+    keeps reduceat, whose rows are then long enough to pay for it.
+    """
+    if hi - lo > _PAIRWISE_BLOCK:
+        return np.add.reduceat(sq[:, lo:hi], [0], axis=1)[:, 0]
+    if hi - lo == 1:
+        return sq[:, lo]
+    tail = sq[:, lo + 1]
+    for j in range(lo + 2, hi):
+        tail = tail + sq[:, j]
+    return sq[:, lo] + tail
+
+
+def _complex_gaussian(rng, shape, axis: int = 0) -> np.ndarray:
+    """Complex Gaussian array of the given shape from one real draw with
+    an axis of length 2 inserted at ``axis``: along it, real parts, then
+    imaginary parts.  The parts are copied into place, bit for bit the
+    sum re + 1j * im."""
+    raw = rng.standard_normal((*shape[:axis], 2, *shape[axis:]))
+    out = np.empty(shape, dtype=np.complex128)
+    out.real, out.imag = np.moveaxis(raw, axis, 0)
+    return out
 
 
 def _gaussian_stacks(rng, dims, count):
@@ -229,7 +274,13 @@ def _gaussian_stacks(rng, dims, count):
 
 
 def _unit_rows(vecs: np.ndarray) -> np.ndarray:
-    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    """The rows of ``vecs`` scaled to unit length, bit for bit
+    ``vecs / np.linalg.norm(vecs, axis=1, keepdims=True)``: the same
+    reduction that ``norm`` runs, without its checks, and a product with
+    1/norm, which is how numpy divides a complex number by a real one
+    (Smith's method with a zero imaginary part)."""
+    norms = np.sqrt(np.add.reduce((vecs.conj() * vecs).real, axis=1))
+    return vecs * (1.0 / norms)[:, None]
 
 
 def _refine(evaluator, k, x, best, rng):
@@ -264,21 +315,22 @@ def _refine(evaluator, k, x, best, rng):
     dirs = np.empty((0, 2 * ndir, d), dtype=np.complex128)
     while done < REFINE_ROUNDS:
         if not len(dirs):
-            raw = rng.standard_normal((min(per_draw, REFINE_ROUNDS - done), 2, 2 * ndir, d))
-            dirs = raw[:, 0] + 1j * raw[:, 1]
+            dirs = _complex_gaussian(rng, (min(per_draw, REFINE_ROUNDS - done), 2 * ndir, d), 1)
         span = min(_SPECULATE, len(dirs))
         steps = step * 0.5 ** ((fails + np.arange(span)) // REFINE_FAIL_LIMIT)
         cands = dirs[:span] * (steps[:, None, None] * tiers)
         cands += x
         cands = _unit_rows(cands.reshape(-1, d))
         ratios = evaluator.rank_one_ratios(k, cands).reshape(span, 2 * ndir)
-        hits = np.flatnonzero(ratios.min(axis=1) < best)
+        below = ratios < best
+        first = int(np.argmax(below))
+        hit = bool(below.flat[first])
         # The rounds before the first hit, or all of them, failed.
-        failed = int(hits[0]) if hits.size else span
+        failed = first // (2 * ndir) if hit else span
         halvings, fails = divmod(fails + failed, REFINE_FAIL_LIMIT)
         step *= 0.5**halvings
         used = failed
-        if hits.size:
+        if hit:
             pick = int(np.argmin(ratios[failed]))
             best = float(ratios[failed, pick])
             x = cands[failed * 2 * ndir + pick]

@@ -211,16 +211,20 @@ class StandardSubalgebra:
 
         Every block of group g in P(A* A) holds X_g = sum_blocks w_k
         A_k[:, I]* A_k[:, I] / den_g, I the block's columns, so the norm
-        is max_g lambda_max(X_g), read from A's column blocks alone.
+        is max_g lambda_max(X_g), read from A's column blocks alone.  A
+        Gram that overflows is formed without numpy's warnings and refused
+        with ValueError by ``linalg.eigvalsh_batch``.
         """
         dens = self.denominators(w)
         best = np.zeros(len(summands[0]))
         for occ, n, den in zip(self.occurrences, self._group_sizes, dens):
             x = 0
-            for k, off in occ:
-                cols = summands[k - 1][:, :, off : off + n]
-                x = x + w[k - 1] * (np.conj(np.swapaxes(cols, 1, 2)) @ cols)
-            best = np.maximum(best, linalg.hermitian_opnorm_batch(x / den))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k, off in occ:
+                    cols = summands[k - 1][:, :, off : off + n]
+                    x = x + w[k - 1] * (np.conj(np.swapaxes(cols, 1, 2)) @ cols)
+                x = x / den
+            best = np.maximum(best, linalg.hermitian_opnorm_batch(x))
         return best
 
     @cached_property

@@ -93,6 +93,19 @@ def test_norm_refuses_an_overflowing_element(tmp_path, problem_files):
     assert json.loads(proc.stdout)["error"]["type"] == "ValueError"
 
 
+def test_overflow_refusal_prints_no_warning(tmp_path, problem_files):
+    """The Gram of 1e160 entries overflows; the refusal is the typed one,
+    exit 2, even with numeric warnings made errors, and nothing reaches
+    stderr."""
+    path = tmp_path / "huge.json"
+    huge = {"rows": 2, "cols": 2, "data": [[1e160, 0.0]] * 4}
+    path.write_text(json.dumps({"shape": [2], "summands": [huge]}))
+    proc = run_cli("norm", *problem_args(problem_files), "--element", str(path))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "ValueError"
+    assert proc.stderr == ""
+
+
 def test_expect_command_output(problem_files):
     proc = run_cli("expect", *problem_args(problem_files, element=True), check=True)
     out = json.loads(proc.stdout)
@@ -199,6 +212,18 @@ def test_search_command_schema_and_determinism(problem_files):
     assert out["samples"] == 200 and out["seed"] == 3
     assert out["refine_steps"] == 0
     assert 2**-0.5 - 1e-9 <= out["best_ratio"] <= 1.0
+
+
+def test_readme_search_example(problem_files):
+    """The search example of the README, on its diagonal of M_2."""
+    proc = run_cli("search", *problem_args(problem_files),
+                   "--samples", "2000", "--seed", "1", check=True)
+    out = json.loads(proc.stdout)
+    assert out["best_ratio"] == 0.7071067811866137
+    assert out["refine_steps"] == 23
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert '{"best_ratio": 0.7071067811866137,' in readme
+    assert '"refine_steps": 23}' in readme
 
 
 def test_search_rejects_bad_counts(problem_files):

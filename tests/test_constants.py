@@ -354,6 +354,80 @@ def test_two_row_slot_grams_in_both_orientations():
             assert sharp - 1e-12 <= best <= sharp + 1e-6, (terms, seed, best - sharp)
 
 
+def _row_wise_ratios(b, v, k, vecs):
+    """The scorer that reduced along each candidate's row: slot masses
+    by np.add.reduceat and the maximum by np.max(coef * lam, axis=1).
+    The reference for the column-wise ``rank_one_ratios``."""
+    w = v.per_trace_factors()
+    rows = _slot_table(b, w)[k]
+    offsets = np.array([off for off, _, _, _ in rows])
+    coef = np.array([w[k] / den for _, _, _, den in rows])
+    sq = vecs.real**2 + vecs.imag**2
+    lam = np.add.reduceat(sq, offsets, axis=1)
+    for i, (off, n, m, _) in enumerate(rows):
+        if min(n, m) > 2:
+            piece = vecs[:, off : off + n * m].reshape(len(vecs), m, n)
+            adj = np.conj(np.swapaxes(piece, 1, 2))
+            lam[:, i] = linalg.hermitian_opnorm_batch(piece @ adj if m <= n else adj @ piece)
+        elif min(n, m) == 2:
+            if m == 2:
+                p, q = slice(off, off + n), slice(off + n, off + 2 * n)
+            else:
+                p, q = slice(off, off + 2 * m, 2), slice(off + 1, off + 2 * m, 2)
+            pp = np.einsum("ij->i", sq[:, p])
+            qq = np.einsum("ij->i", sq[:, q])
+            pq = np.einsum("ij,ij->i", vecs[:, p], np.conj(vecs[:, q]))
+            lam[:, i] = linalg.top_gram_eigvals_2(lam[:, i], pp, qq, pq)
+    return np.sqrt(np.max(coef * lam, axis=1))
+
+
+def test_column_wise_scoring_equals_the_row_wise_reference():
+    """Slots of 1 to 12 entries, on both sides of the switch to reduceat
+    above 8, two-row slots in both orientations, slots with
+    min(n, m) > 2, and every table row and fixture: the same bits."""
+    problems = [("slot", *uniform_single(e + 1, [(e, 1), (1, 1)])) for e in range(1, 13)]
+    problems += [("mult", *uniform_single(e + 2, [(1, e), (2, 1)])) for e in range(1, 13)]
+    for terms in ([(2, 3)], [(3, 2)], [(2, 5), (1, 1)], [(5, 2)], [(3, 3)], [(4, 3), (1, 2)]):
+        problems.append((terms, *uniform_single(sum(n * m for n, m in terms), terms)))
+    problems += _all_problems()
+    rng = np.random.default_rng(41)
+    for name, b, v in problems:
+        if isinstance(b, ConjugatedSubalgebra):
+            b = b.base
+        ev = _RatioEvaluator(b, v)
+        for k, d in enumerate(b.shape.dims):
+            for count in (1, 256, 3000):
+                vecs = constants._unit_rows(constants._complex_gaussian(rng, (count, d)))
+                got = ev.rank_one_ratios(k, vecs)
+                want = _row_wise_ratios(b, v, k, vecs)
+                assert got.tobytes() == want.tobytes(), (name, k, count)
+
+
+def test_unit_rows_equal_division_by_the_norm():
+    rng = np.random.default_rng(43)
+    for d in range(1, 13):
+        for count in (1, 256, 10000):
+            vecs = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+            want = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+            assert constants._unit_rows(vecs).tobytes() == want.tobytes(), (d, count)
+
+
+def test_complex_draws_equal_the_sum_of_two_real_draws():
+    """One (2, ...) draw gives the stream and the bits of a + 1j * b;
+    with axis=1 the parts alternate per leading index, as a draw per
+    refine round gives them."""
+    for shape in ((1, 1), (7, 3), (4, 5, 5)):
+        got = constants._complex_gaussian(np.random.default_rng(5), shape)
+        rng = np.random.default_rng(5)
+        want = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert got.tobytes() == want.tobytes(), shape
+    got = constants._complex_gaussian(np.random.default_rng(6), (3, 4, 2), 1)
+    rng = np.random.default_rng(6)
+    for block in got:
+        want = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        assert block.tobytes() == want.tobytes()
+
+
 def test_refined_search_attains_the_sharp_constant():
     for name, b, v in _all_problems():
         sharp = sharp_constant(b, v)

@@ -93,11 +93,6 @@ def _load_problem(args, need_element=False):
     element = None
     if need_element:
         element = element_from_json(_load_json(args.element))
-        if element.shape.dims != sub.shape.dims:
-            raise InputError(
-                f"element shape {list(element.shape.dims)} does not match "
-                f"subalgebra shape {list(sub.shape.dims)}"
-            )
     return sub, weight, element
 
 

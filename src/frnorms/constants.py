@@ -19,9 +19,8 @@ import numpy as np
 
 from . import linalg
 from .algebra import AlgebraElement, AlgebraShape, TracialWeight
-from .errors import ShapeError
 from .expectation import fr_norm
-from .subalgebra import ConjugatedSubalgebra, StandardSubalgebra, single_summand_subalgebra
+from .subalgebra import StandardSubalgebra, single_summand_subalgebra, standard_form
 
 REFINE_ROUNDS = 200
 REFINE_INITIAL_STEP = 0.1
@@ -67,17 +66,11 @@ class StructuralConstants:
     theorem: str
 
 
-def _standard(b, v: TracialWeight) -> tuple[StandardSubalgebra, np.ndarray]:
-    """The standard base of b, whose constants a conjugate shares, and
-    the factors v_k/d_k; a weight of another shape is refused."""
-    if v.shape.dims != b.shape.dims:
-        raise ShapeError(f"weight shape {v.shape.dims} does not match {b.shape.dims}")
-    return (b.base if isinstance(b, ConjugatedSubalgebra) else b), v.per_trace_factors()
-
-
 def structural_constants(b, v: TracialWeight) -> StructuralConstants:
-    """Structural invariants and the certified lower constant for (b, v)."""
-    b, w = _standard(b, v)
+    """Structural invariants and the certified lower constant for (b, v).
+    A conjugate shares them with its standard base."""
+    b, _ = standard_form(b, v)
+    w = v.per_trace_factors()
     L = sum(p.num_slots for p in b.partitions)
     r = lcm(*(p.num_blocks for p in b.partitions))
     ell = lcm(*(m for p in b.partitions for _, m in p.terms))
@@ -85,14 +78,12 @@ def structural_constants(b, v: TracialWeight) -> StructuralConstants:
     alpha = float(np.min(w))
     gamma = float(np.max(b.denominators(w)))
     if b.trivially_grouped:
-        if b.shape.num_summands == 1 and all(
-            mult == 1 for p in b.partitions for _, mult in p.terms
-        ):
-            theorem = "multiplicity-free"
-            bound = 1.0 / np.sqrt(L)
+        # With every multiplicity 1 in one summand, r = L and ell = 1.
+        bound = 1.0 / np.sqrt(r * ell)
+        if b.shape.num_summands > 1:
+            theorem = "direct-sum"
         else:
-            theorem = "single-summand" if b.shape.num_summands == 1 else "direct-sum"
-            bound = 1.0 / np.sqrt(r * ell)
+            theorem = "multiplicity-free" if ell == 1 else "single-summand"
     else:
         theorem = "cross-summand"
         bound = float(np.sqrt(alpha / (r * ell * m * gamma)))
@@ -136,7 +127,8 @@ def sharp_constant(b, v: TracialWeight) -> float:
     With a single summand this is 1 / sum_i m_i * min(n_i, m_i).
     Invariant under conjugation: it reads the base of a conjugate.
     """
-    b, w = _standard(b, v)
+    b, _ = standard_form(b, v)
+    w = v.per_trace_factors()
     sq = min(
         w[k] / sum(den * min(n, m) for _, n, m, den in slots)
         for k, slots in enumerate(_slot_table(b, w))
@@ -364,10 +356,12 @@ def empirical_sharp_constant(
     projection onto each.  Refinement then runs random-direction descent
     on the sphere of the best vector; its draws follow the sampling
     draws, so the sampling result does not depend on ``refine``.  The
-    witness is the rank-one projection xx*.
+    witness is the rank-one projection onto the best vector.  On a
+    conjugate U B U* the search runs on the base B, whose ratios are the
+    same, and the witness is carried back: x in summand k becomes
+    y = U_k x, with projection yy*.
     """
-    # The ratio spectrum is invariant under conjugation; search the base.
-    b, _ = _standard(b, v)
+    b, u = standard_form(b, v)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     evaluator = _RatioEvaluator(b, v)
@@ -388,6 +382,8 @@ def empirical_sharp_constant(
     refine_steps = 0
     if refine:
         best, x, refine_steps = _refine(evaluator, best_k, x, best, rng)
+    if u is not None:
+        x = u.summands[best_k] @ x
     witness = [
         np.outer(x, np.conj(x)) if k == best_k else np.zeros((d, d), dtype=np.complex128)
         for k, d in enumerate(b.shape.dims)

@@ -42,32 +42,28 @@ from .algebra import (
     inner_product,
     to_block_matrix,
 )
-from .errors import ShapeError
-from .subalgebra import ConjugatedSubalgebra, StandardSubalgebra
+from .subalgebra import StandardSubalgebra, standard_form
 
 
 def cond_expect(b, v: TracialWeight, a: AlgebraElement) -> AlgebraElement:
     """Conditional expectation onto b with respect to the tracial state v."""
-    if isinstance(b, ConjugatedSubalgebra):
-        u = b.unitary
-        inner = cond_expect(b.base, v, u.adjoint() @ a @ u)
-        return u @ inner @ u.adjoint()
-    if a.shape.dims != b.shape.dims or v.shape.dims != b.shape.dims:
-        raise ShapeError("element, weight and subalgebra shapes must agree")
-    return AlgebraElement(b.shape, b.block_average(v.per_trace_factors(), a.summands))
+    b, u = standard_form(b, v, a)
+    if u is not None:
+        a = u.adjoint() @ a @ u
+    p = AlgebraElement._result(b.shape, b.block_average(v.per_trace_factors(), a.summands))
+    return p if u is None else u @ p @ u.adjoint()
 
 
 def cond_expect_gram(b, v: TracialWeight, a: AlgebraElement) -> AlgebraElement:
     """Expectation by Gram projection; independent oracle for cond_expect."""
-    if isinstance(b, ConjugatedSubalgebra):
-        u = b.unitary
-        inner = cond_expect_gram(b.base, v, u.adjoint() @ a @ u)
-        return u @ inner @ u.adjoint()
+    b, u = standard_form(b, v, a)
+    if u is not None:
+        a = u.adjoint() @ a @ u
     out = AlgebraElement.zero(b.shape)
     for e in b.dense_basis:
         coef = inner_product(v, a, e) / inner_product(v, e, e)
         out = out + coef * e
-    return out
+    return out if u is None else u @ out @ u.adjoint()
 
 
 def fr_norm_squared(b, v: TracialWeight, a: AlgebraElement) -> float:
@@ -76,11 +72,9 @@ def fr_norm_squared(b, v: TracialWeight, a: AlgebraElement) -> float:
     On a conjugate U B U* the norm is that of P_B(U* A* A U), and
     U* A* A U = (AU)* (AU), so A U is carried to the base.
     """
-    if isinstance(b, ConjugatedSubalgebra):
-        a = a @ b.unitary
-        b = b.base
-    if a.shape.dims != b.shape.dims or v.shape.dims != b.shape.dims:
-        raise ShapeError("element, weight and subalgebra shapes must agree")
+    b, u = standard_form(b, v, a)
+    if u is not None:
+        a = a @ u
     stack = [m[None] for m in a.summands]
     return float(b.induced_opnorms_sq(v.per_trace_factors(), stack)[0])
 

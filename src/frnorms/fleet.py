@@ -34,6 +34,7 @@ from .subalgebra import (
     conjugated_subalgebra,
     make_standard_subalgebra,
     single_summand_subalgebra,
+    standard_form,
 )
 
 
@@ -238,8 +239,8 @@ def run_selftest(seed: int = 0) -> list[CheckResult]:
     worst_pipe = 0.0
     worst_pinch = 0.0
     for fx in fleet:
-        sub = fx.subalgebra
-        if not hasattr(sub, "trivially_grouped"):
+        sub, u = standard_form(fx.subalgebra)
+        if u is not None:
             continue
         pipe = pipeline_for(sub, fx.weight)
         for _ in range(5):

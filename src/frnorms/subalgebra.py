@@ -344,7 +344,7 @@ def embed(b: StandardSubalgebra, assignment) -> AlgebraElement:
     return AlgebraElement(b.shape, mats)
 
 
-def contains(b: StandardSubalgebra, a, tol: float | None = None) -> bool:
+def contains(b, a, tol: float | None = None) -> bool:
     """Membership test: distance from a to span(basis) within tol.
 
     The entrywise-orthogonal projection onto span(basis) is the block
@@ -352,10 +352,9 @@ def contains(b: StandardSubalgebra, a, tol: float | None = None) -> bool:
     times the element norm.  For a conjugated subalgebra the element is
     transported back first.
     """
-    if isinstance(b, ConjugatedSubalgebra):
-        return contains(b.base, b.unitary.adjoint() @ a @ b.unitary, tol)
-    if a.shape.dims != b.shape.dims:
-        raise ShapeError("element shape does not match subalgebra shape")
+    b, u = standard_form(b, a)
+    if u is not None:
+        a = u.adjoint() @ a @ u
     if tol is None:
         tol = CONTAINS_RTOL * element_norm(a)
     nearest = b.block_average(np.ones(b.shape.num_summands), a.summands)
@@ -366,8 +365,8 @@ def contains(b: StandardSubalgebra, a, tol: float | None = None) -> bool:
 class ConjugatedSubalgebra:
     """U B U* for a standard subalgebra B and a unitary element U.
 
-    All norm and expectation computations on the conjugate are evaluated
-    by transport through U.
+    Operations on the conjugate read B and U from ``standard_form`` and
+    transport their elements through U.
     """
 
     base: StandardSubalgebra
@@ -378,34 +377,47 @@ class ConjugatedSubalgebra:
         return self.base.shape
 
 
+def standard_form(b, *objects) -> tuple[StandardSubalgebra, AlgebraElement | None]:
+    """The standard base B of b and the unitary U with b = U B U*, or None
+    when b is standard; any weight, element or unitary in ``objects`` whose
+    shape is not b's is refused with ShapeError.  The one place that tells
+    a conjugate from a standard subalgebra."""
+    for x in objects:
+        if x.shape.dims != b.shape.dims:
+            raise ShapeError(
+                f"{type(x).__name__} shape {list(x.shape.dims)} does not match "
+                f"subalgebra shape {list(b.shape.dims)}"
+            )
+    if isinstance(b, ConjugatedSubalgebra):
+        return b.base, b.unitary
+    return b, None
+
+
 def conjugated_subalgebra(b, u: AlgebraElement) -> ConjugatedSubalgebra:
     """Validate U and return the conjugated-subalgebra handle.
 
     Conjugating an already conjugated subalgebra composes the unitaries,
     so the result always carries a standard base.
     """
-    if u.shape.dims != b.shape.dims:
-        raise ShapeError("unitary shape does not match subalgebra shape")
+    base, inner = standard_form(b, u)
     for m in u.summands:
         dev = np.abs(linalg.adjoint(m) @ m - np.eye(m.shape[0])).max(initial=0.0)
         if dev > UNITARY_TOL:
             raise UnitarityError(f"matrix is not unitary: deviation {dev:.3e}")
-    if isinstance(b, ConjugatedSubalgebra):
-        return ConjugatedSubalgebra(b.base, u @ b.unitary)
-    return ConjugatedSubalgebra(b, u)
+    return ConjugatedSubalgebra(base, u if inner is None else u @ inner)
 
 
 def subalgebra_to_json(b) -> dict:
     """Wire form of a standard subalgebra; a conjugate adds its unitary
     under the ``"unitary"`` key, in the element encoding."""
-    base = b.base if isinstance(b, ConjugatedSubalgebra) else b
+    base, u = standard_form(b)
     out = {
         "shape": list(base.shape.dims),
         "partitions": [[[n, m] for n, m in p.terms] for p in base.partitions],
         "groups": [[[k, i] for k, i in g] for g in base.groups],
     }
-    if isinstance(b, ConjugatedSubalgebra):
-        out["unitary"] = element_to_json(b.unitary)
+    if u is not None:
+        out["unitary"] = element_to_json(u)
     return out
 
 

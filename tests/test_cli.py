@@ -84,8 +84,8 @@ def test_norm_refuses_an_overflowing_element(tmp_path, problem_files):
     huge = {"rows": 2, "cols": 2, "data": [[1e160, 0.0]] * 4}
     path.write_text(json.dumps({"shape": [2], "summands": [huge]}))
     args = problem_args(problem_files) + ["--element", str(path)]
-    # Not run_cli: numpy's overflow warnings precede the typed refusal,
-    # so they are left as warnings here.
+    # Not run_cli: this checks the refusal with numpy's warnings left at
+    # their defaults; test_overflow_refusal_prints_no_warning runs it so.
     proc = subprocess.run(
         [sys.executable, "-m", "frnorms.cli", "norm", *args], capture_output=True, text=True
     )

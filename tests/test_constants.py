@@ -436,6 +436,20 @@ def test_refined_search_attains_the_sharp_constant():
             assert sharp - 1e-12 <= best <= sharp + 1e-6, (name, seed, best - sharp)
 
 
+def test_witness_reproduces_the_ratio_on_every_fixture():
+    """On a conjugate U B U* the witness is carried back to U B U*: its
+    induced norm is the reported ratio, as on a standard subalgebra."""
+    for f in FLEET:
+        for seed in range(3):
+            rep = empirical_sharp_constant(f.subalgebra, f.weight, samples=2000, seed=seed)
+            ratio = fr_norm(f.subalgebra, f.weight, rep.witness)
+            assert abs(ratio - rep.best_ratio) < 1e-12, (f.name, seed, ratio)
+            p = next(m for m in rep.witness.summands if np.any(m))
+            assert np.abs(p @ p - p).max() < 1e-12
+            assert np.abs(p - p.conj().T).max() < 1e-15
+            assert abs(np.trace(p) - 1.0) < 1e-12
+
+
 def test_search_witness_is_a_rank_one_projection():
     f = next(x for x in FLEET if x.name == "dsum-cross")
     rep = empirical_sharp_constant(f.subalgebra, f.weight, samples=300, seed=3)

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import frnorms
 from frnorms.algebra import (
     AlgebraElement,
     AlgebraShape,
@@ -23,10 +27,17 @@ from frnorms.subalgebra import (
     embed,
     make_standard_subalgebra,
     single_summand_subalgebra,
+    standard_form,
     subalgebra_from_json,
     subalgebra_to_json,
 )
-from frnorms.fleet import _dft_matrix, build_fleet
+from frnorms.constants import (
+    empirical_sharp_constant,
+    sharp_constant,
+    structural_constants,
+)
+from frnorms.expectation import cond_expect, cond_expect_gram, fr_norm_squared
+from frnorms.fleet import _dft_matrix, build_fleet, random_unitary
 
 
 def test_partition_validation():
@@ -247,3 +258,80 @@ def test_fleet_coverage():
     assert any(f.shape.num_summands >= 3 for f in fleet)
     for f in fleet:
         assert f.weight.shape.dims == f.shape.dims
+
+
+def test_standard_form_returns_the_base_and_the_unitary():
+    fleet = {f.name: f for f in build_fleet()}
+    b = fleet["dsum-cross"].subalgebra
+    assert standard_form(b) == (b, None)
+    circ = fleet["circulant-M3"].subalgebra
+    base, u = standard_form(circ, fleet["circulant-M3"].weight)
+    assert base is circ.base and u is circ.unitary
+
+
+def test_every_entry_point_refuses_a_mismatched_shape():
+    """dsum-cross has shape (2, 2).  An element, weight or unitary of
+    shape (2, 3) or (3,) is refused with ShapeError by each entry point,
+    on the standard subalgebra and on a conjugate of it."""
+    f = next(f for f in build_fleet() if f.name == "dsum-cross")
+    u = random_unitary(f.shape, np.random.default_rng(4))
+    a = AlgebraElement.identity(f.shape)
+    bad_elements = [AlgebraElement.identity(AlgebraShape(d)) for d in ((2, 3), (3,))]
+    bad_weights = [
+        TracialWeight(AlgebraShape((2, 3)), (0.25, 0.75)),
+        TracialWeight(AlgebraShape((3,)), (1.0,)),
+    ]
+    by_element = (cond_expect, cond_expect_gram, fr_norm_squared)
+    by_weight = by_element + (
+        lambda b, v, _: structural_constants(b, v),
+        lambda b, v, _: sharp_constant(b, v),
+        lambda b, v, _: empirical_sharp_constant(b, v, samples=10),
+    )
+    for b in (f.subalgebra, conjugated_subalgebra(f.subalgebra, u)):
+        for bad in bad_elements:
+            for entry in by_element:
+                with pytest.raises(ShapeError):
+                    entry(b, f.weight, bad)
+            with pytest.raises(ShapeError):
+                contains(b, bad)
+            with pytest.raises(ShapeError):
+                conjugated_subalgebra(b, bad)
+        for bad in bad_weights:
+            for entry in by_weight:
+                with pytest.raises(ShapeError):
+                    entry(b, bad, a)
+
+
+def test_only_the_gate_tells_a_conjugate_from_a_standard_subalgebra():
+    """In the package sources, an isinstance test against a subalgebra
+    class appears only in ``standard_form``, and no hasattr or getattr
+    probes a subalgebra attribute."""
+    fleet = {f.name: f for f in build_fleet()}
+    attrs = {
+        name
+        for f in ("dsum-cross", "circulant-M3")
+        for name in dir(fleet[f].subalgebra)
+        if not name.startswith("__")
+    }
+    classes = {"ConjugatedSubalgebra", "StandardSubalgebra"}
+    found = []
+    for path in sorted(Path(frnorms.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        gates = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "standard_form"
+        ]
+        allowed = {id(n) for g in gates for n in ast.walk(g)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            args = node.args
+            if node.func.id == "isinstance" and len(args) == 2 and id(node) not in allowed:
+                names = {n.id for n in ast.walk(args[1]) if isinstance(n, ast.Name)}
+                if names & classes:
+                    found.append((path.name, node.lineno, "isinstance"))
+            if node.func.id in ("hasattr", "getattr") and len(args) >= 2:
+                key = args[1]
+                if isinstance(key, ast.Constant) and key.value in attrs:
+                    found.append((path.name, node.lineno, node.func.id))
+    assert found == []

@@ -130,13 +130,6 @@ class AlgebraElement:
     def adjoint(self) -> "AlgebraElement":
         return AlgebraElement._result(self.shape, [linalg.adjoint(a) for a in self.summands])
 
-    def is_hermitian(self, rtol: float = linalg.HERMITIAN_RTOL) -> bool:
-        for a in self.summands:
-            dev = np.abs(a - linalg.adjoint(a)).max(initial=0.0)
-            if dev > rtol * np.abs(a).max(initial=0.0):
-                return False
-        return True
-
     def __repr__(self):
         return f"AlgebraElement(shape={self.shape.dims})"
 

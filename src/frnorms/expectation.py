@@ -22,8 +22,9 @@ The sharp-constant search does not come through here: it scores
 rank-one projections on slot Grams (``constants._RatioEvaluator``),
 which tests check against ``fr_norm_squared``.  Conjugation pipelines
 reproduce the expectation through averages of unitary conjugates and
-carry the structure behind the equivalence-constant bounds; their
-phases and permutations are read from the subalgebra's block layout.
+carry the structure behind the equivalence-constant bounds.  Each stage
+averages over the powers of one monomial unitary, a permutation with
+phases read from the subalgebra's block layout.
 """
 from __future__ import annotations
 
@@ -35,13 +36,13 @@ import numpy as np
 from . import linalg
 from .algebra import (
     AlgebraElement,
-    AlgebraShape,
     TracialWeight,
     element_norm,
     from_block_matrix,
     inner_product,
     to_block_matrix,
 )
+from .errors import InputError
 from .subalgebra import StandardSubalgebra, standard_form
 
 
@@ -91,150 +92,102 @@ def quotient_seminorm(b, v: TracialWeight, a: AlgebraElement) -> float:
 
 @dataclass(frozen=True)
 class PipelineStage:
-    """One averaging stage: the mean of a family of unitary conjugates.
+    """One averaging stage: the mean of g^j x g^-j over j < size, for one
+    monomial unitary g of order ``size`` on the block-diagonal embedding
+    of the algebra into M_d, d = sum d_k.
 
-    Per-summand stages hold the family as AlgebraElements; the
-    cross-summand permutation stage works on the block-diagonal embedding
-    into M_d and holds plain d x d matrices.  ``pre_scale`` is an optional
-    per-summand scalar applied before the average.
+    g sends basis vector perm[a] to phase[a] times basis vector a, so
+    (g x g*)[a, c] = phase[a] x[perm[a], perm[c]] conj(phase[c]).
+    ``pre_scale`` is an optional per-summand scalar applied before the
+    average.
     """
 
     label: str
-    unitaries: tuple
-    flattened: bool = False
+    perm: np.ndarray
+    phase: np.ndarray
+    size: int
     pre_scale: tuple[float, ...] | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.unitaries)
 
 
 @dataclass(frozen=True)
 class ConjugationPipeline:
     """Composition of averaging stages with an optional final rescaling."""
 
-    shape: AlgebraShape
     stages: tuple[PipelineStage, ...]
     final_scale: float = 1.0
 
 
-def _prescaled(stage: PipelineStage, x: AlgebraElement) -> AlgebraElement:
-    if stage.pre_scale is None:
-        return x
-    return AlgebraElement(
-        x.shape, [s * m for s, m in zip(stage.pre_scale, x.summands)]
-    )
-
-
-def stage_unitary_mean(stage: PipelineStage, x: AlgebraElement):
-    """Mean of conjugates U x U* over the stage family, without pre_scale.
-
-    Returns an AlgebraElement for per-summand stages and a full matrix in
-    the block-diagonal embedding for the flattened permutation stage.
-    """
-    if not stage.flattened:
-        acc = AlgebraElement.zero(x.shape)
-        for u in stage.unitaries:
-            acc = acc + u @ x @ u.adjoint()
-        return (1.0 / stage.size) * acc
-    xb = to_block_matrix(x)
-    acc = np.zeros_like(xb)
-    for w in stage.unitaries:
-        acc += w @ xb @ linalg.adjoint(w)
+def stage_unitary_mean(stage: PipelineStage, x: AlgebraElement) -> np.ndarray:
+    """Mean of the conjugates g^j x g^-j, j < size, without pre_scale,
+    as a d x d matrix in the block-diagonal embedding."""
+    y = to_block_matrix(x)
+    acc = np.zeros_like(y)
+    phases = np.outer(stage.phase, np.conj(stage.phase))
+    index = np.ix_(stage.perm, stage.perm)
+    for _ in range(stage.size):
+        acc += y
+        y = phases * y[index]
     return acc / stage.size
 
 
 def pinching_ratio(stage: PipelineStage, x: AlgebraElement) -> float:
-    """||mean of conjugates|| / ||x||, in the space the stage acts on."""
-    mean = stage_unitary_mean(stage, x)
-    if stage.flattened:
-        num = linalg.operator_norm(mean)
-    else:
-        num = element_norm(mean)
-    return num / element_norm(x)
+    """||mean of conjugates||_op / ||x||."""
+    return linalg.operator_norm(stage_unitary_mean(stage, x)) / element_norm(x)
 
 
 def apply_stage(stage: PipelineStage, x: AlgebraElement) -> AlgebraElement:
-    """Pre-scale then average.  The flattened stage only arises after the
+    """Pre-scale, average, and keep the diagonal blocks.  Only the
+    permutation stage moves entries between summands; it arises after the
     block-diagonalizing stages, whose output it maps back faithfully."""
-    y = _prescaled(stage, x)
-    mean = stage_unitary_mean(stage, y)
-    if stage.flattened:
-        return from_block_matrix(x.shape, mean)
-    return mean
+    if stage.pre_scale is not None:
+        x = AlgebraElement(x.shape, [s * m for s, m in zip(stage.pre_scale, x.summands)])
+    return from_block_matrix(x.shape, stage_unitary_mean(stage, x))
 
 
 def apply_pipeline(pipeline: ConjugationPipeline, x: AlgebraElement) -> AlgebraElement:
     for stage in pipeline.stages:
         x = apply_stage(stage, x)
-    if pipeline.final_scale != 1.0:
-        x = pipeline.final_scale * x
-    return x
+    return pipeline.final_scale * x
 
 
 def _phase_stage(b: StandardSubalgebra) -> PipelineStage:
-    shape = b.shape
-    # Fine block sizes of each summand, one entry per copy.
+    # Fine block t of summand k (one per copy of a slot) gets the phase
+    # exp(2 pi i t / r_k); g has order lcm(r_k).
     fine = [[n for _, n, m, _ in rows for _ in range(m)] for rows in b.slots]
-    r_k = [len(f) for f in fine]
-    r = lcm(*r_k)
-    # Phase accumulators: block index times the member index, advanced by
-    # repeated multiplication rather than matrix powers.
-    base = [np.exp(2j * np.pi * np.arange(len(f)) / len(f)) for f in fine]
-    cur = [np.ones(len(f), dtype=np.complex128) for f in fine]
-    members = []
-    for _ in range(r):
-        mats = []
-        for k, f in enumerate(fine):
-            mats.append(np.diag(np.repeat(cur[k], f)))
-        members.append(AlgebraElement(shape, mats))
-        cur = [c * bk for c, bk in zip(cur, base)]
-    return PipelineStage("block-phase", tuple(members))
+    phase = np.concatenate(
+        [np.repeat(np.exp(2j * np.pi * np.arange(len(f)) / len(f)), f) for f in fine]
+    )
+    return PipelineStage("block-phase", np.arange(len(phase)), phase, lcm(*map(len, fine)))
 
 
 def _circulant_stage(b: StandardSubalgebra) -> PipelineStage:
-    # Member j permutes each slot's span cyclically by (j mod m) * n rows.
+    # g shifts each slot's span cyclically by one block (n rows); g has
+    # order lcm(m).
+    perm = []
+    for s, rows in zip(np.cumsum((0,) + b.shape.dims), b.slots):
+        for off, n, m, _ in rows:
+            perm.extend(np.roll(np.arange(s + off, s + off + n * m), -n))
     ell = lcm(*(m for rows in b.slots for _, _, m, _ in rows))
-    members = []
-    for j in range(ell):
-        mats = []
-        for d, rows in zip(b.shape.dims, b.slots):
-            cols = np.concatenate(
-                [np.roll(np.arange(off, off + n * m), -(j % m) * n) for off, n, m, _ in rows]
-            )
-            mats.append(np.eye(d)[cols])
-        members.append(AlgebraElement(b.shape, mats))
-    return PipelineStage("circulant-shift", tuple(members))
+    return PipelineStage("circulant-shift", np.array(perm), np.ones(len(perm)), ell)
 
 
 def _permutation_stage(b: StandardSubalgebra, v: TracialWeight) -> PipelineStage:
-    # Diagonal blocks in the block-diagonal embedding into M_d.
-    base = np.cumsum((0,) + b.shape.dims)
-    occ = [
-        [(int(base[k - 1]) + off, b.group_block_size(g)) for k, off in o]
-        for g, o in enumerate(b.occurrences, start=1)
-    ]
-    m = lcm(*(len(o) for o in occ))
-    d = b.shape.total_dim
-    members = []
-    for s in range(m):
-        w = np.zeros((d, d))
-        for o in occ:
-            mg = len(o)
-            shift = s % mg
-            for t, (off, n) in enumerate(o):
-                dst, _ = o[(t + shift) % mg]
-                w[off : off + n, dst : dst + n] = np.eye(n)
-        members.append(w)
+    # g carries each diagonal block of a group to the group's next block,
+    # cyclically and across summands; g has order lcm(|occurrences|).
+    starts = np.cumsum((0,) + b.shape.dims)
+    perm = np.arange(b.shape.total_dim)
+    for g, occ in enumerate(b.occurrences, start=1):
+        n = b.group_block_size(g)
+        offs = [int(starts[k - 1]) + off for k, off in occ]
+        for src, dst in zip(offs, offs[1:] + offs[:1]):
+            perm[src : src + n] = np.arange(dst, dst + n)
+    m = lcm(*(len(o) for o in b.occurrences))
     return PipelineStage(
-        "group-permutation",
-        tuple(members),
-        flattened=True,
-        pre_scale=tuple(v.per_trace_factors()),
+        "group-permutation", perm, np.ones(len(perm)), m, tuple(v.per_trace_factors())
     )
 
 
-def pipeline_for(b: StandardSubalgebra, v: TracialWeight) -> ConjugationPipeline:
+def pipeline_for(b, v: TracialWeight) -> ConjugationPipeline:
     """Conjugation pipeline reproducing the expectation onto b.
 
     For a trivially grouped subalgebra the block-phase and circulant
@@ -242,11 +195,16 @@ def pipeline_for(b: StandardSubalgebra, v: TracialWeight) -> ConjugationPipeline
     are identified across summands, the permutation stage and the final
     1/gamma rescaling realize the norm comparison behind the
     cross-summand equivalence bound (certified through the stage
-    pinching inequalities rather than pointwise).
+    pinching inequalities rather than pointwise).  The stage sizes are
+    the r, ell and m of ``structural_constants``.  A conjugate is refused
+    with InputError: its stages are not monomial.
     """
+    b, u = standard_form(b, v)
+    if u is not None:
+        raise InputError("the conjugation pipeline needs a standard subalgebra")
     stages = [_phase_stage(b), _circulant_stage(b)]
     final = 1.0
     if not b.trivially_grouped:
         stages.append(_permutation_stage(b, v))
         final = 1.0 / float(np.max(b.denominators(v.per_trace_factors())))
-    return ConjugationPipeline(b.shape, tuple(stages), final)
+    return ConjugationPipeline(tuple(stages), final)

@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionError
 
-# Relative tolerance of AlgebraElement.is_hermitian.
-HERMITIAN_RTOL = 1e-12
 # Largest entry whose Gram products are formed unscaled: squares of
 # larger entries can overflow, and a matrix whose nonzero peak is below
 # its reciprocal has squares that underflow (see opnorm_batch).

@@ -38,9 +38,8 @@ from .errors import GroupingError, InputError, PartitionError, ShapeError, Unita
 # Default membership tolerance, relative to the element norm.
 CONTAINS_RTOL = 1e-9
 UNITARY_TOL = 1e-10
-# Largest dimension whose canonical basis or support counts are built on
-# demand; golden-ratio tower level 14 (196418) fits, level 15 (514229)
-# does not.
+# Largest dimension whose canonical basis is built on demand; golden-ratio
+# tower level 14 (196418) fits, level 15 (514229) does not.
 BASIS_LIMIT = 2**18
 # Largest dense basis, in complex entries (dimension * sum_k d_k^2, 16
 # bytes each), that the Gram-projection oracle builds: 128 MiB.  Golden
@@ -285,17 +284,6 @@ class StandardSubalgebra:
         """True when every slot is its own group (no identifications)."""
         return all(len(g) == 1 for g in self.groups)
 
-    def support_counts(self) -> np.ndarray:
-        """rho[k-1, b]: support entries of basis element b in summand k.
-
-        Every entry of a group's block is supported once per diagonal
-        block of the group, so this repeats the per-group block counts
-        n_g^2 times; it has one column per basis element.  Refused with
-        InputError above BASIS_LIMIT columns.
-        """
-        self._check_basis_limit()
-        return np.repeat(self._counts, np.square(self._group_sizes), axis=1)
-
     def __repr__(self):
         return (
             f"StandardSubalgebra(shape={self.shape.dims}, "
@@ -317,16 +305,23 @@ def single_summand_subalgebra(d: int, terms) -> StandardSubalgebra:
     return make_standard_subalgebra((d,), [part], groups)
 
 
-def canonical_basis(b: StandardSubalgebra) -> tuple[CanonicalBasisElement, ...]:
-    """Canonical 0/1 basis, group-major then row-major in (p, q)."""
+def canonical_basis(b) -> tuple[CanonicalBasisElement, ...]:
+    """Canonical 0/1 basis, group-major then row-major in (p, q).  A
+    conjugate is refused with InputError: 0/1 supports cannot describe
+    the conjugated basis U e U*."""
+    b, u = standard_form(b)
+    if u is not None:
+        raise InputError("a conjugated subalgebra has no canonical 0/1 basis")
     return b.basis
 
 
-def embed(b: StandardSubalgebra, assignment) -> AlgebraElement:
+def embed(b, assignment) -> AlgebraElement:
     """Realize one matrix per group as an element of the ambient algebra.
 
     ``assignment`` lists one n_g x n_g matrix per group, in group order.
+    On a conjugate U B U* the result is U embed(B, assignment) U*.
     """
+    b, u = standard_form(b)
     assignment = [linalg.as_matrix(m) for m in assignment]
     if len(assignment) != b.num_groups:
         raise ShapeError(
@@ -341,7 +336,8 @@ def embed(b: StandardSubalgebra, assignment) -> AlgebraElement:
             )
         for k, off in occ:
             mats[k - 1][off : off + n, off : off + n] = x
-    return AlgebraElement(b.shape, mats)
+    e = AlgebraElement(b.shape, mats)
+    return e if u is None else u @ e @ u.adjoint()
 
 
 def contains(b, a, tol: float | None = None) -> bool:

@@ -211,8 +211,6 @@ def test_element_norm_is_max_over_summands():
     shape = AlgebraShape((2, 1))
     a = AlgebraElement(shape, [np.array([[1, 2], [2, 1]]), np.array([[7.0]])])
     assert element_norm(a) == 7.0
-    assert a.is_hermitian()
-    assert not (1j * a).is_hermitian()
 
 
 def test_block_matrix_round_trip():

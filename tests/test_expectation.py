@@ -11,6 +11,7 @@ from frnorms.algebra import (
     TracialWeight,
     element_norm,
     inner_product,
+    to_block_matrix,
     trace_state,
 )
 from frnorms.constants import (
@@ -20,7 +21,7 @@ from frnorms.constants import (
     table1_subalgebra,
 )
 from frnorms.effros_shen import GOLDEN, es_level
-from frnorms.errors import ShapeError
+from frnorms.errors import InputError, ShapeError
 from frnorms.expectation import (
     apply_pipeline,
     cond_expect,
@@ -294,6 +295,20 @@ def test_trivially_grouped_pipeline_matches_expectation():
             assert element_norm(out - want) < 1e-9 * max(element_norm(a), 1.0)
 
 
+def _powers(stage):
+    """g^0, ..., g^(size-1) for the stage's generator g = diag(phase) P,
+    P[a, perm[a]] = 1, after checking that g has order exactly size."""
+    d = len(stage.perm)
+    g = np.diag(stage.phase) @ np.eye(d)[stage.perm]
+    out = [np.eye(d, dtype=np.complex128)]
+    for _ in range(stage.size):
+        out.append(g @ out[-1])
+    for p in out[1:-1]:
+        assert np.abs(p - np.eye(d)).max() > 0.5, stage.label
+    assert np.abs(out[-1] - np.eye(d)).max() < 1e-12, stage.label
+    return out[:-1]
+
+
 def test_phase_stage_literal_family_for_two_blocks():
     b = single_summand_subalgebra(4, [(2, 2)])
     v = TracialWeight.uniform(AlgebraShape((4,)))
@@ -301,8 +316,7 @@ def test_phase_stage_literal_family_for_two_blocks():
     stage = pipe.stages[0]
     assert stage.label == "block-phase"
     assert stage.size == 2
-    u0 = stage.unitaries[0].summands[0]
-    u1 = stage.unitaries[1].summands[0]
+    u0, u1 = _powers(stage)
     assert np.allclose(u0, np.eye(4))
     assert np.allclose(u1, np.diag([1.0, 1.0, -1.0, -1.0]))
 
@@ -313,7 +327,7 @@ def test_circulant_stage_shifts_by_block():
     stage = pipeline_for(b, v).stages[1]
     assert stage.label == "circulant-shift"
     assert stage.size == 2
-    m = stage.unitaries[1].summands[0]
+    m = _powers(stage)[1]
     want = np.zeros((4, 4))
     for a in range(4):
         want[a, (a + 2) % 4] = 1.0
@@ -339,7 +353,7 @@ def _literal_circulant(b, j):
             full[pos : pos + n * m, pos : pos + n * m] = _literal_shift_matrix(n * m, (j % m) * n)
             pos += n * m
         mats.append(full)
-    return mats
+    return to_block_matrix(AlgebraElement(b.shape, mats))
 
 
 def _literal_phases(b, count):
@@ -351,23 +365,40 @@ def _literal_phases(b, count):
     cur = [np.ones(len(f), dtype=np.complex128) for f in fine]
     out = []
     for _ in range(count):
-        out.append([np.diag(np.repeat(c, f)) for c, f in zip(cur, fine)])
+        mats = [np.diag(np.repeat(c, f)) for c, f in zip(cur, fine)]
+        out.append(to_block_matrix(AlgebraElement(b.shape, mats)))
         cur = [c * s for c, s in zip(cur, step)]
     return out
+
+
+def _standard_problems(levels):
+    """Every standard fleet fixture, every reference-table row and the
+    given golden tower levels, as (name, subalgebra, weight)."""
+    problems = [(f.name, f.subalgebra, f.weight) for f in FLEET if hasattr(f.subalgebra, "slots")]
+    problems += [(label, *table1_subalgebra(label)) for label, *_ in TABLE1_SPECS]
+    for level in levels:
+        lev = es_level(GOLDEN, level)
+        problems.append((f"golden-{level}", lev.subalgebra, lev.weight))
+    return problems
+
+
+def _literal_gamma(b, v):
+    """max_g sum_{(k, i) in g} w_k m_{k,i}, w_k = v_k / d_k, read from the
+    groups and partitions."""
+    w = v.per_trace_factors()
+    return max(
+        sum(w[k - 1] * b.partitions[k - 1].terms[i - 1][1] for k, i in g) for g in b.groups
+    )
 
 
 def test_block_layout_and_stages_on_multi_slot_fixtures():
     """On every standard fixture, golden level 5 and the reference table
     rows (whose multiplicities reach 3, where a shift and its inverse
     differ), the slot table tiles each summand, each slot's m copies sit
-    in its group's occurrences at offset + j n, and the circulant and
-    phase stages equal the matrices built literally from the
-    partitions."""
-    problems = [(f.name, f.subalgebra, f.weight) for f in FLEET if hasattr(f.subalgebra, "slots")]
-    lev = es_level(GOLDEN, 5)
-    problems.append(("golden-5", lev.subalgebra, lev.weight))
-    problems += [(label, *table1_subalgebra(label)) for label, *_ in TABLE1_SPECS]
-    for name, b, v in problems:
+    in its group's occurrences at offset + j n, and the powers of the
+    circulant and phase generators equal the matrices built literally
+    from the partitions."""
+    for name, b, v in _standard_problems([5]):
         group_of = {slot: g for g, slots in enumerate(b.groups) for slot in slots}
         for k, (d, part, rows) in enumerate(zip(b.shape.dims, b.partitions, b.slots), start=1):
             assert [(n, m) for _, n, m, _ in rows] == list(part.terms), name
@@ -379,12 +410,33 @@ def test_block_layout_and_stages_on_multi_slot_fixtures():
                 copies = [o for kk, o in b.occurrences[g] if kk == k]
                 assert copies == [off + j * n for j in range(m)], name
         phase, circulant = pipeline_for(b, v).stages[:2]
-        for j, u in enumerate(circulant.unitaries):
-            for got, want in zip(u.summands, _literal_circulant(b, j)):
-                assert np.array_equal(got, want), (name, j)
-        for u, want in zip(phase.unitaries, _literal_phases(b, phase.size)):
-            for got, w in zip(u.summands, want):
-                assert np.array_equal(got, w), name
+        for j, got in enumerate(_powers(circulant)):
+            assert np.array_equal(got, _literal_circulant(b, j)), (name, j)
+        for got, want in zip(_powers(phase), _literal_phases(b, phase.size)):
+            assert np.abs(got - want).max() < 1e-13, name
+
+
+def test_stage_sizes_and_final_scale_are_the_structural_constants():
+    """The stage orders are the r and ell of structural_constants, plus m
+    when slots are identified; a grouped pipeline then rescales by
+    1/gamma.  Every standard fixture, table row and golden levels 2-7."""
+    for name, b, v in _standard_problems(range(2, 8)):
+        sc = structural_constants(b, v)
+        pipe = pipeline_for(b, v)
+        sizes = tuple(s.size for s in pipe.stages)
+        if b.trivially_grouped:
+            assert sizes == (sc.r, sc.ell), name
+            assert pipe.final_scale == 1.0, name
+        else:
+            assert sizes == (sc.r, sc.ell, sc.m), name
+            assert pipe.final_scale == 1.0 / sc.gamma, name
+
+
+def test_pipeline_refuses_a_conjugate():
+    f = fixture("circulant-M3")
+    with pytest.raises(InputError, match="standard subalgebra"):
+        pipeline_for(f.subalgebra, f.weight)
+    assert len(pipeline_for(f.subalgebra.base, f.weight).stages) == 2
 
 
 def test_cross_summand_pipeline_structure():
@@ -394,12 +446,11 @@ def test_cross_summand_pipeline_structure():
     labels = [s.label for s in pipe.stages]
     assert labels == ["block-phase", "circulant-shift", "group-permutation"]
     perm = pipe.stages[2]
-    assert perm.flattened
     # the identified group owns 3 diagonal positions (one in summand 1,
     # two in summand 2), so the cyclic family has 3 members
     assert perm.size == 3
     d = b.shape.total_dim
-    w0, w1, w2 = perm.unitaries
+    w0, w1, w2 = _powers(perm)
     assert np.array_equal(w0, np.eye(d))
     # shift by one: 3-cycle through flattened positions 0 -> 2 -> 3 -> 0,
     # fixing position 1 (the singleton group)
@@ -409,8 +460,7 @@ def test_cross_summand_pipeline_structure():
     assert np.array_equal(w1, want)
     assert np.array_equal(w2, want @ want)
     # final scale is 1/gamma with gamma the largest weighted denominator
-    gammas = v.per_trace_factors() @ b.support_counts()
-    assert abs(pipe.final_scale - 1.0 / gammas.max()) < 1e-15
+    assert abs(pipe.final_scale - 1.0 / _literal_gamma(b, v)) < 1e-15
 
 
 def test_cross_summand_pipeline_certifies_the_bound():
@@ -428,8 +478,7 @@ def test_cross_summand_pipeline_certifies_the_bound():
         if not hasattr(b, "groups") or b.trivially_grouped:
             continue
         pipe = pipeline_for(b, v)
-        gammas = v.per_trace_factors() @ b.support_counts()
-        assert abs(pipe.final_scale - 1.0 / gammas.max()) < 1e-15
+        assert abs(pipe.final_scale - 1.0 / _literal_gamma(b, v)) < 1e-15
         for stage in pipe.stages:
             for _ in range(3):
                 x = random_positive(f.shape, rng)
@@ -462,7 +511,7 @@ def test_stage_mean_of_commuting_element_is_fixed():
     inside = embed(b, [np.array([[1.0, 2.0], [3.0, 4.0]])])
     for stage in pipe.stages:
         out = stage_unitary_mean(stage, inside)
-        assert element_norm(out - inside) < 1e-12
+        assert np.abs(out - to_block_matrix(inside)).max() < 1e-12
 
 
 @settings(max_examples=25, deadline=None)

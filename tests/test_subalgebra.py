@@ -14,6 +14,7 @@ from frnorms.algebra import (
 )
 from frnorms.errors import (
     GroupingError,
+    InputError,
     PartitionError,
     ShapeError,
     UnitarityError,
@@ -36,7 +37,7 @@ from frnorms.constants import (
     sharp_constant,
     structural_constants,
 )
-from frnorms.expectation import cond_expect, cond_expect_gram, fr_norm_squared
+from frnorms.expectation import cond_expect, cond_expect_gram, fr_norm_squared, pipeline_for
 from frnorms.fleet import _dft_matrix, build_fleet, random_unitary
 
 
@@ -118,11 +119,9 @@ def test_support_counts_match_multiplicities():
     b = make_standard_subalgebra(
         (4, 2), [((2, 1), (1, 2)), ((2, 1),)], [[(1, 1), (2, 1)], [(1, 2)]]
     )
-    rho = b.support_counts()
-    assert rho.shape == (2, 5)
-    # group 1 entries appear once in each summand, group 2 entries twice in summand 1
-    assert list(rho[:, 0]) == [1, 1]
-    assert list(rho[:, 4]) == [2, 0]
+    # group 1 has one block in each summand, group 2 two blocks in summand 1
+    assert list(b.denominators(np.array([1.0, 0.0]))) == [1, 2]
+    assert list(b.denominators(np.array([0.0, 1.0]))) == [1, 0]
 
 
 def test_embed_is_unital_star_homomorphism():
@@ -149,6 +148,22 @@ def test_embed_is_unital_star_homomorphism():
         embed(b, [np.eye(2)])
     with pytest.raises(ShapeError):
         embed(b, [np.eye(3), np.eye(1)])
+
+
+def test_embed_and_basis_on_a_conjugate():
+    """embed on U B U* is U embed(B) U*, and lands in the conjugate; its
+    canonical basis is refused, since 0/1 supports cannot describe the
+    conjugated basis U e U*."""
+    circ = next(f for f in build_fleet() if f.name == "circulant-M3").subalgebra
+    base, u = standard_form(circ)
+    rng = np.random.default_rng(3)
+    xs = [rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)) for _ in range(base.num_groups)]
+    e = embed(circ, xs)
+    assert element_norm(e - u @ embed(base, xs) @ u.adjoint()) == 0.0
+    assert contains(circ, e)
+    assert not contains(base, e)
+    with pytest.raises(InputError, match="canonical"):
+        canonical_basis(circ)
 
 
 def test_embedded_elements_are_contained():
@@ -286,6 +301,7 @@ def test_every_entry_point_refuses_a_mismatched_shape():
         lambda b, v, _: structural_constants(b, v),
         lambda b, v, _: sharp_constant(b, v),
         lambda b, v, _: empirical_sharp_constant(b, v, samples=10),
+        lambda b, v, _: pipeline_for(b, v),
     )
     for b in (f.subalgebra, conjugated_subalgebra(f.subalgebra, u)):
         for bad in bad_elements:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import AlgebraElement, AlgebraShape, TracialWeight
+from .errors import InputError
 from .expectation import fr_norm
 from .subalgebra import StandardSubalgebra, single_summand_subalgebra, standard_form
 
@@ -40,6 +41,11 @@ _SPECULATE = 8
 # level 16 (d = 1597) 13-18% slower than a draw per round; at this size
 # it matched a draw per round.
 _REFINE_DRAW_ENTRIES = 1 << 16
+# Largest refine round, in doubles of Gaussian directions
+# (4 * REFINE_DIRECTIONS * d_k): 2**22 doubles, 32 MiB, reached at
+# d_k = 65536.  A search refuses a larger summand before any draw; golden
+# level 16 (d = 1597) needs 102208 doubles.
+_SEARCH_ROUND_ENTRIES = 1 << 22
 # numpy's pairwise summation adds a run of fewer than this many terms one
 # at a time (see _slot_masses).
 _PAIRWISE_BLOCK = 8
@@ -50,10 +56,9 @@ class StructuralConstants:
     """Combinatorial data entering the equivalence-constant bounds.
 
     L: slot count; r: lcm of per-summand block counts; ell: lcm of slot
-    multiplicities; m: lcm of group occurrence counts; alpha: min
-    v_k/d_k; gamma: largest expectation denominator.  ``bound`` is the
-    certified constant and ``theorem`` names the structural case that
-    produced it.
+    multiplicities; m: lcm of per-group block counts; alpha: min v_k/d_k;
+    gamma: largest expectation denominator.  ``bound`` is the certified
+    constant and ``theorem`` names the structural case that produced it.
     """
 
     L: int
@@ -74,7 +79,7 @@ def structural_constants(b, v: TracialWeight) -> StructuralConstants:
     L = sum(p.num_slots for p in b.partitions)
     r = lcm(*(p.num_blocks for p in b.partitions))
     ell = lcm(*(m for p in b.partitions for _, m in p.terms))
-    m = lcm(*(len(o) for o in b.occurrences))
+    m = lcm(*(sum(m for _, _, m in runs) for runs in b.runs))
     alpha = float(np.min(w))
     gamma = float(np.max(b.denominators(w)))
     if b.trivially_grouped:
@@ -359,11 +364,19 @@ def empirical_sharp_constant(
     witness is the rank-one projection onto the best vector.  On a
     conjugate U B U* the search runs on the base B, whose ratios are the
     same, and the witness is carried back: x in summand k becomes
-    y = U_k x, with projection yy*.
+    y = U_k x, with projection yy*.  A summand whose refine round would
+    draw more than _SEARCH_ROUND_ENTRIES doubles is refused with
+    InputError before any draw.
     """
     b, u = standard_form(b, v)
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    for d in b.shape.dims:
+        if 4 * REFINE_DIRECTIONS * d > _SEARCH_ROUND_ENTRIES:
+            raise InputError(
+                f"a refine round on a summand of dimension {d} draws "
+                f"{4 * REFINE_DIRECTIONS * d} doubles, above {_SEARCH_ROUND_ENTRIES}"
+            )
     evaluator = _RatioEvaluator(b, v)
     rng = np.random.default_rng(seed)
     chunk = max(1, _CHUNK_ENTRIES // sum(d * d for d in b.shape.dims))

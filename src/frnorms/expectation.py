@@ -6,8 +6,8 @@ gets
 
     X_g = sum_blocks (v_k/d_k) * A_k[block]  /  sum_blocks (v_k/d_k),
 
-the sums running over the diagonal blocks of g (``occurrences``), and
-P(A) writes X_g back into every block of g, zero elsewhere.
+the sums running over the diagonal blocks of g (the copies of its
+``runs``), and P(A) writes X_g back into every block of g, zero elsewhere.
 ``cond_expect`` evaluates this through the subalgebra's own kernel,
 ``StandardSubalgebra.block_average``, which the unweighted membership
 test shares; ``cond_expect_gram`` is an independent oracle
@@ -173,15 +173,15 @@ def _circulant_stage(b: StandardSubalgebra) -> PipelineStage:
 
 def _permutation_stage(b: StandardSubalgebra, v: TracialWeight) -> PipelineStage:
     # g carries each diagonal block of a group to the group's next block,
-    # cyclically and across summands; g has order lcm(|occurrences|).
+    # cyclically across its runs' copies; g has order lcm over g of sum(m).
     starts = np.cumsum((0,) + b.shape.dims)
     perm = np.arange(b.shape.total_dim)
-    for g, occ in enumerate(b.occurrences, start=1):
+    for g, runs in enumerate(b.runs, start=1):
         n = b.group_block_size(g)
-        offs = [int(starts[k - 1]) + off for k, off in occ]
-        for src, dst in zip(offs, offs[1:] + offs[:1]):
-            perm[src : src + n] = np.arange(dst, dst + n)
-    m = lcm(*(len(o) for o in b.occurrences))
+        rows = np.concatenate([starts[k - 1] + off + n * np.arange(m) for k, off, m in runs])
+        rows = rows[:, None] + np.arange(n)
+        perm[rows] = np.roll(rows, -1, axis=0)
+    m = lcm(*(sum(m for _, _, m in runs) for runs in b.runs))
     return PipelineStage(
         "group-permutation", perm, np.ones(len(perm)), m, tuple(v.per_trace_factors())
     )

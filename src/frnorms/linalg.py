@@ -28,7 +28,7 @@ def as_matrix(values, copy: bool = True) -> np.ndarray:
     arr = (np.array if copy else np.asarray)(values, dtype=np.complex128)
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
 

@@ -11,8 +11,8 @@ permutation unitary.
 
 Everything the package computes about a subalgebra comes from where
 its blocks sit, and only this module works that out: ``slots`` per
-summand, ``occurrences`` per group, the block average over them (the
-expectation and the membership test) and the induced norm on them.
+summand, ``runs`` per group (one row per slot), the block average over
+them (the expectation and the membership test) and the induced norm.
 The canonical basis, one 0/1 matrix per group and block entry (p, q),
 is built only when it is asked for; supports of distinct basis elements
 are disjoint, which makes them orthogonal for every tracial inner
@@ -103,10 +103,10 @@ class StandardSubalgebra:
     ``groups`` partitions the set of slots (k, i), all indices 1-based.
     Construction validates the description and lays out the blocks:
     ``slots[k-1]`` holds one (row offset, n, m, group) row per slot of
-    summand k, and ``occurrences[g]`` one (k, row offset) pair per block
-    of group g + 1, in summand-major then offset order; offsets and groups
-    are 0-based, k is 1-based.  The canonical basis is built on first
-    access.
+    summand k, and ``runs[g]`` one (k, row offset, m) row per slot of
+    group g + 1, in summand-major order: the slot's m copies sit at row
+    offsets offset + j n, j < m.  Offsets and groups are 0-based, k is
+    1-based.  The canonical basis is built on first access.
     """
 
     def __init__(self, shape: AlgebraShape, partitions, groups):
@@ -126,9 +126,6 @@ class StandardSubalgebra:
                 )
         self.groups = tuple(tuple((int(k), int(i)) for k, i in g) for g in groups)
         self._validate_groups()
-        self._group_sizes = tuple(
-            self.partitions[g[0][0] - 1].terms[g[0][1] - 1][0] for g in self.groups
-        )
         self._block_layout()
 
     def _validate_groups(self):
@@ -142,7 +139,6 @@ class StandardSubalgebra:
             if not g:
                 raise GroupingError("empty slot group")
             summands_in_group = set()
-            sizes = set()
             for k, i in g:
                 if (k, i) not in all_slots:
                     raise GroupingError(f"unknown slot {(k, i)}")
@@ -155,31 +151,31 @@ class StandardSubalgebra:
                         "one summand must use the slot multiplicity instead"
                     )
                 summands_in_group.add(k)
-                sizes.add(self.partitions[k - 1].terms[i - 1][0])
-            if len(sizes) != 1:
-                raise GroupingError(f"group {g} mixes block sizes {sorted(sizes)}")
         missing = all_slots - seen
         if missing:
             raise GroupingError(f"slots not covered by any group: {sorted(missing)}")
 
     def _block_layout(self):
-        """Set ``slots``, ``occurrences`` and ``_counts[k-1, g]``, the
-        number of blocks of group g + 1 in summand k."""
+        """Set ``slots``, ``runs``, ``_group_sizes`` and ``_counts[k-1, g]``,
+        the number of blocks of group g + 1 in summand k."""
         group_of_slot = {slot: gi for gi, g in enumerate(self.groups) for slot in g}
-        slots = []
-        occ: list[list[tuple[int, int]]] = [[] for _ in self.groups]
+        slots, sizes, runs = [], [0] * len(self.groups), [[] for _ in self.groups]
         counts = np.zeros((self.shape.num_summands, len(self.groups)), dtype=np.int64)
         for k, part in enumerate(self.partitions, start=1):
             rows, pos = [], 0
             for i, (n, m) in enumerate(part.terms, start=1):
                 gi = group_of_slot[(k, i)]
+                if sizes[gi] not in (0, n):
+                    raise GroupingError(f"group {gi + 1} mixes block sizes {sizes[gi]} and {n}")
                 rows.append((pos, n, m, gi))
-                occ[gi].extend((k, pos + j * n) for j in range(m))
+                runs[gi].append((k, pos, m))
                 counts[k - 1, gi] += m
+                sizes[gi] = n
                 pos += n * m
             slots.append(tuple(rows))
         self.slots = tuple(slots)
-        self.occurrences = tuple(tuple(o) for o in occ)
+        self.runs = tuple(tuple(r) for r in runs)
+        self._group_sizes = tuple(sizes)
         self._counts = counts
 
     def denominators(self, w: np.ndarray) -> np.ndarray:
@@ -192,16 +188,15 @@ class StandardSubalgebra:
         ``summands`` holds one d_k x d_k matrix per summand and ``w`` one
         weight per summand.  With w_k = v_k/d_k this is the conditional
         expectation, with unit weights the entrywise-orthogonal
-        projection.  The blocks of a group are summed in summand-major,
-        offset order starting from zero.
+        projection.  A group's runs are summed in summand-major order.
         """
         out = [np.zeros((d, d), dtype=np.complex128) for d in self.shape.dims]
-        dens = self.denominators(w)
-        for occ, n, den in zip(self.occurrences, self._group_sizes, dens):
-            blocks = (w[k - 1] * summands[k - 1][off : off + n, off : off + n] for k, off in occ)
-            avg = sum(blocks) / den
-            for k, off in occ:
-                out[k - 1][off : off + n, off : off + n] = avg
+        dens, w = self.denominators(w), w.tolist()
+        for runs, n, den in zip(self.runs, self._group_sizes, dens):
+            blocks = [w[k - 1] * _run_blocks(summands[k - 1], off, n, m) for k, off, m in runs]
+            avg = sum([np.add.reduce(b) for b in blocks]) / den
+            for k, off, m in runs:
+                _run_blocks(out[k - 1], off, n, m)[...] = avg
         return out
 
     def induced_opnorms_sq(self, w: np.ndarray, summands) -> np.ndarray:
@@ -210,21 +205,22 @@ class StandardSubalgebra:
 
         Every block of group g in P(A* A) holds X_g = sum_blocks w_k
         A_k[:, I]* A_k[:, I] / den_g, I the block's columns, so the norm
-        is max_g lambda_max(X_g), read from A's column blocks alone.  A
-        Gram that overflows is formed without numpy's warnings and refused
-        with ValueError by ``linalg.eigvalsh_batch``.
+        is max_g lambda_max(X_g), read from A's column blocks alone; the
+        X_g of one block size go to the eigensolver as one stack.  A Gram
+        that overflows is formed without numpy's warnings and refused with
+        ValueError by ``linalg.eigvalsh_batch``.
         """
-        dens = self.denominators(w)
-        best = np.zeros(len(summands[0]))
-        for occ, n, den in zip(self.occurrences, self._group_sizes, dens):
-            x = 0
-            with np.errstate(over="ignore", invalid="ignore"):
-                for k, off in occ:
-                    cols = summands[k - 1][:, :, off : off + n]
-                    x = x + w[k - 1] * (np.conj(np.swapaxes(cols, 1, 2)) @ cols)
-                x = x / den
-            best = np.maximum(best, linalg.hermitian_opnorm_batch(x))
-        return best
+        by_size, dens, w = {}, self.denominators(w), w.tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for runs, n, den in zip(self.runs, self._group_sizes, dens):
+                x = 0
+                for k, off, m in runs:
+                    cols = _run_blocks(summands[k - 1], off, n, m, diagonal=False)
+                    grams = np.conj(np.swapaxes(cols, -1, -2)) @ cols
+                    x = x + np.add.reduce(w[k - 1] * grams, axis=1)
+                by_size.setdefault(n, []).append(x / den)
+        norms = [linalg.hermitian_opnorm_batch(np.concatenate(xs)) for xs in by_size.values()]
+        return np.max(np.concatenate(norms).reshape(self.num_groups, -1), axis=0)
 
     @cached_property
     def basis(self) -> tuple[CanonicalBasisElement, ...]:
@@ -234,12 +230,15 @@ class StandardSubalgebra:
         nothing but the Gram-projection oracle needs.  Refused with
         InputError above BASIS_LIMIT elements.
         """
-        self._check_basis_limit()
-        return tuple(
-            CanonicalBasisElement(
-                gi + 1, p, q, n, tuple((k, off + p, off + q) for k, off in occ)
+        if self.dimension > BASIS_LIMIT:
+            raise InputError(
+                f"subalgebra dimension {self.dimension} exceeds BASIS_LIMIT "
+                f"{BASIS_LIMIT}; its canonical basis is not built"
             )
-            for gi, (occ, n) in enumerate(zip(self.occurrences, self._group_sizes))
+        return tuple(
+            CanonicalBasisElement(gi + 1, p, q, n, tuple((k, c + p, c + q) for k, c in copies))
+            for gi, (runs, n) in enumerate(zip(self.runs, self._group_sizes))
+            for copies in [[(k, c) for k, off, m in runs for c in range(off, off + m * n, n)]]
             for p in range(1, n + 1)
             for q in range(1, n + 1)
         )
@@ -272,13 +271,6 @@ class StandardSubalgebra:
         """Linear dimension of the subalgebra: sum of n_g^2."""
         return sum(n * n for n in self._group_sizes)
 
-    def _check_basis_limit(self):
-        if self.dimension > BASIS_LIMIT:
-            raise InputError(
-                f"subalgebra dimension {self.dimension} exceeds BASIS_LIMIT "
-                f"{BASIS_LIMIT}; its canonical basis is not built"
-            )
-
     @property
     def trivially_grouped(self) -> bool:
         """True when every slot is its own group (no identifications)."""
@@ -289,6 +281,18 @@ class StandardSubalgebra:
             f"StandardSubalgebra(shape={self.shape.dims}, "
             f"partitions={[p.terms for p in self.partitions]}, groups={self.groups})"
         )
+
+
+def _run_blocks(x: np.ndarray, off: int, n: int, m: int, diagonal: bool = True) -> np.ndarray:
+    """The m copies of a run at offset ``off`` in x's last two axes as one
+    (..., m, h, n) view, writable if x is: copy j has columns off + j n up
+    to off + (j + 1) n and the same rows (h = n), or all rows (h = d) if
+    not ``diagonal``.  An x that is not C-contiguous is read from a copy."""
+    x = np.ascontiguousarray(x)
+    sr, sc = x.strides[-2:]
+    h, top, step = (n, off, n * sr) if diagonal else (x.shape[-2], 0, 0)
+    shape, strides = x.shape[:-2] + (m, h, n), x.strides[:-2] + (step + n * sc, sr, sc)
+    return np.ndarray(shape, x.dtype, x, top * sr + off * sc, strides)
 
 
 def make_standard_subalgebra(shape, partitions, groups) -> StandardSubalgebra:
@@ -328,14 +332,11 @@ def embed(b, assignment) -> AlgebraElement:
             f"expected {b.num_groups} group matrices, got {len(assignment)}"
         )
     mats = [np.zeros((d, d), dtype=np.complex128) for d in b.shape.dims]
-    for gi, (occ, x) in enumerate(zip(b.occurrences, assignment)):
-        n = b._group_sizes[gi]
+    for gi, (runs, n, x) in enumerate(zip(b.runs, b._group_sizes, assignment)):
         if x.shape != (n, n):
-            raise ShapeError(
-                f"group {gi + 1} expects a {n}x{n} matrix, got {x.shape}"
-            )
-        for k, off in occ:
-            mats[k - 1][off : off + n, off : off + n] = x
+            raise ShapeError(f"group {gi + 1} expects a {n}x{n} matrix, got {x.shape}")
+        for k, off, m in runs:
+            _run_blocks(mats[k - 1], off, n, m)[...] = x
     e = AlgebraElement(b.shape, mats)
     return e if u is None else u @ e @ u.adjoint()
 

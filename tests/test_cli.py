@@ -233,6 +233,27 @@ def test_search_rejects_bad_counts(problem_files):
     assert err["type"] == "InputError"
 
 
+# One slot of 10**8 copies of a 1x1 block: a 72-byte file.
+HUGE_ONE_SLOT = '{"shape":[100000000],"partitions":[[[1,100000000]]],"groups":[[[1,1]]]}\n'
+
+
+def test_constants_on_the_huge_one_slot_file(tmp_path, problem_files):
+    path = tmp_path / "huge.json"
+    path.write_text(HUGE_ONE_SLOT)
+    assert path.stat().st_size == 72
+    proc = run_cli("constants", "--subalgebra", str(path), "--weights", problem_files["weights"])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert '"r": 100000000' in proc.stdout
+
+
+def test_search_refuses_the_huge_one_slot_file_before_drawing(tmp_path, problem_files):
+    path = tmp_path / "huge.json"
+    path.write_text(HUGE_ONE_SLOT)
+    proc = run_cli("search", "--subalgebra", str(path), "--weights", problem_files["weights"])
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "InputError"
+
+
 def test_table1_csv_format():
     proc = run_cli("table1", "--format", "csv", check=True)
     lines = proc.stdout.rstrip("\n").split("\n")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frnorms import linalg
 from frnorms.algebra import (
     AlgebraElement,
     AlgebraShape,
@@ -395,7 +396,7 @@ def test_block_layout_and_stages_on_multi_slot_fixtures():
     """On every standard fixture, golden level 5 and the reference table
     rows (whose multiplicities reach 3, where a shift and its inverse
     differ), the slot table tiles each summand, each slot's m copies sit
-    in its group's occurrences at offset + j n, and the powers of the
+    in its group's runs at offset + j n, and the powers of the
     circulant and phase generators equal the matrices built literally
     from the partitions."""
     for name, b, v in _standard_problems([5]):
@@ -407,7 +408,7 @@ def test_block_layout_and_stages_on_multi_slot_fixtures():
             assert [off for off, *_ in rows] == [0] + ends[:-1], name
             assert ends[-1] == d, name
             for off, n, m, g in rows:
-                copies = [o for kk, o in b.occurrences[g] if kk == k]
+                copies = [o + j * n for kk, o, r in b.runs[g] if kk == k for j in range(r)]
                 assert copies == [off + j * n for j in range(m)], name
         phase, circulant = pipeline_for(b, v).stages[:2]
         for j, got in enumerate(_powers(circulant)):
@@ -525,3 +526,59 @@ def test_expectation_is_a_contraction_for_the_gns_norm(seed):
     na = inner_product(v, a, a).real
     np_ = inner_product(v, p, p).real
     assert np_ <= na * (1 + 1e-10) + 1e-12
+
+
+def _per_copy_reference(b, v, a, assignment):
+    """cond_expect, embed and fr_norm_squared on a standard subalgebra by
+    literal loops over the block copies, read from the partitions and
+    summed in summand-major, offset order, as one copy at a time."""
+    w = v.per_trace_factors()
+    dens = b.denominators(w)
+    exp = [np.zeros((d, d), dtype=np.complex128) for d in b.shape.dims]
+    emb = [np.zeros((d, d), dtype=np.complex128) for d in b.shape.dims]
+    best = 0.0
+    for g, (slots, x) in enumerate(zip(b.groups, assignment)):
+        n = b.group_block_size(g + 1)
+        copies = []
+        for k, i in sorted(slots):
+            start = sum(nn * mm for nn, mm in b.partitions[k - 1].terms[: i - 1])
+            copies += [(k, start + j * n) for j in range(b.partitions[k - 1].terms[i - 1][1])]
+        avg, gram = 0, 0
+        for k, off in copies:
+            avg = avg + w[k - 1] * a.summands[k - 1][off : off + n, off : off + n]
+            cols = a.summands[k - 1][None, :, off : off + n]
+            gram = gram + w[k - 1] * (np.conj(np.swapaxes(cols, 1, 2)) @ cols)
+        for k, off in copies:
+            exp[k - 1][off : off + n, off : off + n] = avg / dens[g]
+            emb[k - 1][off : off + n, off : off + n] = x
+        best = max(best, float(linalg.hermitian_opnorm_batch(gram / dens[g])[0]))
+    return exp, emb, best
+
+
+def test_runs_match_a_per_copy_reference():
+    """The strided run views give what a loop over single block copies
+    gives: bit for bit where the summation order is the same (one run per
+    group, n >= 2), within 1e-15 relative where numpy adds a 1x1 run's
+    copies in another order or a group adds a later run as one sum.  embed
+    only copies, so it matches exactly everywhere."""
+    problems = [
+        (f"one-slot-{n}x{m}", single_summand_subalgebra(n * m, [(n, m)]))
+        for n, m in ((1, 17), (2, 17), (3, 50), (5, 8), (7, 40))
+    ]
+    problems.append(("dsum-cross", fixture("dsum-cross").subalgebra))
+    rng = np.random.default_rng(16)
+    for name, b in problems:
+        v = fixture("dsum-cross").weight if name == "dsum-cross" else TracialWeight.uniform(b.shape)
+        a = random_element(b.shape, rng)
+        sizes = [b.group_block_size(g) for g in range(1, b.num_groups + 1)]
+        assignment = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in sizes]
+        exp, emb, norm_sq = _per_copy_reference(b, v, a, assignment)
+        exact = min(sizes) > 1 and all(len(g) == 1 for g in b.groups)
+        got = cond_expect(b, v, a).summands
+        for m_got, m_ref in zip(got, exp):
+            err = np.abs(m_got - m_ref).max() / np.abs(m_ref).max()
+            assert err == 0.0 if exact else err <= 1e-15, (name, err)
+        for m_got, m_ref in zip(embed(b, assignment).summands, emb):
+            assert np.array_equal(m_got, m_ref), name
+        err = abs(fr_norm_squared(b, v, a) - norm_sq) / norm_sq
+        assert err == 0.0 if exact else err <= 1e-15, (name, err)

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,24 @@ def test_support_counts_match_multiplicities():
     # group 1 has one block in each summand, group 2 two blocks in summand 1
     assert list(b.denominators(np.array([1.0, 0.0]))) == [1, 2]
     assert list(b.denominators(np.array([0.0, 1.0]))) == [1, 0]
+
+
+def test_block_layout_memory_does_not_grow_with_the_multiplicity():
+    """One slot of 10**7 copies of a 1x1 block (the scalars in M_d) is laid
+    out in a few KiB: the layout keeps one row per slot, not per copy, and
+    the structural constants read it alone."""
+    d = 10**7
+    tracemalloc.start()
+    try:
+        b = single_summand_subalgebra(d, [(1, d)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024, peak
+    assert b.slots == (((0, 1, d, 0),),)
+    assert b.runs == (((1, 0, d),),)
+    sc = structural_constants(b, TracialWeight.uniform(b.shape))
+    assert (sc.r, sc.ell, sc.m) == (d, d, d)
 
 
 def test_embed_is_unital_star_homomorphism():

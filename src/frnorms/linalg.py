@@ -1,12 +1,16 @@
 """Dense complex-matrix kernel.
 
-Matrices are plain ``numpy.ndarray`` values of dtype complex128.  Spectra
-are computed on stacks only: :func:`eigvalsh_batch` hands a whole
-(batch, n, n) stack to numpy's LAPACK ``eigvalsh`` in one call, and the
-operator norms are built on it; a single matrix is a batch of one.
-:func:`top_gram_eigvals_2` gives the top eigenvalue of the Gram matrix
-of two vectors in closed form, from their squared norms and inner
-product.  A LAPACK failure surfaces as :class:`ConvergenceError`.
+Matrices are plain ``numpy.ndarray`` values of dtype complex128.  The
+private spectral core ``_spectrum`` is the package's one call to a
+spectral routine of ``np.linalg``: it hands the Hermitian parts of a
+whole (batch, n, n) stack to LAPACK's ``eigvalsh`` in one call, checks
+nothing, and turns a LAPACK failure into :class:`ConvergenceError`.
+Input is checked once, where it enters: :func:`eigvalsh_batch` refuses a
+malformed stack (DimensionError) or a non-finite entry, such as an
+overflowed Gram (ValueError), for itself and the operator norms built
+on it, and :func:`operator_norm` a matrix that is not square and finite.
+A single matrix is a batch of one; :func:`top_gram_eigvals_2` is a
+closed form for the top eigenvalue of a two-vector Gram.
 LAPACK is the one eigensolver; the tests check it against matrices
 U diag(w) U^H whose spectrum w is known exactly.
 """
@@ -39,33 +43,40 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def ensure_square(m: np.ndarray) -> np.ndarray:
-    m = as_matrix(m)
+    """A finite square complex matrix, copied only to change its dtype."""
+    m = as_matrix(m, copy=False)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
+def _spectrum(h: np.ndarray) -> np.ndarray:
+    """The spectral core: eigenvalues (ascending) of the Hermitian parts
+    0.5 (h + h^H) of a finite complex (batch, n, n) stack, unchecked.
+    Symmetrizing makes the result independent of which triangle LAPACK
+    reads; halving first keeps entries near the float limit finite."""
+    h = 0.5 * h
+    h += np.conj(h.swapaxes(-1, -2))
+    try:
+        return np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigensolver did not converge: {exc}") from exc
+
+
 def eigvalsh_batch(h: np.ndarray) -> np.ndarray:
     """Eigenvalues (ascending) for a stack of Hermitian matrices.
 
-    ``h`` has shape (batch, n, n) and is replaced by its Hermitian part
-    0.5 (h + h^H) before the whole stack goes to LAPACK in one call;
-    symmetrizing first makes the result independent of which triangle
-    LAPACK reads.  The halving comes first, so entries near the float
-    limit do not overflow in the sum.  Non-finite entries (an overflowed
-    Gram matrix, say) are refused with ValueError.
+    ``h`` has shape (batch, n, n).  This is the one place a stack is
+    checked: a malformed one is refused with DimensionError, non-finite
+    entries (an overflowed Gram matrix, say) with ValueError.  The core
+    ``_spectrum`` then takes its Hermitian part to LAPACK in one call.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
         raise DimensionError(f"expected a (batch, n, n) stack, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
-    h = 0.5 * h
-    h = h + np.conj(np.swapaxes(h, -1, -2))
-    try:
-        return np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"LAPACK eigensolver did not converge: {exc}") from exc
+    return _spectrum(h)
 
 
 def top_gram_eigvals_2(mass, pp, qq, pq) -> np.ndarray:
@@ -106,8 +117,7 @@ def opnorm_batch(m: np.ndarray) -> np.ndarray:
         m = np.array(m, dtype=np.complex128)
         for part in (m.real, m.imag):
             part[scaled] = np.ldexp(part[scaled], -exp[:, None, None])
-    gram = np.conj(np.swapaxes(m, 1, 2)) @ m
-    w = eigvalsh_batch(gram)
+    w = eigvalsh_batch(np.conj(m.swapaxes(1, 2)) @ m)
     norms = np.sqrt(np.maximum(w[:, -1], 0.0))
     if rescale:
         with np.errstate(over="ignore"):
@@ -119,22 +129,30 @@ def opnorm_batch(m: np.ndarray) -> np.ndarray:
 
 def hermitian_opnorm_batch(h: np.ndarray) -> np.ndarray:
     """Operator norms for a stack of Hermitian matrices: the largest
-    eigenvalue magnitude of each."""
-    w = eigvalsh_batch(h)
-    return np.max(np.abs(w), axis=1, initial=0.0)
+    eigenvalue magnitude of each, checked by :func:`eigvalsh_batch`."""
+    return np.abs(eigvalsh_batch(h)).max(axis=1, initial=0.0)
 
 
 def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value of one matrix, as a batch of one.
+    """Largest singular value of one matrix, checked here, once, and not
+    copied: one that is not square is refused with DimensionError, a
+    non-finite entry with ValueError.  The spectrum comes from the core
+    ``_spectrum``, where a LAPACK failure raises ConvergenceError; a norm
+    beyond the float range is refused in :func:`opnorm_batch`."""
+    return _operator_norm(ensure_square(m))
 
-    Exactly Hermitian inputs go to :func:`hermitian_opnorm_batch`, which
+
+def _operator_norm(m: np.ndarray) -> float:
+    """:func:`operator_norm` of a finite square complex matrix, such as an
+    element's frozen summand, unchecked, as a batch of one.
+
+    An exactly Hermitian matrix goes straight to the spectral core, which
     avoids the precision loss of the m^H m detour (a spectral value of 3
     comes back as 3.0, not 2.9999...96); the rest go to
-    :func:`opnorm_batch`.
+    :func:`opnorm_batch`, which rescales and refuses a non-finite Gram.
     """
-    m = ensure_square(m)
-    if np.array_equal(m, adjoint(m)):
-        return float(hermitian_opnorm_batch(m[None])[0])
+    if (m == adjoint(m)).all():
+        return float(np.abs(_spectrum(m[None])).max(initial=0.0))
     return float(opnorm_batch(m[None])[0])
 
 

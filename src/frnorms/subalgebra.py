@@ -193,8 +193,10 @@ class StandardSubalgebra:
         out = [np.zeros((d, d), dtype=np.complex128) for d in self.shape.dims]
         dens, w = self.denominators(w), w.tolist()
         for runs, n, den in zip(self.runs, self._group_sizes, dens):
-            blocks = [w[k - 1] * _run_blocks(summands[k - 1], off, n, m) for k, off, m in runs]
-            avg = sum([np.add.reduce(b) for b in blocks]) / den
+            avg = 0
+            for k, off, m in runs:
+                avg = avg + np.add.reduce(w[k - 1] * _run_blocks(summands[k - 1], off, n, m))
+            avg = avg / den
             for k, off, m in runs:
                 _run_blocks(out[k - 1], off, n, m)[...] = avg
         return out
@@ -216,11 +218,11 @@ class StandardSubalgebra:
                 x = 0
                 for k, off, m in runs:
                     cols = _run_blocks(summands[k - 1], off, n, m, diagonal=False)
-                    grams = np.conj(np.swapaxes(cols, -1, -2)) @ cols
+                    grams = np.conj(cols.swapaxes(-1, -2)) @ cols
                     x = x + np.add.reduce(w[k - 1] * grams, axis=1)
                 by_size.setdefault(n, []).append(x / den)
         norms = [linalg.hermitian_opnorm_batch(np.concatenate(xs)) for xs in by_size.values()]
-        return np.max(np.concatenate(norms).reshape(self.num_groups, -1), axis=0)
+        return np.concatenate(norms).reshape(self.num_groups, -1).max(axis=0)
 
     @cached_property
     def basis(self) -> tuple[CanonicalBasisElement, ...]:
@@ -287,7 +289,11 @@ def _run_blocks(x: np.ndarray, off: int, n: int, m: int, diagonal: bool = True) 
     """The m copies of a run at offset ``off`` in x's last two axes as one
     (..., m, h, n) view, writable if x is: copy j has columns off + j n up
     to off + (j + 1) n and the same rows (h = n), or all rows (h = d) if
-    not ``diagonal``.  An x that is not C-contiguous is read from a copy."""
+    not ``diagonal``.  A single copy (m = 1) is a plain slice; otherwise an
+    x that is not C-contiguous is read from a copy."""
+    if m == 1:
+        rows = slice(off, off + n) if diagonal else slice(None)
+        return x[..., None, rows, off : off + n]
     x = np.ascontiguousarray(x)
     sr, sc = x.strides[-2:]
     h, top, step = (n, off, n * sr) if diagonal else (x.shape[-2], 0, 0)

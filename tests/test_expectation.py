@@ -40,6 +40,7 @@ from frnorms.subalgebra import (
     contains,
     embed,
     single_summand_subalgebra,
+    standard_form,
 )
 
 FLEET = build_fleet()
@@ -229,6 +230,47 @@ def test_induced_norm_kernel_matches_the_dense_route():
         stacks = [np.stack(mats) for mats in zip(*(a.summands for a in elems))]
         batch = _RatioEvaluator(base, v).fr_norms_sq(stacks)
         np.testing.assert_allclose(batch, got, rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_single_and_stacked_routes_agree_bit_for_bit():
+    """element_norm is the max of opnorm_batch, or of hermitian_opnorm_batch
+    on an exactly Hermitian summand, over each summand stacked alone, and
+    fr_norm_squared(b, v, a_i) is entry i of induced_opnorms_sq on a stack
+    of four elements: exactly, on every fixture and golden level 6, for
+    Gaussian elements and a Hermitian one, unscaled and scaled by 1e200
+    and 1e-200 (the rescaled operator norms; at 1e200 the Gram overflows
+    and both induced-norm routes refuse it)."""
+    rng = np.random.default_rng(1717)
+    problems = [(f.name, f.subalgebra, f.weight) for f in FLEET]
+    lev = es_level(GOLDEN, 6)
+    problems.append(("golden-6", lev.subalgebra, lev.weight))
+    hermitian_summands = 0
+    for name, b, v in problems:
+        base, u = standard_form(b)
+        gauss = [random_element(b.shape, rng) for _ in range(3)]
+        for scale in (1.0, 1e200, 1e-200):
+            elems = [scale * a for a in gauss + [gauss[0] + gauss[0].adjoint()]]
+            for a in elems:
+                want = 0.0
+                for m in a.summands:
+                    hermitian = np.array_equal(m, m.conj().T)
+                    hermitian_summands += hermitian
+                    batch = linalg.hermitian_opnorm_batch if hermitian else linalg.opnorm_batch
+                    want = max(want, float(batch(m[None])[0]))
+                assert element_norm(a) == want, (name, scale)
+            carried = elems if u is None else [a @ u for a in elems]
+            stacks = [np.stack(mats) for mats in zip(*(a.summands for a in carried))]
+            w = v.per_trace_factors()
+            if scale > 1.0:
+                with pytest.raises(ValueError):
+                    base.induced_opnorms_sq(w, stacks)
+                for a in elems:
+                    with pytest.raises(ValueError):
+                        fr_norm_squared(b, v, a)
+                continue
+            single = [fr_norm_squared(b, v, a) for a in elems]
+            assert np.array_equal(base.induced_opnorms_sq(w, stacks), single), (name, scale)
+    assert hermitian_summands >= 3 * len(problems)
 
 
 def test_induced_norm_forms_no_dense_product():

@@ -183,6 +183,27 @@ def test_ensure_square_rejects_non_square():
         linalg.ensure_square(np.zeros((2, 3)))
 
 
+def test_operator_norm_refuses_at_its_boundary_and_never_writes():
+    """operator_norm refuses a 2x3 matrix with DimensionError and NaN or
+    inf entries with ValueError, and leaves a read-only input as it was,
+    on the Hermitian, the general and the rescaled paths."""
+    with pytest.raises(DimensionError):
+        linalg.operator_norm(np.zeros((2, 3)))
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(ValueError) as info:
+            linalg.operator_norm(m)
+        assert info.type is ValueError
+    rng = np.random.default_rng(77)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for m in (g, g + g.conj().T, 1e200 * g, 1e-200 * g, np.zeros((4, 4), dtype=complex)):
+        before = m.copy()
+        m.setflags(write=False)
+        assert np.isfinite(linalg.operator_norm(m))
+        assert np.array_equal(m, before)
+
+
 def test_lapack_failure_surfaces_as_convergence_error(monkeypatch, tmp_path, capsys):
     def fail(h):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

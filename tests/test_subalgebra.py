@@ -23,6 +23,7 @@ from frnorms.errors import (
 from frnorms.subalgebra import (
     ConjugatedSubalgebra,
     RefinedPartition,
+    _run_blocks,
     canonical_basis,
     conjugated_subalgebra,
     contains,
@@ -335,6 +336,69 @@ def test_every_entry_point_refuses_a_mismatched_shape():
             for entry in by_weight:
                 with pytest.raises(ShapeError):
                     entry(b, bad, a)
+
+
+def test_single_copy_run_is_the_general_strided_view():
+    """A run of one copy comes back as a plain slice; for both row choices
+    it holds the values of the general (..., m, h, n) strided view, built
+    here literally, and a write to it lands in x."""
+    rng = np.random.default_rng(8)
+    d = 7
+    for lead in ((), (3,)):
+        for off, n in ((0, d), (2, 3), (d - 1, 1)):
+            for diagonal in (True, False):
+                x = rng.standard_normal(lead + (d, d)) + 1j * rng.standard_normal(lead + (d, d))
+                sr, sc = x.strides[-2:]
+                h, top, step = (n, off, n * sr) if diagonal else (d, 0, 0)
+                general = np.ndarray(
+                    lead + (1, h, n), x.dtype, x, top * sr + off * sc,
+                    x.strides[:-2] + (step + n * sc, sr, sc),
+                )
+                got = _run_blocks(x, off, n, 1, diagonal)
+                assert got.shape == general.shape
+                assert np.array_equal(got, general)
+                before = x.copy()
+                got[...] = 5.0 - 2.0j
+                assert np.all(general == 5.0 - 2.0j)
+                rows = slice(top, top + h)
+                before[..., rows, off : off + n] = 5.0 - 2.0j
+                assert np.array_equal(x, before)
+
+
+SPECTRAL_ROUTINES = {"eigvalsh", "eigh", "eig", "eigvals", "svd", "norm"}
+
+
+def test_only_the_spectral_core_calls_a_numpy_eigensolver():
+    """In the package sources, np.linalg's spectral routines (eigvalsh,
+    eigh, eig, eigvals, svd, norm) are named only inside
+    ``linalg._spectrum``, which does call eigvalsh; nothing imports them
+    from numpy.linalg.  Other np.linalg names, such as the qr of
+    ``fleet.random_unitary`` and LinAlgError, stay allowed."""
+    found, core_calls = [], []
+    for path in sorted(Path(frnorms.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        cores = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_spectrum"
+        ]
+        allowed = {id(n) for c in cores for n in ast.walk(c)} if path.name == "linalg.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("numpy.linalg", "numpy"):
+                names = {a.name for a in node.names}
+                if names & (SPECTRAL_ROUTINES | {"linalg"}):
+                    found.append((path.name, node.lineno, "import"))
+            if not (isinstance(node, ast.Attribute) and node.attr in SPECTRAL_ROUTINES):
+                continue
+            owner = node.value
+            if not (isinstance(owner, ast.Attribute) and owner.attr == "linalg"):
+                continue
+            if isinstance(owner.value, ast.Name) and owner.value.id in ("np", "numpy"):
+                if id(node) in allowed:
+                    core_calls.append(node.attr)
+                else:
+                    found.append((path.name, node.lineno, node.attr))
+    assert found == []
+    assert core_calls == ["eigvalsh"]
 
 
 def test_only_the_gate_tells_a_conjugate_from_a_standard_subalgebra():

@@ -135,8 +135,8 @@ class AlgebraElement:
 
 
 def element_norm(a: AlgebraElement) -> float:
-    """C*-norm: max of the summand operator norms, on summands checked when frozen."""
-    return max(linalg._operator_norm(m) for m in a.summands)
+    """C*-norm of a direct-sum element: max of summand operator norms."""
+    return max(linalg.operator_norm(m) for m in a.summands)
 
 
 def matrix_unit(shape: AlgebraShape, k: int, i: int, j: int) -> AlgebraElement:

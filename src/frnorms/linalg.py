@@ -117,7 +117,8 @@ def opnorm_batch(m: np.ndarray) -> np.ndarray:
         m = np.array(m, dtype=np.complex128)
         for part in (m.real, m.imag):
             part[scaled] = np.ldexp(part[scaled], -exp[:, None, None])
-    w = eigvalsh_batch(np.conj(m.swapaxes(1, 2)) @ m)
+    gram = np.conj(m.swapaxes(1, 2)) @ m
+    w = eigvalsh_batch(gram)
     norms = np.sqrt(np.maximum(w[:, -1], 0.0))
     if rescale:
         with np.errstate(over="ignore"):
@@ -134,25 +135,19 @@ def hermitian_opnorm_batch(h: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value of one matrix, checked here, once, and not
-    copied: one that is not square is refused with DimensionError, a
-    non-finite entry with ValueError.  The spectrum comes from the core
-    ``_spectrum``, where a LAPACK failure raises ConvergenceError; a norm
-    beyond the float range is refused in :func:`opnorm_batch`."""
-    return _operator_norm(ensure_square(m))
+    """Largest singular value of one matrix, as a batch of one, checked
+    here, once, and not copied: one that is not square is refused with
+    DimensionError, a non-finite entry with ValueError.
 
-
-def _operator_norm(m: np.ndarray) -> float:
-    """:func:`operator_norm` of a finite square complex matrix, such as an
-    element's frozen summand, unchecked, as a batch of one.
-
-    An exactly Hermitian matrix goes straight to the spectral core, which
+    Exactly Hermitian inputs go to :func:`hermitian_opnorm_batch`, which
     avoids the precision loss of the m^H m detour (a spectral value of 3
     comes back as 3.0, not 2.9999...96); the rest go to
-    :func:`opnorm_batch`, which rescales and refuses a non-finite Gram.
+    :func:`opnorm_batch`, which rescales and refuses a norm beyond the
+    float range.  A LAPACK failure raises ConvergenceError in the core.
     """
+    m = ensure_square(m)
     if (m == adjoint(m)).all():
-        return float(np.abs(_spectrum(m[None])).max(initial=0.0))
+        return float(hermitian_opnorm_batch(m[None])[0])
     return float(opnorm_batch(m[None])[0])
 
 

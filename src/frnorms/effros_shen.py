@@ -12,9 +12,17 @@ applies; ``es_constant`` evaluates the resulting closed-form constant
 directly from the convergents, and agreement with ``theoretical_bound``
 on the constructed level is the module's central consistency check.
 
-Rationality guard: the Gauss map aborts when a remainder drops below
-1e-13, which is the operational definition of "irrational to working
-precision" used throughout.
+Every tower entry point takes theta and an optional continued fraction,
+and ``_expansion`` alone decides which terms it uses: the given fraction,
+refused when it is shallower than the level needs, or theta's Gauss-map
+expansion.  ``_recurrence`` is the one convergent recurrence, behind
+``convergent_table``, the periodic tail value and the prefix of
+``eventually_periodic_theta``.
+
+Rationality guard: ``cf_expand`` tests theta and each Gauss-map
+remainder once and aborts when one drops below 1e-13, which is the
+operational definition of "irrational to working precision" used
+throughout.
 """
 from __future__ import annotations
 
@@ -95,24 +103,28 @@ def cf_expand(theta: float, depth: int) -> ContinuedFraction:
     _check_depth(depth)
     if not 0.0 < theta < 1.0:
         raise InputError("theta must lie strictly between 0 and 1")
-    terms = [0]
-    x = float(theta)
-    for n in range(1, depth + 1):
-        if x < GAUSS_REMAINDER_TOL:
-            raise RationalityError(
-                f"remainder {x:.3e} below {GAUSS_REMAINDER_TOL:g} at term {n}; "
-                "theta is rational to working precision"
-            )
+    terms, x = [0], float(theta)
+    while x >= GAUSS_REMAINDER_TOL:
+        if len(terms) > depth:
+            return ContinuedFraction(tuple(terms))
         inv = 1.0 / x
-        term = int(np.floor(inv))
-        x = inv - term
-        if x < GAUSS_REMAINDER_TOL:
-            raise RationalityError(
-                f"remainder {x:.3e} below {GAUSS_REMAINDER_TOL:g} after term {n}; "
-                "theta is rational to working precision"
-            )
-        terms.append(term)
-    return ContinuedFraction(tuple(terms))
+        terms.append(int(np.floor(inv)))
+        x = inv - terms[-1]
+    where = f"after term {len(terms) - 1}" if len(terms) > 1 else "at term 1"
+    raise RationalityError(
+        f"remainder {x:.3e} below {GAUSS_REMAINDER_TOL:g} {where}; "
+        "theta is rational to working precision"
+    )
+
+
+def _expansion(theta: float, depth: int, cf: ContinuedFraction | None) -> ContinuedFraction:
+    """cf, or theta's Gauss-map expansion to ``depth`` terms when cf is
+    None; a cf shallower than ``depth`` is refused with InputError."""
+    if cf is None:
+        return cf_expand(theta, depth)
+    if cf.depth < depth:
+        raise InputError(f"continued fraction depth {cf.depth} below {depth}")
+    return cf
 
 
 @dataclass(frozen=True)
@@ -123,23 +135,29 @@ class ConvergentTable:
     q: tuple[int, ...]
 
 
+def _recurrence(terms) -> tuple[list[int], list[int]]:
+    """Convergents of [r_0; r_1, ...] as lists (p_{-2}, p_{-1}, p_0, ...)
+    and (q_{-2}, q_{-1}, q_0, ...) from the seeds p_{-2}, p_{-1} = 0, 1 and
+    q_{-2}, q_{-1} = 1, 0; refused with InputError as soon as a q_n exceeds
+    the 64-bit range."""
+    p, q = [0, 1], [1, 0]
+    for n, r in enumerate(terms):
+        p.append(r * p[-1] + p[-2])
+        q.append(r * q[-1] + q[-2])
+        if q[-1] > _INT64_MAX:
+            raise InputError(f"convergent denominator q_{n} exceeds the 64-bit integer range")
+    return p, q
+
+
 def convergent_table(cf: ContinuedFraction) -> ConvergentTable:
     """All convergents up to the fraction's depth, exact integers.
 
     Denominators are capped at the 64-bit range; the recurrence raises
-    once q_n would exceed it, so every emitted value round-trips through
+    once q_n would exceed it, so every emitted q round-trips through
     fixed-width integer formats.
     """
-    p = [cf.r[0], cf.r[0] * cf.r[1] + 1]
-    q = [1, cf.r[1]]
-    for n in range(2, cf.depth + 1):
-        p.append(cf.r[n] * p[n - 1] + p[n - 2])
-        q.append(cf.r[n] * q[n - 1] + q[n - 2])
-        if q[n] > _INT64_MAX:
-            raise InputError(
-                f"convergent denominator q_{n} exceeds the 64-bit integer range"
-            )
-    return ConvergentTable(tuple(p[: cf.depth + 1]), tuple(q[: cf.depth + 1]))
+    p, q = _recurrence(cf.r)
+    return ConvergentTable(tuple(p[2:]), tuple(q[2:]))
 
 
 def convergents(cf: ContinuedFraction, n: int) -> tuple[int, int]:
@@ -157,12 +175,10 @@ def _tail_value(period: tuple[int, ...]) -> float:
     q_{K-1} x^2 + (q_K - p_{K-1}) x - p_K = 0 built from the convergents
     of one period.
     """
-    cf = ContinuedFraction((0,) + tuple(period))
-    table = convergent_table(cf)
-    k = cf.depth
-    a = table.q[k - 1]
-    b = table.q[k] - table.p[k - 1]
-    c = -table.p[k]
+    p, q = _recurrence((0,) + period)
+    a = q[-2]
+    b = q[-1] - p[-2]
+    c = -p[-1]
     disc = b * b - 4 * a * c
     return (-b + np.sqrt(float(disc))) / (2.0 * a)
 
@@ -174,18 +190,12 @@ def periodic_theta(period, depth: int) -> tuple[float, ContinuedFraction]:
     so deep levels use exact integer terms instead of the floating Gauss
     map.
     """
-    period = tuple(int(t) for t in period)
-    if not period or any(t < 1 for t in period):
-        raise InputError("period must be a nonempty list of positive integers")
-    _check_depth(depth)
-    reps = -(-depth // len(period))
-    terms = (period * reps)[:depth]
-    theta = _tail_value(period)
-    return float(theta), ContinuedFraction((0,) + terms)
+    return eventually_periodic_theta((), period, depth)
 
 
 def eventually_periodic_theta(prefix, period, depth: int) -> tuple[float, ContinuedFraction]:
-    """Irrational with the given initial terms followed by a repeating tail."""
+    """Irrational with the given initial terms followed by a repeating tail;
+    with an empty prefix, the tail value itself."""
     prefix = tuple(int(t) for t in prefix)
     period = tuple(int(t) for t in period)
     if any(t < 1 for t in prefix):
@@ -193,16 +203,12 @@ def eventually_periodic_theta(prefix, period, depth: int) -> tuple[float, Contin
     if not period or any(t < 1 for t in period):
         raise InputError("period must be a nonempty list of positive integers")
     _check_depth(depth)
-    tail = _tail_value(period)
-    # Complete quotient entering after the prefix.
-    c = 1.0 / tail
-    # Convergents of [0; prefix] with the standard seeds p_{-1}=1, q_{-1}=0.
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = 0, 1
-    for term in prefix:
-        p_prev, p_cur = p_cur, term * p_cur + p_prev
-        q_prev, q_cur = q_cur, term * q_cur + q_prev
-    theta = (p_cur * c + p_prev) / (q_cur * c + q_prev)
+    theta = _tail_value(period)
+    if prefix:
+        # The complete quotient 1/tail enters after the convergents of [0; prefix].
+        c = 1.0 / theta
+        p, q = _recurrence((0,) + prefix)
+        theta = (p[-1] * c + p[-2]) / (q[-1] * c + q[-2])
     reps = -(-max(depth - len(prefix), 1) // len(period))
     terms = (prefix + period * reps)[:depth]
     return float(theta), ContinuedFraction((0,) + terms)
@@ -237,8 +243,7 @@ def es_weight_t(theta: float, n: int, cf: ContinuedFraction | None = None) -> fl
     """The first-summand trace weight t = (-1)^(n-1) q_n (theta q_{n-1} - p_{n-1})."""
     if n < 1:
         raise ValueError("weight index must be at least 1")
-    if cf is None:
-        cf = cf_expand(theta, n)
+    cf = _expansion(theta, n, cf)
     table = convergent_table(cf)
     t = (-1.0) ** (n - 1) * table.q[n] * convergent_residual(
         theta, table.q[n - 1], table.p[n - 1]
@@ -276,10 +281,7 @@ def es_level(theta: float, n: int, cf: ContinuedFraction | None = None) -> Effro
     """
     if n < 2:
         raise ValueError("level must be at least 2")
-    if cf is None:
-        cf = cf_expand(theta, n)
-    elif cf.depth < n:
-        raise InputError(f"continued fraction depth {cf.depth} below level {n}")
+    cf = _expansion(theta, n, cf)
     table = convergent_table(cf)
     t = es_weight_t(theta, n, cf)
     q_n, q_n1, q_n2 = table.q[n], table.q[n - 1], table.q[n - 2]
@@ -317,8 +319,7 @@ def es_constant(theta: float, N: int, cf: ContinuedFraction | None = None) -> fl
     """
     if N < 2:
         raise ValueError("level must be at least 2")
-    if cf is None:
-        cf = cf_expand(theta, N)
+    cf = _expansion(theta, N, cf)
     table = convergent_table(cf)
     num = abs(convergent_residual(theta, table.q[N], table.p[N]))
     den = abs(convergent_residual(theta, table.q[N - 2], table.p[N - 2]))
@@ -366,19 +367,13 @@ def continuity_probe(
     if N < 2:
         raise ValueError("level must be at least 2")
     depth = N + 1
-    if cf is None:
-        cf = cf_expand(theta, depth)
-    elif cf.depth < depth:
-        raise InputError(f"continued fraction depth {cf.depth} below {depth}")
+    cf = _expansion(theta, depth, cf)
     c_theta = es_constant(theta, N, cf)
     if perturbation_cfs is None:
         perturbation_cfs = [None] * len(perturbations)
     entries = []
     for eta, eta_cf in zip(perturbations, perturbation_cfs):
-        if eta_cf is None:
-            eta_cf = cf_expand(eta, depth)
-        elif eta_cf.depth < depth:
-            raise InputError(f"perturbation depth {eta_cf.depth} below {depth}")
+        eta_cf = _expansion(eta, depth, eta_cf)
         agree = _common_prefix(cf.tail[:depth], eta_cf.tail[:depth])
         d_b = baire_distance(cf.tail[:depth], eta_cf.tail[:depth])
         c_eta = es_constant(eta, N, eta_cf)

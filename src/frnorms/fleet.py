@@ -84,6 +84,16 @@ def _dft_matrix(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(idx, idx) / d) / np.sqrt(d)
 
 
+# The tower fixtures: (label, theta, level), built by ``build_fleet`` and
+# checked against the closed-form constant by ``run_selftest``.
+ES_FLEET = (
+    ("es-golden-2", GOLDEN, 2),
+    ("es-golden-3", GOLDEN, 3),
+    ("es-sqrt2-2", SQRT2_MINUS_1, 2),
+    ("es-sqrt3-2", SQRT3_MINUS_1, 2),
+)
+
+
 def build_fleet() -> list[Fixture]:
     fleet = [
         _single("full-M2", 2, ((2, 1),)),
@@ -120,12 +130,7 @@ def build_fleet() -> list[Fixture]:
         Fixture("threeway-cross", b, TracialWeight(shape, (0.25, 0.5, 0.25)))
     )
 
-    for label, theta, n in (
-        ("es-golden-2", GOLDEN, 2),
-        ("es-golden-3", GOLDEN, 3),
-        ("es-sqrt2-2", SQRT2_MINUS_1, 2),
-        ("es-sqrt3-2", SQRT3_MINUS_1, 2),
-    ):
+    for label, theta, n in ES_FLEET:
         lev = es_level(theta, n)
         fleet.append(Fixture(label, lev.subalgebra, lev.weight))
 
@@ -140,14 +145,6 @@ def build_fleet() -> list[Fixture]:
         )
     )
     return fleet
-
-
-ES_FLEET = (
-    (GOLDEN, 2),
-    (GOLDEN, 3),
-    (SQRT2_MINUS_1, 2),
-    (SQRT3_MINUS_1, 2),
-)
 
 
 @dataclass(frozen=True)
@@ -284,7 +281,7 @@ def run_selftest(seed: int = 0) -> list[CheckResult]:
     )
 
     worst_es = 0.0
-    for theta, n in ES_FLEET:
+    for _, theta, n in ES_FLEET:
         lev = es_level(theta, n)
         bound, _ = theoretical_bound(lev.subalgebra, lev.weight)
         worst_es = max(worst_es, abs(bound - es_constant(theta, n)))

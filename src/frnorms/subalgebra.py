@@ -125,46 +125,31 @@ class StandardSubalgebra:
                     f"partition {part.terms} does not tile summand dimension {d}"
                 )
         self.groups = tuple(tuple((int(k), int(i)) for k, i in g) for g in groups)
-        self._validate_groups()
         self._block_layout()
 
-    def _validate_groups(self):
-        all_slots = {
-            (k, i)
-            for k in range(1, self.shape.num_summands + 1)
-            for i in range(1, self.partitions[k - 1].num_slots + 1)
-        }
-        seen = set()
-        for g in self.groups:
-            if not g:
-                raise GroupingError("empty slot group")
-            summands_in_group = set()
-            for k, i in g:
-                if (k, i) not in all_slots:
-                    raise GroupingError(f"unknown slot {(k, i)}")
-                if (k, i) in seen:
-                    raise GroupingError(f"slot {(k, i)} appears in two groups")
-                seen.add((k, i))
-                if k in summands_in_group:
-                    raise GroupingError(
-                        f"group {g} holds two slots of summand {k}; repeats inside "
-                        "one summand must use the slot multiplicity instead"
-                    )
-                summands_in_group.add(k)
-        missing = all_slots - seen
-        if missing:
-            raise GroupingError(f"slots not covered by any group: {sorted(missing)}")
-
     def _block_layout(self):
-        """Set ``slots``, ``runs``, ``_group_sizes`` and ``_counts[k-1, g]``,
-        the number of blocks of group g + 1 in summand k."""
-        group_of_slot = {slot: gi for gi, g in enumerate(self.groups) for slot in g}
+        """Check the grouping and set ``slots``, ``runs``, ``_group_sizes``
+        and ``_counts[k-1, g]``, the number of blocks of group g + 1 in
+        summand k, in one pass over the slots."""
+        group_of_slot = {}
+        for gi, g in enumerate(self.groups):
+            for slot in g:
+                if slot in group_of_slot:
+                    raise GroupingError(f"slot {slot} appears twice in the grouping")
+                group_of_slot[slot] = gi
         slots, sizes, runs = [], [0] * len(self.groups), [[] for _ in self.groups]
         counts = np.zeros((self.shape.num_summands, len(self.groups)), dtype=np.int64)
         for k, part in enumerate(self.partitions, start=1):
             rows, pos = [], 0
             for i, (n, m) in enumerate(part.terms, start=1):
-                gi = group_of_slot[(k, i)]
+                gi = group_of_slot.pop((k, i), None)
+                if gi is None:
+                    raise GroupingError(f"slot {(k, i)} is not covered by any group")
+                if runs[gi] and runs[gi][-1][0] == k:
+                    raise GroupingError(
+                        f"group {gi + 1} holds two slots of summand {k}; repeats inside "
+                        "one summand must use the slot multiplicity instead"
+                    )
                 if sizes[gi] not in (0, n):
                     raise GroupingError(f"group {gi + 1} mixes block sizes {sizes[gi]} and {n}")
                 rows.append((pos, n, m, gi))
@@ -173,6 +158,10 @@ class StandardSubalgebra:
                 sizes[gi] = n
                 pos += n * m
             slots.append(tuple(rows))
+        if group_of_slot:
+            raise GroupingError(f"unknown slots {sorted(group_of_slot)}")
+        if not all(runs):
+            raise GroupingError("empty slot group")
         self.slots = tuple(slots)
         self.runs = tuple(tuple(r) for r in runs)
         self._group_sizes = tuple(sizes)

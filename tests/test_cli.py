@@ -513,3 +513,14 @@ def test_conjugated_subalgebra_json_round_trip(tmp_path, problem_files):
     first = run_cli("expect", *args, check=True)
     args[1] = str(again)
     assert run_cli("expect", *args, check=True).stdout == first.stdout
+
+
+def test_readme_effros_shen_example():
+    """The README shows the t and constant that its effros-shen --cf 1,2
+    --level 3 example prints."""
+    proc = run_cli("effros-shen", "--cf", "1,2", "--level", "3", check=True)
+    out = json.loads(proc.stdout)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("frnorms effros-shen --cf 1,2 --level 3\n", 1)[1].split("\n\n", 1)[0]
+    assert f'"t": {out["t"]!r},' in example
+    assert f'"constant": {out["constant"]!r},' in example

@@ -428,3 +428,37 @@ def test_probe_perturbation_cfs_override():
     assert rep.entries[0].agreement_depth == 0
     with pytest.raises(InputError):
         continuity_probe(GOLDEN, [eta], 6, perturbation_cfs=[eta_cf])
+
+
+def test_every_tower_entry_point_refuses_a_shallow_fraction():
+    """A fraction shallower than the level needs is refused with InputError
+    by every entry point, for theta's fraction and a perturbation's."""
+    theta, cf = periodic_theta((1,), 3)
+    for call in (
+        lambda: es_weight_t(theta, 5, cf),
+        lambda: es_level(theta, 5, cf),
+        lambda: es_constant(theta, 5, cf),
+        lambda: continuity_probe(theta, [GOLDEN], 3, cf),
+        lambda: continuity_probe(GOLDEN, [theta], 3, perturbation_cfs=[cf]),
+    ):
+        with pytest.raises(InputError, match="depth 3 below"):
+            call()
+
+
+def test_convergent_denominators_fit_64_bits_from_q1():
+    """q_1 = r_1 is checked like every later q_n: 2**63 - 1 is the largest
+    accepted, whether it comes from a table, a period or a prefix."""
+    with pytest.raises(InputError, match="q_1 exceeds"):
+        convergent_table(ContinuedFraction((0, 2**70)))
+    for call in (
+        lambda: convergent_table(ContinuedFraction((0, 2**63))),
+        lambda: periodic_theta((2**63,), 2),
+        lambda: eventually_periodic_theta((2**63,), (1,), 3),
+    ):
+        with pytest.raises(InputError, match="q_1 exceeds"):
+            call()
+    assert convergent_table(ContinuedFraction((0, 2**63 - 1))).q == (1, 2**63 - 1)
+    assert periodic_theta((2**63 - 1,), 2)[1].r == (0, 2**63 - 1, 2**63 - 1)
+    theta, cf = eventually_periodic_theta((2**63 - 1,), (1,), 2)
+    assert cf.r == (0, 2**63 - 1, 1)
+    assert 0.0 < theta < 1.0

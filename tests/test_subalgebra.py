@@ -401,6 +401,35 @@ def test_only_the_spectral_core_calls_a_numpy_eigensolver():
     assert core_calls == ["eigvalsh"]
 
 
+def test_only_the_tower_expansion_and_the_theta_flag_call_cf_expand():
+    """In the package sources, ``cf_expand`` is called only inside
+    ``effros_shen._expansion``, through which every tower entry point turns
+    theta into terms, and in the ``--theta`` branch (the else of ``if
+    args.cf ...``) of ``cli._cmd_effros_shen``."""
+    scopes = {"effros_shen.py": "_expansion", "cli.py": "_cmd_effros_shen"}
+    found, allowed_calls = [], []
+    for path in sorted(Path(frnorms.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for fn in ast.walk(tree):
+            if not (isinstance(fn, ast.FunctionDef) and fn.name == scopes.get(path.name)):
+                continue
+            if path.name == "effros_shen.py":
+                allowed |= {id(n) for n in ast.walk(fn)}
+                continue
+            for branch in ast.walk(fn):
+                if isinstance(branch, ast.If) and ast.unparse(branch.test).startswith("args.cf "):
+                    allowed |= {id(n) for s in branch.orelse for n in ast.walk(s)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "cf_expand":
+                (allowed_calls if id(node) in allowed else found).append(path.name)
+    assert found == []
+    assert allowed_calls == ["cli.py", "effros_shen.py"]
+
+
 def test_only_the_gate_tells_a_conjugate_from_a_standard_subalgebra():
     """In the package sources, an isinstance test against a subalgebra
     class appears only in ``standard_form``, and no hasattr or getattr

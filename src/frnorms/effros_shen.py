@@ -204,6 +204,9 @@ def eventually_periodic_theta(prefix, period, depth: int) -> tuple[float, Contin
         raise InputError("period must be a nonempty list of positive integers")
     _check_depth(depth)
     theta = _tail_value(period)
+    if not 0.0 < theta < 1.0:
+        # The root's formula cancels away once a period term nears 2e8.
+        raise InputError(f"tail value {theta} of period {period} is not in (0, 1)")
     if prefix:
         # The complete quotient 1/tail enters after the convergents of [0; prefix].
         c = 1.0 / theta
@@ -243,8 +246,12 @@ def es_weight_t(theta: float, n: int, cf: ContinuedFraction | None = None) -> fl
     """The first-summand trace weight t = (-1)^(n-1) q_n (theta q_{n-1} - p_{n-1})."""
     if n < 1:
         raise ValueError("weight index must be at least 1")
-    cf = _expansion(theta, n, cf)
-    table = convergent_table(cf)
+    return _weight_t(theta, n, convergent_table(_expansion(theta, n, cf)))
+
+
+def _weight_t(theta: float, n: int, table: ConvergentTable) -> float:
+    """The weight t of ``es_weight_t`` from a convergent table of depth at
+    least n; a t outside (0,1) is refused with WeightError."""
     t = (-1.0) ** (n - 1) * table.q[n] * convergent_residual(
         theta, table.q[n - 1], table.p[n - 1]
     )
@@ -283,7 +290,7 @@ def es_level(theta: float, n: int, cf: ContinuedFraction | None = None) -> Effro
         raise ValueError("level must be at least 2")
     cf = _expansion(theta, n, cf)
     table = convergent_table(cf)
-    t = es_weight_t(theta, n, cf)
+    t = _weight_t(theta, n, table)
     q_n, q_n1, q_n2 = table.q[n], table.q[n - 1], table.q[n - 2]
     sub = make_standard_subalgebra(
         (q_n, q_n1),

@@ -367,6 +367,14 @@ def test_effros_shen_rejects_rational_theta():
     assert proc.stderr == ""
 
 
+def test_effros_shen_refuses_a_cancelled_tail_value():
+    proc = run_cli("effros-shen", "--cf", "200000000", "--level", "2")
+    assert proc.returncode == 2
+    err = json.loads(proc.stdout)["error"]
+    assert err["type"] == "InputError" and "tail value" in err["message"]
+    assert proc.stderr == ""
+
+
 def test_effros_shen_argument_validation():
     proc = run_cli("effros-shen", "--theta", "0.3", "--cf", "1", "--level", "2")
     assert proc.returncode == 2  # mutually exclusive

@@ -30,6 +30,7 @@ from frnorms.subalgebra import (
     conjugated_subalgebra,
     make_standard_subalgebra,
     single_summand_subalgebra,
+    standard_form,
 )
 
 FLEET = build_fleet()
@@ -459,6 +460,63 @@ def test_search_witness_is_a_rank_one_projection():
     assert np.allclose(p @ p, p, atol=1e-12)
     assert np.allclose(p, p.conj().T, atol=0.0)
     assert abs(np.trace(p) - 1.0) < 1e-12
+
+
+def _sample_by_chunks(b, v, samples, seed, refine):
+    """The search with one draw and one scoring call per chunk, as a
+    chunk-by-chunk loop runs it: the reference for the blocks of
+    ``empirical_sharp_constant``.  Refines like the search and returns
+    (best_ratio, refine_steps, witness summands)."""
+    base, u = standard_form(b, v)
+    evaluator = _RatioEvaluator(base, v)
+    rng = np.random.default_rng(seed)
+    dims = base.shape.dims
+    chunk = max(1, constants._CHUNK_ENTRIES // sum(d * d for d in dims))
+    best = np.inf
+    for k, d in enumerate(dims):
+        for done in range(0, samples, chunk):
+            count = min(chunk, samples - done)
+            vecs = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+            vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+            ratios = evaluator.rank_one_ratios(k, vecs)
+            pick = int(np.argmin(ratios))
+            if ratios[pick] < best:
+                best, best_k, x = float(ratios[pick]), k, vecs[pick]
+    steps = 0
+    if refine:
+        best, x, steps = constants._refine(evaluator, best_k, x, best, rng)
+    if u is not None:
+        x = u.summands[best_k] @ x
+    witness = [np.zeros((d, d), dtype=np.complex128) for d in dims]
+    witness[best_k] = np.outer(x, np.conj(x))
+    return best, steps, witness
+
+
+def test_block_sampling_equals_the_chunk_by_chunk_loop():
+    """Whole-chunk draws scored in blocks find the row a draw and a call
+    per chunk find, bit for bit: on every table row and fixture (a
+    conjugate included) and on tower levels whose chunks hold 400, 58
+    and one vector, at counts that neither a chunk nor a block divides.
+    The refine runs from one sample, except at the one-vector-chunk
+    levels, where it would cost more than the rest of the test and the
+    round-by-round test below covers it."""
+    problems = _all_problems()
+    for period, level in (((1,), 8), ((1,), 10), ((1,), 16), ((2,), 8)):
+        theta, cf = periodic_theta(period, level)
+        lvl = es_level(theta, level, cf)
+        problems.append((f"{period}-{level}", lvl.subalgebra, lvl.weight))
+    for name, b, v in problems:
+        dims = standard_form(b, v)[0].shape.dims
+        chunk = max(1, constants._CHUNK_ENTRIES // sum(d * d for d in dims))
+        for samples in sorted({1, max(chunk - 1, 1), chunk + 1, 2001}):
+            seed, refine = samples % 7, samples == 1 < chunk
+            rep = empirical_sharp_constant(b, v, samples=samples, seed=seed, refine=refine)
+            best, steps, witness = _sample_by_chunks(b, v, samples, seed, refine)
+            case = (name, samples)
+            assert np.float64(rep.best_ratio).tobytes() == np.float64(best).tobytes(), case
+            assert rep.refine_steps == steps, case
+            for got, want in zip(rep.witness.summands, witness):
+                assert got.tobytes() == want.tobytes(), case
 
 
 def _refine_by_rounds(evaluator, k, x, best, rng, accepts):

@@ -458,7 +458,42 @@ def test_convergent_denominators_fit_64_bits_from_q1():
         with pytest.raises(InputError, match="q_1 exceeds"):
             call()
     assert convergent_table(ContinuedFraction((0, 2**63 - 1))).q == (1, 2**63 - 1)
-    assert periodic_theta((2**63 - 1,), 2)[1].r == (0, 2**63 - 1, 2**63 - 1)
+    # Its period passes the range check; its tail value, 0.0, is refused.
+    with pytest.raises(InputError, match="tail value"):
+        periodic_theta((2**63 - 1,), 2)
     theta, cf = eventually_periodic_theta((2**63 - 1,), (1,), 2)
     assert cf.r == (0, 2**63 - 1, 1)
     assert 0.0 < theta < 1.0
+
+
+def test_a_tail_value_outside_the_unit_interval_is_refused():
+    """Once a period term nears 2e8 the tail value's root cancels to 0.0;
+    it is refused with InputError, not returned as theta, and not divided
+    by in front of a prefix (which gave nan)."""
+    for call in (
+        lambda: periodic_theta((2 * 10**8,), 2),
+        lambda: eventually_periodic_theta((1,), (2**63 - 1,), 3),
+    ):
+        with pytest.raises(InputError, match="tail value 0.0"):
+            call()
+    theta, cf = periodic_theta((10**7,), 2)
+    assert 0.0 < theta < 1.0 and cf.r == (0, 10**7, 10**7)
+
+
+def test_a_level_builds_its_convergent_table_once(monkeypatch):
+    import frnorms.effros_shen as es
+
+    builds = []
+    table = es.convergent_table
+
+    def counted(cf):
+        builds.append(cf)
+        return table(cf)
+
+    monkeypatch.setattr(es, "convergent_table", counted)
+    for theta, cf in ((GOLDEN, None), periodic_theta((1, 2), 9)):
+        for n in (2, 5, 9):
+            builds.clear()
+            lvl = es_level(theta, n, cf)
+            assert len(builds) == 1, (theta, n)
+            assert lvl.t == es_weight_t(theta, n, cf)

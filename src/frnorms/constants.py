@@ -297,18 +297,44 @@ def _unit_rows(vecs: np.ndarray) -> np.ndarray:
     ``vecs / np.linalg.norm(vecs, axis=1, keepdims=True)``: the same
     reduction that ``norm`` runs, without its checks, and a product with
     1/norm, which is how numpy divides a complex number by a real one
-    (Smith's method with a zero imaginary part).  Rows of fewer than
-    _PAIRWISE_BLOCK entries are summed over whole columns in the order
-    the reduction adds them, ((a_0 + a_1) + a_2) + ...; longer rows keep
-    the reduction."""
-    sq = (vecs.conj() * vecs).real
-    if sq.shape[1] < _PAIRWISE_BLOCK:
-        total = sq[:, 0]
-        for j in range(1, sq.shape[1]):
-            total = total + sq[:, j]
-    else:
-        total = np.add.reduce(sq, axis=1)
-    return vecs * (1.0 / np.sqrt(total))[:, None]
+    (Smith's method with a zero imaginary part).  The |x|^2 temporary
+    goes before the scaled copy is made."""
+    return vecs * (1.0 / np.sqrt(_row_sums((vecs.conj() * vecs).real)))[:, None]
+
+
+def _row_sums(sq: np.ndarray) -> np.ndarray:
+    """Row sums of sq, bit for bit ``np.add.reduce(sq, axis=1)``: rows of
+    fewer than _PAIRWISE_BLOCK entries are summed over whole columns in
+    the order the reduction adds them, ((a_0 + a_1) + a_2) + ...; longer
+    rows keep the reduction."""
+    if sq.shape[1] >= _PAIRWISE_BLOCK:
+        return np.add.reduce(sq, axis=1)
+    total = sq[:, 0]
+    for j in range(1, sq.shape[1]):
+        total = total + sq[:, j]
+    return total
+
+
+def _unit_blocks(rng, samples: int, chunk: int, d: int):
+    """``samples`` Gaussian unit vectors of length d, drawn chunk by
+    chunk, as blocks of at most _SCORE_BLOCK_ENTRIES // d rows (at least
+    one) in draw order.  One draw holds as many whole chunks as fill a
+    block, or the last partial chunk: an (n, 2, count, d) draw is the
+    stream of n draws of (2, count, d)."""
+    rows = max(1, _SCORE_BLOCK_ENTRIES // d)
+    done = 0
+    while done < samples:
+        n = min(max(1, rows // chunk), (samples - done) // chunk)
+        count = chunk if n else samples - done
+        raw = rng.standard_normal((max(n, 1), 2, count, d))
+        done += len(raw) * count
+        for lo in range(0, count, rows):
+            block = _complex_parts(raw[:, :, lo : lo + rows], 1).reshape(-1, d)
+            if lo + rows >= count:
+                # Copied out in full: the draw goes before the last block
+                # is scored, as a draw converted whole would.
+                del raw
+            yield _unit_rows(block)
 
 
 def _refine(evaluator, k, x, best, rng):
@@ -414,25 +440,15 @@ def empirical_sharp_constant(
     chunk = max(1, _CHUNK_ENTRIES // sum(d * d for d in b.shape.dims))
     best = np.inf
     for k, d in enumerate(b.shape.dims):
-        rows = max(1, _SCORE_BLOCK_ENTRIES // d)
-        done = 0
-        while done < samples:
-            # As many whole chunks as fill a block, or the last partial
-            # chunk, in one (n, 2, count, d) draw: the stream of n draws
-            # of (2, count, d).
-            n = min(max(1, rows // chunk), (samples - done) // chunk)
-            count = chunk if n else samples - done
-            raw = rng.standard_normal((max(n, 1), 2, count, d))
-            for lo in range(0, count, rows):
-                vecs = _unit_rows(_complex_parts(raw[:, :, lo : lo + rows], 1).reshape(-1, d))
-                ratios = evaluator.rank_one_ratios(k, vecs)
-                # argmin's first index and a strict < across blocks keep
-                # the first smallest row in draw order.
-                pick = int(np.argmin(ratios))
-                if ratios[pick] < best:
-                    best = float(ratios[pick])
-                    best_k, x = k, vecs[pick]
-            done += len(raw) * count
+        for vecs in _unit_blocks(rng, samples, chunk, d):
+            ratios = evaluator.rank_one_ratios(k, vecs)
+            # argmin's first index and a strict < across blocks keep the
+            # first smallest row in draw order.
+            pick = int(np.argmin(ratios))
+            if ratios[pick] < best:
+                best = float(ratios[pick])
+                # A copy, so that the block can go.
+                best_k, x = k, vecs[pick].copy()
     refine_steps = 0
     if refine:
         best, x, refine_steps = _refine(evaluator, best_k, x, best, rng)

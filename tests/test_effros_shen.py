@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frnorms import effros_shen
 from frnorms.algebra import AlgebraElement
 from frnorms.constants import empirical_sharp_constant, sharp_constant, structural_constants
 from frnorms.effros_shen import (
@@ -481,16 +482,14 @@ def test_a_tail_value_outside_the_unit_interval_is_refused():
 
 
 def test_a_level_builds_its_convergent_table_once(monkeypatch):
-    import frnorms.effros_shen as es
-
     builds = []
-    table = es.convergent_table
+    table = effros_shen.convergent_table
 
     def counted(cf):
         builds.append(cf)
         return table(cf)
 
-    monkeypatch.setattr(es, "convergent_table", counted)
+    monkeypatch.setattr(effros_shen, "convergent_table", counted)
     for theta, cf in ((GOLDEN, None), periodic_theta((1, 2), 9)):
         for n in (2, 5, 9):
             builds.clear()

@@ -10,6 +10,7 @@ matching the wire format; the underlying numpy arrays are 0-based.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,7 +165,7 @@ class TracialWeight:
             raise WeightError(
                 f"expected {self.shape.num_summands} weights, got {len(w)}"
             )
-        if any(not np.isfinite(x) for x in w):
+        if any(not math.isfinite(x) for x in w):
             raise WeightError("weights must be finite")
         if any(x <= 0.0 or x > 1.0 for x in w):
             raise WeightError(f"weights must lie in (0, 1], got {w}")

@@ -12,8 +12,8 @@ recomputed constant deviates from the stored reference value.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import lcm
 
 import numpy as np
 
@@ -93,22 +93,22 @@ def structural_constants(b, v: TracialWeight) -> StructuralConstants:
     b, _ = standard_form(b, v)
     w = v.per_trace_factors()
     L = sum(p.num_slots for p in b.partitions)
-    r = lcm(*(p.num_blocks for p in b.partitions))
-    ell = lcm(*(m for p in b.partitions for _, m in p.terms))
-    m = lcm(*(sum(m for _, _, m in runs) for runs in b.runs))
-    alpha = float(np.min(w))
-    gamma = float(np.max(b.denominators(w)))
+    r = math.lcm(*(p.num_blocks for p in b.partitions))
+    ell = math.lcm(*(m for p in b.partitions for _, m in p.terms))
+    m = math.lcm(*(sum(m for _, _, m in runs) for runs in b.runs))
+    alpha = min(w.tolist())
+    gamma = max(b.denominators(w).tolist())
     if b.trivially_grouped:
         # With every multiplicity 1 in one summand, r = L and ell = 1.
-        bound = 1.0 / np.sqrt(r * ell)
+        bound = 1.0 / math.sqrt(r * ell)
         if b.shape.num_summands > 1:
             theorem = "direct-sum"
         else:
             theorem = "multiplicity-free" if ell == 1 else "single-summand"
     else:
         theorem = "cross-summand"
-        bound = float(np.sqrt(alpha / (r * ell * m * gamma)))
-    return StructuralConstants(L, r, ell, m, alpha, gamma, float(bound), theorem)
+        bound = math.sqrt(alpha / (r * ell * m * gamma))
+    return StructuralConstants(L, r, ell, m, alpha, gamma, bound, theorem)
 
 
 def theoretical_bound(b, v: TracialWeight) -> tuple[float, str]:

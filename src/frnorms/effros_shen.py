@@ -26,7 +26,9 @@ throughout.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +94,13 @@ class ContinuedFraction:
         """The positive-integer sequence (r_1, r_2, ...)."""
         return self.r[1:]
 
+    @cached_property
+    def _table(self) -> ConvergentTable:
+        """The convergent table, built on first use and then kept on the
+        fraction; read it through ``convergent_table``."""
+        p, q = _recurrence(self.r)
+        return ConvergentTable(tuple(p[2:]), tuple(q[2:]))
+
 
 def cf_expand(theta: float, depth: int) -> ContinuedFraction:
     """Continued-fraction terms of theta in (0,1) by the Gauss map.
@@ -108,7 +117,7 @@ def cf_expand(theta: float, depth: int) -> ContinuedFraction:
         if len(terms) > depth:
             return ContinuedFraction(tuple(terms))
         inv = 1.0 / x
-        terms.append(int(np.floor(inv)))
+        terms.append(math.floor(inv))
         x = inv - terms[-1]
     where = f"after term {len(terms) - 1}" if len(terms) > 1 else "at term 1"
     raise RationalityError(
@@ -154,10 +163,10 @@ def convergent_table(cf: ContinuedFraction) -> ConvergentTable:
 
     Denominators are capped at the 64-bit range; the recurrence raises
     once q_n would exceed it, so every emitted q round-trips through
-    fixed-width integer formats.
+    fixed-width integer formats.  Each fraction builds its table once;
+    later calls on the same fraction return that table.
     """
-    p, q = _recurrence(cf.r)
-    return ConvergentTable(tuple(p[2:]), tuple(q[2:]))
+    return cf._table
 
 
 def convergents(cf: ContinuedFraction, n: int) -> tuple[int, int]:
@@ -180,7 +189,7 @@ def _tail_value(period: tuple[int, ...]) -> float:
     b = q[-1] - p[-2]
     c = -p[-1]
     disc = b * b - 4 * a * c
-    return (-b + np.sqrt(float(disc))) / (2.0 * a)
+    return (-b + math.sqrt(disc)) / (2.0 * a)
 
 
 def periodic_theta(period, depth: int) -> tuple[float, ContinuedFraction]:
@@ -313,7 +322,7 @@ def es_level(theta: float, n: int, cf: ContinuedFraction | None = None) -> Effro
 
 def _tower_constant(num: float, den: float, r_n: int) -> float:
     """sqrt(num / (den r_n (r_n + 1)^2)) for the residuals num and den."""
-    return float(np.sqrt(num / (den * r_n * (r_n + 1) ** 2)))
+    return math.sqrt(num / (den * r_n * (r_n + 1) ** 2))
 
 
 def es_constant(theta: float, N: int, cf: ContinuedFraction | None = None) -> float:

@@ -130,17 +130,16 @@ class StandardSubalgebra:
     def _block_layout(self):
         """Check the grouping and set ``slots``, ``runs``, ``_group_sizes``
         and ``_counts[k-1, g]``, the number of blocks of group g + 1 in
-        summand k, in one pass over the slots."""
+        summand k (as float64), in one pass over the slots."""
         group_of_slot = {}
         for gi, g in enumerate(self.groups):
             for slot in g:
                 if slot in group_of_slot:
                     raise GroupingError(f"slot {slot} appears twice in the grouping")
                 group_of_slot[slot] = gi
-        slots, sizes, runs = [], [0] * len(self.groups), [[] for _ in self.groups]
-        counts = np.zeros((self.shape.num_summands, len(self.groups)), dtype=np.int64)
+        slots, counts, sizes, runs = [], [], [0] * len(self.groups), [[] for _ in self.groups]
         for k, part in enumerate(self.partitions, start=1):
-            rows, pos = [], 0
+            rows, pos, row_counts = [], 0, [0] * len(self.groups)
             for i, (n, m) in enumerate(part.terms, start=1):
                 gi = group_of_slot.pop((k, i), None)
                 if gi is None:
@@ -154,10 +153,11 @@ class StandardSubalgebra:
                     raise GroupingError(f"group {gi + 1} mixes block sizes {sizes[gi]} and {n}")
                 rows.append((pos, n, m, gi))
                 runs[gi].append((k, pos, m))
-                counts[k - 1, gi] += m
+                row_counts[gi] += m
                 sizes[gi] = n
                 pos += n * m
             slots.append(tuple(rows))
+            counts.append(row_counts)
         if group_of_slot:
             raise GroupingError(f"unknown slots {sorted(group_of_slot)}")
         if not all(runs):
@@ -165,7 +165,7 @@ class StandardSubalgebra:
         self.slots = tuple(slots)
         self.runs = tuple(tuple(r) for r in runs)
         self._group_sizes = tuple(sizes)
-        self._counts = counts
+        self._counts = np.array(counts, dtype=np.float64)
 
     def denominators(self, w: np.ndarray) -> np.ndarray:
         """Per-group normalization sum_blocks w_k for per-summand weights w."""

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from frnorms import cli
+from frnorms.algebra import TracialWeight
+from frnorms.constants import structural_constants
 from frnorms.errors import ConvergenceError
 from frnorms.subalgebra import (
     ConjugatedSubalgebra,
@@ -244,6 +246,27 @@ def test_constants_on_the_huge_one_slot_file(tmp_path, problem_files):
     proc = run_cli("constants", "--subalgebra", str(path), "--weights", problem_files["weights"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert '"r": 100000000' in proc.stdout
+
+
+def test_constants_when_r_times_ell_passes_64_bits(tmp_path, problem_files):
+    """Slots (1, 10**8) and (1, 10**8 + 1) of one summand give r * ell
+    above 2**63; the bound is a float square root, not a numpy one."""
+    obj = {
+        "shape": [2 * 10**8 + 1],
+        "partitions": [[[1, 10**8], [1, 10**8 + 1]]],
+        "groups": [[[1, 1]], [[1, 2]]],
+    }
+    path = tmp_path / "two-slot.json"
+    path.write_text(json.dumps(obj))
+    assert path.stat().st_size == 104
+    proc = run_cli("constants", "--subalgebra", str(path), "--weights", problem_files["weights"])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["r"] * out["ell"] > 2**63
+    assert out["bound"] == 7.071067758832467e-13
+    sub = subalgebra_from_json(obj)
+    weight = TracialWeight(sub.shape, (1.0,))
+    assert structural_constants(sub, weight).bound == 7.071067758832467e-13
 
 
 def test_search_refuses_the_huge_one_slot_file_before_drawing(tmp_path, problem_files):

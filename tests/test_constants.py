@@ -21,7 +21,13 @@ from frnorms.constants import (
     table1_subalgebra,
     theoretical_bound,
 )
-from frnorms.effros_shen import es_level, periodic_theta
+from frnorms.effros_shen import (
+    convergent_residual,
+    convergent_table,
+    es_constant,
+    es_level,
+    periodic_theta,
+)
 from frnorms.errors import ShapeError
 from frnorms.expectation import fr_norm, fr_norm_squared
 from frnorms.fleet import build_fleet, random_unitary
@@ -149,6 +155,63 @@ def test_reference_table_theoretical_values():
     # recomputed value 1/2 disagrees with the printed reference 1/sqrt(3)
     assert abs(row.theoretical - 0.5) < 1e-15
     assert abs(row.reference_theoretical - 1.0 / math.sqrt(3)) < 1e-15
+
+
+def _numpy_scalars(b, v):
+    """(alpha, gamma, bound) evaluated as numpy scalars: np.min, np.max,
+    np.sqrt, and the denominators as a product with int64 block counts."""
+    b, _ = standard_form(b, v)
+    sc = structural_constants(b, v)
+    w = v.per_trace_factors()
+    counts = np.zeros((b.shape.num_summands, len(b.runs)), dtype=np.int64)
+    for g, runs in enumerate(b.runs):
+        for k, _, m in runs:
+            counts[k - 1, g] += m
+    alpha = float(np.min(w))
+    gamma = float(np.max(w @ counts))
+    if b.trivially_grouped:
+        bound = 1.0 / np.sqrt(sc.r * sc.ell)
+    else:
+        bound = np.sqrt(alpha / (sc.r * sc.ell * sc.m * gamma))
+    return alpha, gamma, float(bound)
+
+
+def _bits(*values):
+    return [np.float64(x).tobytes() for x in values]
+
+
+def test_tower_scalars_keep_their_numpy_bits():
+    """The structural scalars and the tower constant are Python floats
+    with the bits of their numpy evaluation.  ``denominators`` must stay
+    a numpy product: a Python sum of w_k * c_kg differs from it in the
+    last bit on many weights, and gamma would move with it."""
+    problems = [table1_subalgebra(spec[0]) for spec in TABLE1_SPECS]
+    problems += [(fx.subalgebra, fx.weight) for fx in FLEET]
+    # One group across five summands, where the order of the weighted sum
+    # shows in the last bit under about a quarter of random weights.
+    dims = (3, 5, 7, 9, 11)
+    spread = make_standard_subalgebra(
+        dims, [((1, d),) for d in dims], [[(k, 1) for k in range(1, 6)]]
+    )
+    rng = np.random.default_rng(5)
+    problems += [(spread, TracialWeight.normalized(spread.shape, rng.random(5) + 0.01)) for _ in range(20)]
+    levels = []
+    for period in ((1,), (2,), (1, 2), (3, 1, 4)):
+        for n in range(2, 14):
+            theta, cf = periodic_theta(period, n)
+            lev = es_level(theta, n, cf)
+            problems.append((lev.subalgebra, lev.weight))
+            levels.append((theta, n, cf))
+    for b, v in problems:
+        sc = structural_constants(b, v)
+        assert _bits(sc.alpha, sc.gamma, sc.bound) == _bits(*_numpy_scalars(b, v))
+    for theta, n, cf in levels:
+        table = convergent_table(cf)
+        num = abs(convergent_residual(theta, table.q[n], table.p[n]))
+        den = abs(convergent_residual(theta, table.q[n - 2], table.p[n - 2]))
+        r_n = cf.r[n]
+        ref = np.sqrt(num / (den * r_n * (r_n + 1) ** 2))
+        assert _bits(es_constant(theta, n, cf)) == _bits(ref), (cf.r, n)
 
 
 def test_table1_subalgebra_round_trip():

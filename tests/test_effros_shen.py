@@ -496,3 +496,38 @@ def test_a_level_builds_its_convergent_table_once(monkeypatch):
             lvl = es_level(theta, n, cf)
             assert len(builds) == 1, (theta, n)
             assert lvl.t == es_weight_t(theta, n, cf)
+
+
+def _count_builds(monkeypatch):
+    """Record each convergent recurrence run from now on."""
+    builds = []
+    recurrence = effros_shen._recurrence
+
+    def counted(terms):
+        builds.append(tuple(terms))
+        return recurrence(terms)
+
+    monkeypatch.setattr(effros_shen, "_recurrence", counted)
+    return builds
+
+
+def test_one_convergent_table_per_fraction(monkeypatch):
+    """A level, its structural constants and its closed form share one
+    table, and a continuity probe builds one table per fraction."""
+    fractions = [periodic_theta(period, 9) for period in ((1,), (1, 2), (3, 1, 4))]
+    builds = _count_builds(monkeypatch)
+    for theta, cf in fractions:
+        builds.clear()
+        lev = es_level(theta, 8, cf)
+        structural_constants(lev.subalgebra, lev.weight)
+        es_constant(theta, 8, cf)
+        es_constant(theta, 7, cf)
+        assert convergents(cf, 8) == (lev.p[8], lev.q[8])
+        assert builds == [cf.r], cf
+
+    theta, cf = periodic_theta((1,), 9)
+    etas = [eventually_periodic_theta((1,) * k, (2,), 9) for k in (3, 5, 7)]
+    builds.clear()
+    rep = continuity_probe(theta, [e for e, _ in etas], 8, cf, [c for _, c in etas])
+    assert len(rep.entries) == 3
+    assert builds == [cf.r] + [c.r for _, c in etas]

@@ -136,8 +136,14 @@ class AlgebraElement:
 
 
 def element_norm(a: AlgebraElement) -> float:
-    """C*-norm of a direct-sum element: max of summand operator norms."""
-    return max(linalg.operator_norm(m) for m in a.summands)
+    """C*-norm of a direct-sum element: max of summand operator norms.
+
+    Each summand goes to the batch norms as a stack of one, as
+    ``linalg.operator_norm`` sends a matrix, but without its entry scan:
+    the summands were checked finite and square when the element was
+    built.
+    """
+    return max(linalg._operator_norm_unchecked(m) for m in a.summands)
 
 
 def matrix_unit(shape: AlgebraShape, k: int, i: int, j: int) -> AlgebraElement:

@@ -4,11 +4,17 @@ Matrices are plain ``numpy.ndarray`` values of dtype complex128.  The
 private spectral core ``_spectrum`` is the package's one call to a
 spectral routine of ``np.linalg``: it hands the Hermitian parts of a
 whole (batch, n, n) stack to LAPACK's ``eigvalsh`` in one call, checks
-nothing, and turns a LAPACK failure into :class:`ConvergenceError`.
-Input is checked once, where it enters: :func:`eigvalsh_batch` refuses a
-malformed stack (DimensionError) or a non-finite entry, such as an
+nothing, and turns a LAPACK failure into :class:`ConvergenceError`.  A
+stack of 1x1 matrices skips LAPACK: the core returns the real part of
+each Hermitian part, which is what LAPACK returns, bit for bit.
+Input is checked once, where it enters.  :func:`eigvalsh_batch` refuses
+a malformed stack (DimensionError) or a non-finite entry, such as an
 overflowed Gram (ValueError), for itself and the operator norms built
-on it, and :func:`operator_norm` a matrix that is not square and finite.
+on it; :func:`opnorm_batch` also refuses a non-finite entry of a matrix
+it rescales, and a norm beyond the float range.  :func:`operator_norm`
+refuses one matrix that is not square and finite; an element's summands
+are checked when the element is built, so ``algebra.element_norm``
+takes them to the batch norms without that scan.
 A single matrix is a batch of one; :func:`top_gram_eigvals_2` is a
 closed form for the top eigenvalue of a two-vector Gram.
 LAPACK is the one eigensolver; the tests check it against matrices
@@ -26,13 +32,21 @@ from .errors import ConvergenceError, DimensionError
 GRAM_SAFE_ENTRY = 1e150
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """True when no entry of x is NaN or infinite.  Counting the finite
+    entries is one C call; ``ndarray.all`` goes through numpy's reduction
+    machinery, which costs about a microsecond more on the small matrices
+    of the norm path."""
+    return np.count_nonzero(np.isfinite(x)) == x.size
+
+
 def as_matrix(values, copy: bool = True) -> np.ndarray:
     """Coerce to a finite complex 2-d array.  With ``copy=False`` a
     complex128 array is checked and returned as it is."""
     arr = (np.array if copy else np.asarray)(values, dtype=np.complex128)
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got ndim={arr.ndim}")
-    if arr.size and not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ValueError("matrix entries must be finite")
     return arr
 
@@ -54,8 +68,15 @@ def _spectrum(h: np.ndarray) -> np.ndarray:
     """The spectral core: eigenvalues (ascending) of the Hermitian parts
     0.5 (h + h^H) of a finite complex (batch, n, n) stack, unchecked.
     Symmetrizing makes the result independent of which triangle LAPACK
-    reads; halving first keeps entries near the float limit finite."""
+    reads; halving first keeps entries near the float limit finite.  The
+    Hermitian part of a 1x1 matrix is twice the real part of its halved
+    entry, which is what LAPACK returns for it, so it skips LAPACK; the
+    real part is read after the complex product, whose signed zeros
+    LAPACK's answer keeps."""
     h = 0.5 * h
+    if h.shape[-1] == 1:
+        x = h.real[..., 0]
+        return x + x
     h += np.conj(h.swapaxes(-1, -2))
     try:
         return np.linalg.eigvalsh(h)
@@ -74,7 +95,7 @@ def eigvalsh_batch(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
         raise DimensionError(f"expected a (batch, n, n) stack, got shape {h.shape}")
-    if not np.isfinite(h).all():
+    if not _all_finite(h):
         raise ValueError("matrix entries must be finite")
     return _spectrum(h)
 
@@ -101,17 +122,21 @@ def opnorm_batch(m: np.ndarray) -> np.ndarray:
     GRAM_SAFE_ENTRY, or whose nonzero peak is below 1/GRAM_SAFE_ENTRY, is
     first divided by the power of two 2**e just above its peak
     (``np.frexp``) and its norm multiplied back by 2**e; scaling by a
-    power of two is exact, and the other matrices are untouched.  The
-    scaling goes through ``np.ldexp`` on the real and imaginary parts,
-    because 2**-e itself overflows for subnormal peaks.  Non-finite
-    entries, and a norm beyond the float range, are refused with
-    ValueError.
+    power of two is exact, and the other matrices are untouched.  Which
+    matrices to scale is worked out only when the stack's largest or
+    smallest peak lies out of range.  The scaling goes through
+    ``np.ldexp`` on the real and imaginary parts, because 2**-e itself
+    overflows for subnormal peaks.  Non-finite entries, and a norm beyond
+    the float range, are refused with ValueError.
     """
     peak = np.abs(m).max(axis=(1, 2), initial=0.0)
-    scaled = (peak > GRAM_SAFE_ENTRY) | ((peak < 1.0 / GRAM_SAFE_ENTRY) & (peak > 0.0))
-    rescale = scaled.any()
+    lo, hi = peak.min(initial=1.0), peak.max(initial=0.0)
+    rescale = False
+    if not (1.0 / GRAM_SAFE_ENTRY <= lo and hi <= GRAM_SAFE_ENTRY):
+        scaled = (peak > GRAM_SAFE_ENTRY) | ((peak < 1.0 / GRAM_SAFE_ENTRY) & (peak > 0.0))
+        rescale = scaled.any()
     if rescale:
-        if not np.isfinite(m).all():
+        if not _all_finite(m):
             raise ValueError("matrix entries must be finite")
         exp = np.frexp(peak[scaled])[1]
         m = np.array(m, dtype=np.complex128)
@@ -123,7 +148,7 @@ def opnorm_batch(m: np.ndarray) -> np.ndarray:
     if rescale:
         with np.errstate(over="ignore"):
             norms[scaled] = np.ldexp(norms[scaled], exp)
-        if not np.isfinite(norms).all():
+        if not _all_finite(norms):
             raise ValueError("operator norm exceeds the float range")
     return norms
 
@@ -137,16 +162,25 @@ def hermitian_opnorm_batch(h: np.ndarray) -> np.ndarray:
 def operator_norm(m: np.ndarray) -> float:
     """Largest singular value of one matrix, as a batch of one, checked
     here, once, and not copied: one that is not square is refused with
-    DimensionError, a non-finite entry with ValueError.
+    DimensionError, a non-finite entry with ValueError.  The norm itself
+    is :func:`_operator_norm_unchecked`'s.
+    """
+    return _operator_norm_unchecked(ensure_square(m))
+
+
+def _operator_norm_unchecked(m: np.ndarray) -> float:
+    """Largest singular value of one finite square complex matrix,
+    unchecked: for a matrix a caller has checked, such as an element's
+    summand.
 
     Exactly Hermitian inputs go to :func:`hermitian_opnorm_batch`, which
     avoids the precision loss of the m^H m detour (a spectral value of 3
-    comes back as 3.0, not 2.9999...96); the rest go to
+    comes back as 3.0, not 2.9999...96); a nonzero imaginary diagonal
+    entry rules that out before the full comparison.  The rest go to
     :func:`opnorm_batch`, which rescales and refuses a norm beyond the
     float range.  A LAPACK failure raises ConvergenceError in the core.
     """
-    m = ensure_square(m)
-    if (m == adjoint(m)).all():
+    if not np.count_nonzero(m.imag.diagonal()) and (m == adjoint(m)).all():
         return float(hermitian_opnorm_batch(m[None])[0])
     return float(opnorm_batch(m[None])[0])
 
@@ -195,6 +229,6 @@ def matrix_from_json(obj) -> np.ndarray:
             raise DimensionError("matrix entries must be [re, im] pairs")
         out[idx] = complex(*(json_number(x, DimensionError, integral=False) for x in pair))
     out = out.reshape(rows, cols)
-    if out.size and not np.all(np.isfinite(out)):
+    if not _all_finite(out):
         raise ValueError("matrix entries must be finite")
     return out

@@ -184,7 +184,7 @@ class StandardSubalgebra:
         for runs, n, den in zip(self.runs, self._group_sizes, dens):
             avg = 0
             for k, off, m in runs:
-                avg = avg + np.add.reduce(w[k - 1] * _run_blocks(summands[k - 1], off, n, m))
+                avg = avg + _copy_sum(w[k - 1] * _run_blocks(summands[k - 1], off, n, m))
             avg = avg / den
             for k, off, m in runs:
                 _run_blocks(out[k - 1], off, n, m)[...] = avg
@@ -208,10 +208,17 @@ class StandardSubalgebra:
                 for k, off, m in runs:
                     cols = _run_blocks(summands[k - 1], off, n, m, diagonal=False)
                     grams = np.conj(cols.swapaxes(-1, -2)) @ cols
-                    x = x + np.add.reduce(w[k - 1] * grams, axis=1)
+                    x = x + _copy_sum(w[k - 1] * grams)
                 by_size.setdefault(n, []).append(x / den)
-        norms = [linalg.hermitian_opnorm_batch(np.concatenate(xs)) for xs in by_size.values()]
-        return np.concatenate(norms).reshape(self.num_groups, -1).max(axis=0)
+        best = None
+        for xs in by_size.values():
+            if len(xs) == 1:
+                norms = linalg.hermitian_opnorm_batch(xs[0])
+            else:
+                norms = linalg.hermitian_opnorm_batch(np.concatenate(xs))
+                norms = norms.reshape(len(xs), -1).max(axis=0)
+            best = norms if best is None else np.maximum(best, norms)
+        return best
 
     @cached_property
     def basis(self) -> tuple[CanonicalBasisElement, ...]:
@@ -288,6 +295,14 @@ def _run_blocks(x: np.ndarray, off: int, n: int, m: int, diagonal: bool = True) 
     h, top, step = (n, off, n * sr) if diagonal else (x.shape[-2], 0, 0)
     shape, strides = x.shape[:-2] + (m, h, n), x.strides[:-2] + (step + n * sc, sr, sc)
     return np.ndarray(shape, x.dtype, x, top * sr + off * sc, strides)
+
+
+def _copy_sum(blocks: np.ndarray) -> np.ndarray:
+    """Sum of a (..., m, h, n) stack of a run's copies over the copy axis,
+    by ``np.add.reduce``; a single copy (m = 1) is read by index.  The
+    two differ only in the sign of a zero, which the callers' running
+    sums, started at 0, normalize either way."""
+    return blocks[..., 0, :, :] if blocks.shape[-3] == 1 else np.add.reduce(blocks, axis=-3)
 
 
 def make_standard_subalgebra(shape, partitions, groups) -> StandardSubalgebra:

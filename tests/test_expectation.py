@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from frnorms.expectation import (
 from frnorms.fleet import build_fleet, random_element, random_positive
 from frnorms.subalgebra import (
     ConjugatedSubalgebra,
+    _run_blocks,
     contains,
     embed,
     single_summand_subalgebra,
@@ -624,3 +626,96 @@ def test_runs_match_a_per_copy_reference():
             assert np.array_equal(m_got, m_ref), name
         err = abs(fr_norm_squared(b, v, a) - norm_sq) / norm_sq
         assert err == 0.0 if exact else err <= 1e-15, (name, err)
+
+
+def _strided_reference(b, v, a):
+    """cond_expect and fr_norm_squared with every run read through
+    ``_run_blocks`` and its copies added by ``np.add.reduce``, a single
+    copy as a length-1 reduction, and the per-group norms stacked by
+    block size."""
+    base, u = standard_form(b, v, a)
+    inner = a if u is None else u.adjoint() @ a @ u
+    carried = a if u is None else a @ u
+    w = v.per_trace_factors()
+    dens, w = base.denominators(w), w.tolist()
+    exp = [np.zeros((d, d), dtype=np.complex128) for d in base.shape.dims]
+    by_size = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, (runs, den) in enumerate(zip(base.runs, dens)):
+            n = base.group_block_size(g + 1)
+            avg, x = 0, 0
+            for k, off, m in runs:
+                avg = avg + np.add.reduce(w[k - 1] * _run_blocks(inner.summands[k - 1], off, n, m))
+                cols = _run_blocks(carried.summands[k - 1][None], off, n, m, diagonal=False)
+                grams = np.conj(cols.swapaxes(-1, -2)) @ cols
+                x = x + np.add.reduce(w[k - 1] * grams, axis=1)
+            avg = avg / den
+            for k, off, m in runs:
+                _run_blocks(exp[k - 1], off, n, m)[...] = avg
+            by_size.setdefault(n, []).append(x / den)
+    norms = [linalg.hermitian_opnorm_batch(np.concatenate(xs)) for xs in by_size.values()]
+    norm_sq = float(np.concatenate(norms).max())
+    p = AlgebraElement(base.shape, exp)
+    return (p if u is None else u @ p @ u.adjoint()), norm_sq
+
+
+def test_single_copy_runs_match_the_strided_route_bit_for_bit():
+    """Runs of one copy are read by index, not reduced: cond_expect and
+    fr_norm_squared equal, bit for bit, a reference that reduces every
+    run's strided view, on every fleet fixture (conjugates included) and
+    golden levels 2-8, for Gaussian, Hermitian and rescaled elements and
+    one with negative zeros, whose signs a length-1 reduction drops."""
+    rng = np.random.default_rng(2025)
+    problems = [(f.name, f.subalgebra, f.weight) for f in FLEET]
+    for level in range(2, 9):
+        lev = es_level(GOLDEN, level)
+        problems.append((f"golden-{level}", lev.subalgebra, lev.weight))
+    single_copy_runs = 0
+    for name, b, v in problems:
+        base, _ = standard_form(b)
+        single_copy_runs += sum(m == 1 for runs in base.runs for _, _, m in runs)
+        a = random_element(b.shape, rng)
+        zeros = [np.where(rng.random(m.shape) < 0.5, complex(-0.0, -0.0), m) for m in a.summands]
+        for el in (a, a + a.adjoint(), 1e-200 * a, 1e100 * a, AlgebraElement(b.shape, zeros)):
+            want_p, want_sq = _strided_reference(b, v, el)
+            got = cond_expect(b, v, el)
+            for m_got, m_ref in zip(got.summands, want_p.summands):
+                assert m_got.tobytes() == m_ref.tobytes(), name
+            assert np.float64(fr_norm_squared(b, v, el)).tobytes() == np.float64(want_sq).tobytes(), name
+    assert single_copy_runs >= 2 * len(problems)
+
+
+def test_fr_norm_is_homogeneous_beyond_the_gram_range():
+    """fr_norm(2^k a) = 2^k fr_norm(a) for k = +-600, where the square
+    under- or overflows, and it stays at or above bound * element_norm;
+    a norm beyond the float range is refused with ValueError."""
+    rng = np.random.default_rng(600)
+    for f in FLEET:
+        b, v = f.subalgebra, f.weight
+        bound = structural_constants(b, v).bound
+        a = random_element(f.shape, rng)
+        base = fr_norm(b, v, a)
+        for k in (600, -600):
+            scaled = (2.0**k) * a
+            got = fr_norm(b, v, scaled)
+            assert abs(got - 2.0**k * base) <= 1e-15 * 2.0**k * base, (f.name, k)
+            assert got >= bound * element_norm(scaled), (f.name, k)
+    f = fixture("dsum-trivial")
+    huge = AlgebraElement(f.shape, [np.full((d, d), 1.5e308) for d in f.shape.dims])
+    with pytest.raises(ValueError):
+        fr_norm(f.subalgebra, f.weight, huge)
+
+
+def test_element_norm_of_tiny_and_huge_elements_is_finite():
+    """element_norm rescales summands with entries beyond the Gram range,
+    so 1e+-200 scalings give finite norms, without a numpy warning, that
+    scale with the element."""
+    rng = np.random.default_rng(200)
+    for f in FLEET:
+        a = random_element(f.shape, rng)
+        base = element_norm(a)
+        for scale in (1e200, 1e-200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = element_norm(scale * a)
+            assert np.isfinite(got) and abs(got - scale * base) <= 1e-14 * scale * base, (f.name, scale)

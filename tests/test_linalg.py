@@ -178,6 +178,73 @@ def test_batch_uses_the_hermitian_part():
     assert np.abs(w - np.linalg.eigvalsh(herm)).max() < 1e-14
 
 
+def _lapack_core(h):
+    """The spectral core without its 1x1 shortcut: the Hermitian part,
+    halved and summed as in ``linalg._spectrum``, always to LAPACK."""
+    h = 0.5 * h
+    h += np.conj(h.swapaxes(-1, -2))
+    return np.linalg.eigvalsh(h)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def test_one_by_one_spectra_are_lapacks_bit_for_bit(monkeypatch):
+    """A 1x1 Hermitian part is returned without LAPACK, with the bits
+    LAPACK gives it, signed zeros included: the halved-then-doubled real
+    part, so 5e-324 reads 0.0.  The operator norms built on it match the
+    LAPACK route too, rescaled entries included."""
+    values = [5e-324, -5e-324, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 1.5, -3.0, 1.7e308]
+    real = np.array(values, dtype=complex)
+    imaginary = np.zeros(len(values), dtype=complex)
+    imaginary.imag = values
+    mixed = np.empty(len(values), dtype=complex)
+    mixed.real, mixed.imag = values, values[::-1]
+    stack = np.concatenate([real, imaginary, mixed]).reshape(-1, 1, 1)
+    herm = 0.5 * stack
+    herm += np.conj(herm.swapaxes(1, 2))
+    w = linalg.eigvalsh_batch(stack)
+    assert np.array_equal(_bits(w), _bits(np.linalg.eigvalsh(herm)))
+    assert w[0, 0] == 0.0 and stack[0, 0, 0] == 5e-324
+    # opnorm_batch refuses a norm past the float range, so its stack
+    # leaves out the entries with a part of 1.7e308.
+    normed = stack[(np.abs(stack.real) < 1e308) & (np.abs(stack.imag) < 1e308)].reshape(-1, 1, 1)
+    got = {
+        "eigvalsh": w,
+        "hermitian": linalg.hermitian_opnorm_batch(stack),
+        "general": linalg.opnorm_batch(normed),
+    }
+    monkeypatch.setattr(linalg, "_spectrum", _lapack_core)
+    want = {
+        "eigvalsh": linalg.eigvalsh_batch(stack),
+        "hermitian": linalg.hermitian_opnorm_batch(stack),
+        "general": linalg.opnorm_batch(normed),
+    }
+    for name in got:
+        assert np.array_equal(_bits(got[name]), _bits(want[name])), name
+
+
+def test_batch_norms_refuse_non_finite_entries_and_take_empty_stacks():
+    """NaN, +-inf and complex-inf entries are refused with ValueError by
+    the three batch functions, in 1x1 and 3x3 stacks, also beside a
+    matrix that is rescaled; an empty (0, n, n) stack gives an empty
+    result."""
+    for n in (1, 3):
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)):
+            for neighbour in (1.0, 1e200, 1e-200):
+                stack = np.full((2, n, n), neighbour, dtype=complex)
+                stack[1, n - 1, 0] = bad
+                for fn in (linalg.opnorm_batch, linalg.hermitian_opnorm_batch, linalg.eigvalsh_batch):
+                    with pytest.raises(ValueError) as info:
+                        fn(stack)
+                    assert info.type is ValueError, (fn.__name__, n, bad, neighbour)
+        empty = np.zeros((0, n, n), dtype=complex)
+        assert linalg.opnorm_batch(empty).shape == (0,)
+        assert linalg.hermitian_opnorm_batch(empty).shape == (0,)
+        assert linalg.eigvalsh_batch(empty).shape == (0, n)
+
+
 def test_ensure_square_rejects_non_square():
     with pytest.raises(DimensionError):
         linalg.ensure_square(np.zeros((2, 3)))

@@ -29,7 +29,7 @@ phases read from the subalgebra's block layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import frexp, lcm, ldexp
+from math import lcm
 
 import numpy as np
 
@@ -84,25 +84,20 @@ def fr_norm(b, v: TracialWeight, a: AlgebraElement) -> float:
     """The norm sqrt(||P(A* A)||_op) induced by the expectation onto b.
 
     The square under- or overflows when A's entries lie far from 1, even
-    where the norm itself is a float.  So, as in ``linalg.opnorm_batch``,
-    an element whose nonzero peak entry lies outside [1/GRAM_SAFE_ENTRY,
-    GRAM_SAFE_ENTRY] is first divided by the power of two 2**e just above
-    its peak and its norm multiplied back by 2**e: the norm is
-    homogeneous and the scaling exact.  A norm beyond the float range is
-    refused with ValueError.
+    where the norm itself is a float.  So an element whose peak entry
+    lies outside the Gram range is scaled by a power of two first, and
+    its norm multiplied back, by the rule ``linalg.opnorm_batch`` uses
+    (``linalg._gram_scale_exponents``): the norm is homogeneous and the
+    scaling exact.  A norm beyond the float range is refused with
+    ValueError.
     """
     peak = max(float(np.abs(m).max(initial=0.0)) for m in a.summands)
-    if peak == 0.0 or 1.0 / linalg.GRAM_SAFE_ENTRY <= peak <= linalg.GRAM_SAFE_ENTRY:
+    exp = linalg._gram_scale_exponents(np.array(peak))
+    if exp is None:
         return float(np.sqrt(fr_norm_squared(b, v, a)))
-    e = frexp(peak)[1]
-    scaled = [np.empty_like(m) for m in a.summands]
-    for m, out in zip(a.summands, scaled):
-        out.real, out.imag = np.ldexp(m.real, -e), np.ldexp(m.imag, -e)
-    norm = float(np.sqrt(fr_norm_squared(b, v, AlgebraElement._result(a.shape, scaled))))
-    try:
-        return ldexp(norm, e)
-    except OverflowError:
-        raise ValueError("induced norm exceeds the float range") from None
+    scaled = AlgebraElement._result(a.shape, [linalg._ldexp_complex(m, -exp) for m in a.summands])
+    norm = np.sqrt(fr_norm_squared(b, v, scaled))
+    return float(linalg._scale_norms_back(norm, exp, "induced norm"))
 
 
 def quotient_seminorm(b, v: TracialWeight, a: AlgebraElement) -> float:

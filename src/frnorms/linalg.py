@@ -32,21 +32,13 @@ from .errors import ConvergenceError, DimensionError
 GRAM_SAFE_ENTRY = 1e150
 
 
-def _all_finite(x: np.ndarray) -> bool:
-    """True when no entry of x is NaN or infinite.  Counting the finite
-    entries is one C call; ``ndarray.all`` goes through numpy's reduction
-    machinery, which costs about a microsecond more on the small matrices
-    of the norm path."""
-    return np.count_nonzero(np.isfinite(x)) == x.size
-
-
 def as_matrix(values, copy: bool = True) -> np.ndarray:
     """Coerce to a finite complex 2-d array.  With ``copy=False`` a
     complex128 array is checked and returned as it is."""
     arr = (np.array if copy else np.asarray)(values, dtype=np.complex128)
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got ndim={arr.ndim}")
-    if not _all_finite(arr):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
 
@@ -95,7 +87,7 @@ def eigvalsh_batch(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
         raise DimensionError(f"expected a (batch, n, n) stack, got shape {h.shape}")
-    if not _all_finite(h):
+    if not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
     return _spectrum(h)
 
@@ -114,42 +106,66 @@ def top_gram_eigvals_2(mass, pp, qq, pq) -> np.ndarray:
     return 0.5 * mass + np.hypot(0.5 * (pp - qq), np.abs(pq))
 
 
+def _gram_scale_exponents(peak: np.ndarray) -> np.ndarray | None:
+    """The power-of-two exponents that bring peak entries into the Gram
+    range, or None when none needs it.
+
+    The Gram squares the entries, so a nonzero peak above GRAM_SAFE_ENTRY
+    or below 1/GRAM_SAFE_ENTRY gets the exponent e of the power of two
+    2**e just above it (``np.frexp``); the others get 0.  Dividing by
+    2**e (:func:`_ldexp_complex`) and multiplying the norm back
+    (:func:`_scale_norms_back`) is exact.  Whether any peak needs it is
+    read from the smallest and largest one; the per-peak test is made
+    only when one of them lies out of range.
+    """
+    lo, hi = peak.min(initial=1.0), peak.max(initial=0.0)
+    if 1.0 / GRAM_SAFE_ENTRY <= lo and hi <= GRAM_SAFE_ENTRY:
+        return None
+    scaled = (peak > GRAM_SAFE_ENTRY) | ((peak < 1.0 / GRAM_SAFE_ENTRY) & (peak > 0.0))
+    if not scaled.any():
+        return None
+    return np.where(scaled, np.frexp(peak)[1], 0)
+
+
+def _ldexp_complex(m: np.ndarray, e) -> np.ndarray:
+    """m * 2**e as a new complex array, exactly: ``np.ldexp`` on the real
+    and imaginary parts, because 2**e itself overflows for the exponents
+    of subnormal peaks."""
+    out = np.empty(np.shape(m), dtype=np.complex128)
+    out.real, out.imag = np.ldexp(np.real(m), e), np.ldexp(np.imag(m), e)
+    return out
+
+
+def _scale_norms_back(norms: np.ndarray, e, what: str) -> np.ndarray:
+    """norms * 2**e, the norms of matrices scaled by 2**-e; a norm beyond
+    the float range is refused with ValueError."""
+    with np.errstate(over="ignore"):
+        norms = np.ldexp(norms, e)
+    if not np.isfinite(norms).all():
+        raise ValueError(f"{what} exceeds the float range")
+    return norms
+
+
 def opnorm_batch(m: np.ndarray) -> np.ndarray:
     """Operator norms for a stack of (not necessarily Hermitian) matrices,
     via the top eigenvalue of each Gram matrix m^H m.
 
-    The Gram squares the entries, so a matrix whose largest entry exceeds
-    GRAM_SAFE_ENTRY, or whose nonzero peak is below 1/GRAM_SAFE_ENTRY, is
-    first divided by the power of two 2**e just above its peak
-    (``np.frexp``) and its norm multiplied back by 2**e; scaling by a
-    power of two is exact, and the other matrices are untouched.  Which
-    matrices to scale is worked out only when the stack's largest or
-    smallest peak lies out of range.  The scaling goes through
-    ``np.ldexp`` on the real and imaginary parts, because 2**-e itself
-    overflows for subnormal peaks.  Non-finite entries, and a norm beyond
-    the float range, are refused with ValueError.
+    A matrix whose peak entry lies outside the Gram range is first
+    divided by a power of two and its norm multiplied back
+    (:func:`_gram_scale_exponents`); the other matrices are untouched.
+    Non-finite entries of a stack that is rescaled, and a norm beyond the
+    float range, are refused with ValueError.
     """
-    peak = np.abs(m).max(axis=(1, 2), initial=0.0)
-    lo, hi = peak.min(initial=1.0), peak.max(initial=0.0)
-    rescale = False
-    if not (1.0 / GRAM_SAFE_ENTRY <= lo and hi <= GRAM_SAFE_ENTRY):
-        scaled = (peak > GRAM_SAFE_ENTRY) | ((peak < 1.0 / GRAM_SAFE_ENTRY) & (peak > 0.0))
-        rescale = scaled.any()
-    if rescale:
-        if not _all_finite(m):
+    exp = _gram_scale_exponents(np.abs(m).max(axis=(1, 2), initial=0.0))
+    if exp is not None:
+        if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
-        exp = np.frexp(peak[scaled])[1]
-        m = np.array(m, dtype=np.complex128)
-        for part in (m.real, m.imag):
-            part[scaled] = np.ldexp(part[scaled], -exp[:, None, None])
+        m = _ldexp_complex(m, -exp[:, None, None])
     gram = np.conj(m.swapaxes(1, 2)) @ m
     w = eigvalsh_batch(gram)
     norms = np.sqrt(np.maximum(w[:, -1], 0.0))
-    if rescale:
-        with np.errstate(over="ignore"):
-            norms[scaled] = np.ldexp(norms[scaled], exp)
-        if not _all_finite(norms):
-            raise ValueError("operator norm exceeds the float range")
+    if exp is not None:
+        norms = _scale_norms_back(norms, exp, "operator norm")
     return norms
 
 
@@ -229,6 +245,6 @@ def matrix_from_json(obj) -> np.ndarray:
             raise DimensionError("matrix entries must be [re, im] pairs")
         out[idx] = complex(*(json_number(x, DimensionError, integral=False) for x in pair))
     out = out.reshape(rows, cols)
-    if not _all_finite(out):
+    if out.size and not np.all(np.isfinite(out)):
         raise ValueError("matrix entries must be finite")
     return out

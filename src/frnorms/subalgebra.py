@@ -210,15 +210,8 @@ class StandardSubalgebra:
                     grams = np.conj(cols.swapaxes(-1, -2)) @ cols
                     x = x + _copy_sum(w[k - 1] * grams)
                 by_size.setdefault(n, []).append(x / den)
-        best = None
-        for xs in by_size.values():
-            if len(xs) == 1:
-                norms = linalg.hermitian_opnorm_batch(xs[0])
-            else:
-                norms = linalg.hermitian_opnorm_batch(np.concatenate(xs))
-                norms = norms.reshape(len(xs), -1).max(axis=0)
-            best = norms if best is None else np.maximum(best, norms)
-        return best
+        norms = [linalg.hermitian_opnorm_batch(np.concatenate(xs)) for xs in by_size.values()]
+        return np.concatenate(norms).reshape(self.num_groups, -1).max(axis=0)
 
     @cached_property
     def basis(self) -> tuple[CanonicalBasisElement, ...]:

@@ -101,6 +101,29 @@ def test_overflowing_gram_is_refused():
         linalg.hermitian_opnorm_batch(np.full((2, 3, 3), np.nan))
 
 
+def test_gram_scale_exponents_mark_only_peaks_out_of_range():
+    """The one rescale rule of ``opnorm_batch`` and ``expectation.fr_norm``:
+    no exponents when every peak is zero or within [1/GRAM_SAFE_ENTRY,
+    GRAM_SAFE_ENTRY], bounds and empty stacks included; otherwise the
+    exponent that brings an out-of-range peak into [1/2, 1), and 0 for the
+    rest.  The complex scaling by 2**e is exact in both parts."""
+    g = linalg.GRAM_SAFE_ENTRY
+    for peaks in ([], [0.0], [1.0, g, 1.0 / g, 0.0], 3.0):
+        assert linalg._gram_scale_exponents(np.array(peaks)) is None, peaks
+    peaks = np.array([1.0, 2.0 * g, 0.0, 1e-200, 5e-324, g])
+    exp = linalg._gram_scale_exponents(peaks)
+    assert exp.tolist() == [0, 500, 0, -664, -1073, 0]
+    moved = np.ldexp(peaks, -exp)[exp != 0]
+    assert ((0.5 <= moved) & (moved < 1.0)).all()
+    assert linalg._gram_scale_exponents(np.array(1e-200)) == -664
+    m = np.array([[1e-200 - 1e200j, -0.0], [3j, -2.5]])
+    for e in (-300, 0, 300):
+        scaled = linalg._ldexp_complex(m, e)
+        assert np.array_equal(linalg._ldexp_complex(scaled, -e), m)
+        assert np.array_equal(np.signbit(scaled.real), np.signbit(m.real))
+    assert linalg._ldexp_complex(np.array([5e-324j]), 1073)[0] == 0.5j
+
+
 def test_hermitian_part_does_not_overflow():
     # Halving before the sum keeps entries near the float limit finite;
     # pytest turns an overflow warning into an error.

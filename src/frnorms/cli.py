@@ -65,7 +65,10 @@ def _load_json(path: str):
 
 
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj) + "\n")
+    """Write obj as one line of standard JSON; a non-finite float, which
+    JSON cannot hold, is refused with ValueError before anything is
+    written."""
+    sys.stdout.write(json.dumps(obj, allow_nan=False) + "\n")
 
 
 def _record(obj, names=None) -> dict:

@@ -117,15 +117,6 @@ def theoretical_bound(b, v: TracialWeight) -> tuple[float, str]:
     return sc.bound, sc.theorem
 
 
-def _slot_table(b: StandardSubalgebra, w: np.ndarray) -> list[list[tuple[int, int, int, float]]]:
-    """Per summand k (0-based), one (offset, n, m, den) row per slot of k,
-    in slot order: the slot's 0-based row offset, block size n,
-    multiplicity m, and den_g, the weighted block count of the group g
-    holding the slot, for per-summand weights w."""
-    den = b.denominators(w)
-    return [[(off, n, m, float(den[g])) for off, n, m, g in rows] for rows in b.slots]
-
-
 def sharp_constant(b, v: TracialWeight) -> float:
     """The sharp constant: the minimum of ||A||_{v,B} / ||A||_op.
 
@@ -149,10 +140,10 @@ def sharp_constant(b, v: TracialWeight) -> float:
     Invariant under conjugation: it reads the base of a conjugate.
     """
     b, _ = standard_form(b, v)
-    w = v.per_trace_factors()
+    layout = b.weight_layout(v.weights)
     sq = min(
-        w[k] / sum(den * min(n, m) for _, n, m, den in slots)
-        for k, slots in enumerate(_slot_table(b, w))
+        w / sum(den * min(n, m) for _, n, m, den in slots)
+        for w, slots in zip(layout.factors, layout.slots)
     )
     return float(np.sqrt(sq))
 
@@ -176,7 +167,8 @@ class _RatioEvaluator:
 
     def __init__(self, b: StandardSubalgebra, v: TracialWeight):
         self.b = b
-        self.w = v.per_trace_factors()
+        self.weights = v.weights
+        layout = b.weight_layout(v.weights)
         # Per summand: the c_i, the slots with min(n_i, m_i) <= 2 as
         # (i, lo, hi), the column range of X_i in x, whose mass they need,
         # those with min(n_i, m_i) = 2 as (i, p, q), the slices of x
@@ -184,8 +176,8 @@ class _RatioEvaluator:
         # slots with min(n_i, m_i) > 2, the only ones that need an
         # eigensolver.
         self.slots = []
-        for k, rows in enumerate(_slot_table(b, self.w)):
-            coef = [self.w[k] / den for _, _, _, den in rows]
+        for w, rows in zip(layout.factors, layout.slots):
+            coef = [w / den for _, _, _, den in rows]
             cols, pairs, grams = [], [], []
             for i, (off, n, m, _) in enumerate(rows):
                 if min(n, m) <= 2:
@@ -204,7 +196,7 @@ class _RatioEvaluator:
     def fr_norms_sq(self, stacks) -> np.ndarray:
         """Squared induced norms for a stack of elements (one array per
         summand, shapes (nb, d_k, d_k))."""
-        return self.b.induced_opnorms_sq(self.w, stacks)
+        return self.b.induced_opnorms_sq(self.weights, stacks)
 
     def rank_one_ratios(self, k: int, vecs: np.ndarray) -> np.ndarray:
         """Ratios of the projections xx* onto the unit rows x of ``vecs``,

@@ -51,7 +51,7 @@ def cond_expect(b, v: TracialWeight, a: AlgebraElement) -> AlgebraElement:
     b, u = standard_form(b, v, a)
     if u is not None:
         a = u.adjoint() @ a @ u
-    p = AlgebraElement._result(b.shape, b.block_average(v.per_trace_factors(), a.summands))
+    p = AlgebraElement._result(b.shape, b.block_average(v.weights, a.summands))
     return p if u is None else u @ p @ u.adjoint()
 
 
@@ -77,7 +77,7 @@ def fr_norm_squared(b, v: TracialWeight, a: AlgebraElement) -> float:
     if u is not None:
         a = a @ u
     stack = [m[None] for m in a.summands]
-    return float(b.induced_opnorms_sq(v.per_trace_factors(), stack)[0])
+    return float(b.induced_opnorms_sq(v.weights, stack)[0])
 
 
 def fr_norm(b, v: TracialWeight, a: AlgebraElement) -> float:
@@ -198,7 +198,7 @@ def _permutation_stage(b: StandardSubalgebra, v: TracialWeight) -> PipelineStage
         perm[rows] = np.roll(rows, -1, axis=0)
     m = lcm(*(sum(m for _, _, m in runs) for runs in b.runs))
     return PipelineStage(
-        "group-permutation", perm, np.ones(len(perm)), m, tuple(v.per_trace_factors())
+        "group-permutation", perm, np.ones(len(perm)), m, b.weight_layout(v.weights).factors
     )
 
 
@@ -221,5 +221,5 @@ def pipeline_for(b, v: TracialWeight) -> ConjugationPipeline:
     final = 1.0
     if not b.trivially_grouped:
         stages.append(_permutation_stage(b, v))
-        final = 1.0 / float(np.max(b.denominators(v.per_trace_factors())))
+        final = 1.0 / max(b.weight_layout(v.weights).dens)
     return ConjugationPipeline(tuple(stages), final)

@@ -3,10 +3,11 @@
 Matrices are plain ``numpy.ndarray`` values of dtype complex128.  The
 private spectral core ``_spectrum`` is the package's one call to a
 spectral routine of ``np.linalg``: it hands the Hermitian parts of a
-whole (batch, n, n) stack to LAPACK's ``eigvalsh`` in one call, checks
-nothing, and turns a LAPACK failure into :class:`ConvergenceError`.  A
-stack of 1x1 matrices skips LAPACK: the core returns the real part of
-each Hermitian part, which is what LAPACK returns, bit for bit.
+whole (batch, n, n) stack to LAPACK's ``eigvalsh`` in one call, refuses
+a spectrum beyond the float range (ValueError), and turns a LAPACK
+failure into :class:`ConvergenceError`.  A stack of 1x1 matrices skips
+LAPACK: the core returns the real part of each Hermitian part, which is
+what LAPACK returns, bit for bit.
 Input is checked once, where it enters.  :func:`eigvalsh_batch` refuses
 a malformed stack (DimensionError) or a non-finite entry, such as an
 overflowed Gram (ValueError), for itself and the operator norms built
@@ -58,22 +59,28 @@ def ensure_square(m: np.ndarray) -> np.ndarray:
 
 def _spectrum(h: np.ndarray) -> np.ndarray:
     """The spectral core: eigenvalues (ascending) of the Hermitian parts
-    0.5 (h + h^H) of a finite complex (batch, n, n) stack, unchecked.
+    0.5 (h + h^H) of a finite complex (batch, n, n) stack, whose input is
+    not checked.
     Symmetrizing makes the result independent of which triangle LAPACK
     reads; halving first keeps entries near the float limit finite.  The
     Hermitian part of a 1x1 matrix is twice the real part of its halved
     entry, which is what LAPACK returns for it, so it skips LAPACK; the
     real part is read after the complex product, whose signed zeros
-    LAPACK's answer keeps."""
+    LAPACK's answer keeps.  LAPACK returns inf, without a warning, for an
+    eigenvalue beyond the float range, so its answer is checked and such
+    a spectrum refused with ValueError; a 1x1 spectrum is finite."""
     h = 0.5 * h
     if h.shape[-1] == 1:
         x = h.real[..., 0]
         return x + x
     h += np.conj(h.swapaxes(-1, -2))
     try:
-        return np.linalg.eigvalsh(h)
+        w = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigensolver did not converge: {exc}") from exc
+    if not np.isfinite(w).all():
+        raise ValueError("eigenvalues exceed the float range")
+    return w
 
 
 def eigvalsh_batch(h: np.ndarray) -> np.ndarray:
@@ -83,6 +90,8 @@ def eigvalsh_batch(h: np.ndarray) -> np.ndarray:
     checked: a malformed one is refused with DimensionError, non-finite
     entries (an overflowed Gram matrix, say) with ValueError.  The core
     ``_spectrum`` then takes its Hermitian part to LAPACK in one call.
+    A finite matrix can have a spectrum beyond the float range (3e308
+    for the 3x3 matrix of 1e308s); the core refuses it with ValueError.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:

@@ -11,8 +11,9 @@ permutation unitary.
 
 Everything the package computes about a subalgebra comes from where
 its blocks sit, and only this module works that out: ``slots`` per
-summand, ``runs`` per group (one row per slot), the block average over
-them (the expectation and the membership test) and the induced norm.
+summand, ``runs`` per group (one row per slot), what a weight fixes on
+them (``weight_layout``), the block average over them (the expectation
+and the membership test) and the induced norm.
 The canonical basis, one 0/1 matrix per group and block entry (p, q),
 is built only when it is asked for; supports of distinct basis elements
 are disjoint, which makes them orthogonal for every tracial inner
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +98,23 @@ class CanonicalBasisElement:
         return AlgebraElement(shape, mats)
 
 
+class WeightLayout(NamedTuple):
+    """What one weight vector fixes on a standard subalgebra, for the
+    block average, the induced norm and the constants.
+
+    ``factors`` holds the per-summand factors w_k = v_k / d_k, ``dens``
+    den_g = sum_blocks w_k per group, ``slots[k-1]`` one (row offset, n,
+    m, den_g) row per slot of summand k, with g the slot's group, and
+    ``by_size`` one (n, ((runs, den_g), ...)) row per block size n, in
+    increasing n, with the groups of that size in group order.
+    """
+
+    factors: tuple[float, ...]
+    dens: tuple[float, ...]
+    slots: tuple
+    by_size: tuple
+
+
 class StandardSubalgebra:
     """A standard unital subalgebra of the algebra with the given shape.
 
@@ -106,7 +125,8 @@ class StandardSubalgebra:
     summand k, and ``runs[g]`` one (k, row offset, m) row per slot of
     group g + 1, in summand-major order: the slot's m copies sit at row
     offsets offset + j n, j < m.  Offsets and groups are 0-based, k is
-    1-based.  The canonical basis is built on first access.
+    1-based.  The data a weight fixes is built on first use
+    (``weight_layout``), the canonical basis on first access.
     """
 
     def __init__(self, shape: AlgebraShape, partitions, groups):
@@ -126,6 +146,7 @@ class StandardSubalgebra:
                 )
         self.groups = tuple(tuple((int(k), int(i)) for k, i in g) for g in groups)
         self._block_layout()
+        self._layout = (None, None)
 
     def _block_layout(self):
         """Check the grouping and set ``slots``, ``runs``, ``_group_sizes``
@@ -171,16 +192,44 @@ class StandardSubalgebra:
         """Per-group normalization sum_blocks w_k for per-summand weights w."""
         return w @ self._counts
 
-    def block_average(self, w: np.ndarray, summands) -> list[np.ndarray]:
+    def weight_layout(self, weights: tuple) -> WeightLayout:
+        """The :class:`WeightLayout` that per-summand weights v fix, for
+        ``weights`` = v as a tuple.
+
+        Built on the first call for a weight and kept on the subalgebra
+        for the most recent weight only, so the cache holds one entry: a
+        problem reuses one (subalgebra, weight) pair call after call, and
+        a subalgebra that meets many weights keeps no more than one
+        layout's memory.  Weights v = d (``shape.dims``) give every
+        summand the factor v_k / d_k = 1, the unit weights of the
+        entrywise-orthogonal projection.  The denominators are the
+        ``denominators`` product, whose bits are those of the structural
+        constants' gamma.
+        """
+        key, layout = self._layout
+        if key != weights:
+            factors = tuple(v / d for v, d in zip(weights, self.shape.dims))
+            dens = tuple(self.denominators(np.array(factors)).tolist())
+            slots = tuple(tuple((o, n, m, dens[g]) for o, n, m, g in rows) for rows in self.slots)
+            sizes = {n: [] for n in sorted(set(self._group_sizes))}
+            for n, runs, den in zip(self._group_sizes, self.runs, dens):
+                sizes[n].append((runs, den))
+            by_size = tuple((n, tuple(groups)) for n, groups in sizes.items())
+            layout = WeightLayout(factors, dens, slots, by_size)
+            self._layout = (weights, layout)
+        return layout
+
+    def block_average(self, weights: tuple, summands) -> list[np.ndarray]:
         """Weighted block average of one element onto the subalgebra.
 
-        ``summands`` holds one d_k x d_k matrix per summand and ``w`` one
-        weight per summand.  With w_k = v_k/d_k this is the conditional
-        expectation, with unit weights the entrywise-orthogonal
-        projection.  A group's runs are summed in summand-major order.
+        ``summands`` holds one d_k x d_k matrix per summand, and the
+        factors w_k come from ``weights`` (``weight_layout``): with a
+        tracial weight's v_k, w_k = v_k/d_k gives the conditional
+        expectation, with v = d the entrywise-orthogonal projection.  A
+        group's runs are summed in summand-major order.
         """
+        w, dens, _, _ = self.weight_layout(weights)
         out = [np.zeros((d, d), dtype=np.complex128) for d in self.shape.dims]
-        dens, w = self.denominators(w), w.tolist()
         for runs, n, den in zip(self.runs, self._group_sizes, dens):
             avg = 0
             for k, off, m in runs:
@@ -190,28 +239,36 @@ class StandardSubalgebra:
                 _run_blocks(out[k - 1], off, n, m)[...] = avg
         return out
 
-    def induced_opnorms_sq(self, w: np.ndarray, summands) -> np.ndarray:
+    def induced_opnorms_sq(self, weights: tuple, summands) -> np.ndarray:
         """||P(A* A)||_op for a stack of elements A, given as one (nb, d_k,
-        d_k) array per summand, with weights w as for ``block_average``.
+        d_k) array per summand, with weights as for ``block_average``.
 
         Every block of group g in P(A* A) holds X_g = sum_blocks w_k
         A_k[:, I]* A_k[:, I] / den_g, I the block's columns, so the norm
         is max_g lambda_max(X_g), read from A's column blocks alone; the
-        X_g of one block size go to the eigensolver as one stack.  A Gram
-        that overflows is formed without numpy's warnings and refused with
-        ValueError by ``linalg.eigvalsh_batch``.
+        X_g of one block size are written into one stack for the
+        eigensolver.  The stacks are finite, as an element's summands
+        are; a Gram or a spectrum that overflows is formed without numpy's
+        warnings and refused with ValueError.
         """
-        by_size, dens, w = {}, self.denominators(w), w.tolist()
+        w, _, _, by_size = self.weight_layout(weights)
+        nb, top = len(summands[0]), 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            for runs, n, den in zip(self.runs, self._group_sizes, dens):
-                x = 0
-                for k, off, m in runs:
-                    cols = _run_blocks(summands[k - 1], off, n, m, diagonal=False)
-                    grams = np.conj(cols.swapaxes(-1, -2)) @ cols
-                    x = x + _copy_sum(w[k - 1] * grams)
-                by_size.setdefault(n, []).append(x / den)
-        norms = [linalg.hermitian_opnorm_batch(np.concatenate(xs)) for xs in by_size.values()]
-        return np.concatenate(norms).reshape(self.num_groups, -1).max(axis=0)
+            for n, groups in by_size:
+                xs = np.empty((len(groups), nb, n, n), dtype=np.complex128)
+                for x_g, (runs, den) in zip(xs, groups):
+                    x = 0
+                    for k, off, m in runs:
+                        cols = _run_blocks(summands[k - 1], off, n, m, diagonal=False)
+                        grams = np.conj(cols.swapaxes(-1, -2)) @ cols
+                        x = x + _copy_sum(w[k - 1] * grams)
+                    np.divide(x, den, out=x_g)
+                try:
+                    norms = linalg.hermitian_opnorm_batch(xs.reshape(-1, n, n))
+                except ValueError as exc:
+                    raise ValueError("squared induced norm exceeds the float range") from exc
+                top = np.maximum(top, np.maximum.reduce(norms.reshape(len(groups), nb)))
+        return top
 
     @cached_property
     def basis(self) -> tuple[CanonicalBasisElement, ...]:
@@ -348,16 +405,16 @@ def contains(b, a, tol: float | None = None) -> bool:
     """Membership test: distance from a to span(basis) within tol.
 
     The entrywise-orthogonal projection onto span(basis) is the block
-    average with unit weights.  The default tolerance is CONTAINS_RTOL
-    times the element norm.  For a conjugated subalgebra the element is
-    transported back first.
+    average with unit weights (weights v = d).  The default tolerance is
+    CONTAINS_RTOL times the element norm.  For a conjugated subalgebra
+    the element is transported back first.
     """
     b, u = standard_form(b, a)
     if u is not None:
         a = u.adjoint() @ a @ u
     if tol is None:
         tol = CONTAINS_RTOL * element_norm(a)
-    nearest = b.block_average(np.ones(b.shape.num_summands), a.summands)
+    nearest = b.block_average(b.shape.dims, a.summands)
     return element_norm(a - AlgebraElement(b.shape, nearest)) <= tol
 
 

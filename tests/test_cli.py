@@ -555,3 +555,43 @@ def test_readme_effros_shen_example():
     example = readme.split("frnorms effros-shen --cf 1,2 --level 3\n", 1)[1].split("\n\n", 1)[0]
     assert f'"t": {out["t"]!r},' in example
     assert f'"constant": {out["constant"]!r},' in example
+
+
+def _strict_json(text):
+    """Parse text as standard JSON: Infinity and NaN are refused."""
+
+    def refuse(constant):
+        raise AssertionError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_norm_refusals_name_the_overflow_and_print_only_json(tmp_path, capsys):
+    """A square beyond the float range exits 2 with a message that names
+    the overflow: every entry of M_3 at 5.7e153 is finite and so is its
+    Gram, but not the Gram's spectrum, and at 1e200 the Gram itself
+    overflows.  A non-finite result is never printed: stdout is standard
+    JSON."""
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"shape": [3], "partitions": [[[3, 1]]], "groups": [[[1, 1]]]}))
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"weights": [1.0]}))
+    element = tmp_path / "a.json"
+    args = ["norm", "--subalgebra", str(sub), "--weights", str(weights), "--element", str(element)]
+    for entry in (5.7e153, 1e200):
+        data = [[entry, 0.0]] * 9
+        element.write_text(json.dumps({"shape": [3], "summands": [{"rows": 3, "cols": 3, "data": data}]}))
+        assert cli.main(args) == 2, entry
+        err = _strict_json(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValueError" and "float range" in err["message"], (entry, err)
+
+
+def test_a_non_finite_result_exits_2_as_json(monkeypatch, tmp_path, problem_files, capsys):
+    """_emit refuses a value that standard JSON cannot hold, and main()
+    turns that into the JSON error object with exit 2."""
+    for value in (float("inf"), float("nan")):
+        monkeypatch.setattr(cli, "fr_norm_squared", lambda *args, value=value: value)
+        assert cli.main(["norm", *problem_args(problem_files, element=True)]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert _strict_json(out)["error"]["type"] == "ValueError"

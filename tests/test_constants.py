@@ -12,7 +12,6 @@ from frnorms.constants import (
     REFINE_ROUNDS,
     TABLE1_SPECS,
     _RatioEvaluator,
-    _slot_table,
     empirical_sharp_constant,
     min_ratio_over_samples,
     sharp_constant,
@@ -375,7 +374,7 @@ def _two_row_vectors(rng, b):
     and with it random."""
     d = b.shape.dims[0]
     vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(50)]
-    for off, n, m, _ in _slot_table(b, np.ones(1))[0]:
+    for off, n, m, _ in b.weight_layout(b.shape.dims).slots[0]:
         if min(n, m) != 2:
             continue
         p = rng.standard_normal(max(n, m)) + 1j * rng.standard_normal(max(n, m))
@@ -404,7 +403,7 @@ def test_two_row_slot_grams_in_both_orientations():
         vecs = _two_row_vectors(rng, b)
         ratios = _RatioEvaluator(b, v).rank_one_ratios(0, vecs)
         w = v.per_trace_factors()
-        slots = _slot_table(b, w)[0]
+        slots = b.weight_layout(v.weights).slots[0]
         for x, ratio in zip(vecs, ratios):
             a = AlgebraElement(b.shape, [np.outer(x, np.conj(x))])
             assert abs(ratio - math.sqrt(fr_norm_squared(b, v, a))) < 1e-14, terms
@@ -423,7 +422,7 @@ def _row_wise_ratios(b, v, k, vecs):
     by np.add.reduceat and the maximum by np.max(coef * lam, axis=1).
     The reference for the column-wise ``rank_one_ratios``."""
     w = v.per_trace_factors()
-    rows = _slot_table(b, w)[k]
+    rows = b.weight_layout(v.weights).slots[k]
     offsets = np.array([off for off, _, _, _ in rows])
     coef = np.array([w[k] / den for _, _, _, den in rows])
     sq = vecs.real**2 + vecs.imag**2

@@ -262,16 +262,15 @@ def test_single_and_stacked_routes_agree_bit_for_bit():
                 assert element_norm(a) == want, (name, scale)
             carried = elems if u is None else [a @ u for a in elems]
             stacks = [np.stack(mats) for mats in zip(*(a.summands for a in carried))]
-            w = v.per_trace_factors()
             if scale > 1.0:
                 with pytest.raises(ValueError):
-                    base.induced_opnorms_sq(w, stacks)
+                    base.induced_opnorms_sq(v.weights, stacks)
                 for a in elems:
                     with pytest.raises(ValueError):
                         fr_norm_squared(b, v, a)
                 continue
             single = [fr_norm_squared(b, v, a) for a in elems]
-            assert np.array_equal(base.induced_opnorms_sq(w, stacks), single), (name, scale)
+            assert np.array_equal(base.induced_opnorms_sq(v.weights, stacks), single), (name, scale)
     assert hermitian_summands >= 3 * len(problems)
 
 
@@ -719,3 +718,37 @@ def test_element_norm_of_tiny_and_huge_elements_is_finite():
                 warnings.simplefilter("error")
                 got = element_norm(scale * a)
             assert np.isfinite(got) and abs(got - scale * base) <= 1e-14 * scale * base, (f.name, scale)
+
+
+def test_a_spectrum_beyond_the_float_range_is_refused_on_every_route():
+    """A finite Hermitian matrix can have a spectrum beyond the float
+    range, which LAPACK returns as inf without a warning.  Every route to
+    a spectrum refuses it with ValueError, and membership no longer
+    answers True through an infinite tolerance; values near the limit
+    are still returned."""
+    big = np.full((3, 3), 1e308)
+    full = single_summand_subalgebra(3, [(3, 1)])
+    v = TracialWeight(full.shape, (1.0,))
+    routes = {
+        "eigvalsh_batch": lambda: linalg.eigvalsh_batch(big[None]),
+        "hermitian_opnorm_batch": lambda: linalg.hermitian_opnorm_batch(big[None]),
+        "operator_norm": lambda: linalg.operator_norm(big),
+        "element_norm": lambda: element_norm(AlgebraElement(full.shape, [big])),
+    }
+    # Every entry of A is finite and so is each entry of A* A (9.7e307),
+    # but ||A* A||_op = 2.9e308 is not.
+    a = AlgebraElement(full.shape, [np.full((3, 3), 5.7e153)])
+    routes["fr_norm_squared"] = lambda: fr_norm_squared(full, v, a)
+    routes["induced_opnorms_sq"] = lambda: full.induced_opnorms_sq(v.weights, [a.summands[0][None]])
+    for route in routes.values():
+        with pytest.raises(ValueError, match="float range"):
+            route()
+    # The induced norm itself is a float: fr_norm rescales the element.
+    assert fr_norm(full, v, a) == 1.71e154
+    assert linalg.operator_norm(np.diag([1.7e308, -1.5e308, 0.0])) == 1.7e308
+    diagonal = single_summand_subalgebra(3, [(1, 1)] * 3)
+    ones = np.ones((3, 3))
+    for scale in (1.0, 1e300):
+        assert not contains(diagonal, AlgebraElement(diagonal.shape, [scale * ones]))
+    with pytest.raises(ValueError, match="float range"):
+        contains(diagonal, AlgebraElement(diagonal.shape, [1e308 * ones]))

@@ -1,4 +1,5 @@
 import ast
+import gc
 import tracemalloc
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import frnorms
+from frnorms import linalg
 from frnorms.algebra import (
     AlgebraElement,
     AlgebraShape,
@@ -20,9 +22,12 @@ from frnorms.errors import (
     ShapeError,
     UnitarityError,
 )
+from frnorms.effros_shen import es_level, periodic_theta
 from frnorms.subalgebra import (
     ConjugatedSubalgebra,
     RefinedPartition,
+    StandardSubalgebra,
+    _copy_sum,
     _run_blocks,
     canonical_basis,
     conjugated_subalgebra,
@@ -40,7 +45,7 @@ from frnorms.constants import (
     structural_constants,
 )
 from frnorms.expectation import cond_expect, cond_expect_gram, fr_norm_squared, pipeline_for
-from frnorms.fleet import _dft_matrix, build_fleet, random_unitary
+from frnorms.fleet import _dft_matrix, build_fleet, random_element, random_unitary
 
 
 def test_partition_validation():
@@ -463,3 +468,139 @@ def test_only_the_gate_tells_a_conjugate_from_a_standard_subalgebra():
                 if isinstance(key, ast.Constant) and key.value in attrs:
                     found.append((path.name, node.lineno, node.func.id))
     assert found == []
+
+
+def _per_call_reference(b, weights, summands, stacks):
+    """block_average, induced_opnorms_sq on each stack, and, for a tracial
+    weight, the sharp constant and the slot rows, as they were computed
+    before the weight layout: the denominators, their float lists and the
+    groups by block size rebuilt on every call, and every block size's
+    group averages joined by np.concatenate."""
+    w = np.array([x / d for x, d in zip(weights, b.shape.dims)])
+    sizes = [b.group_block_size(g) for g in range(1, b.num_groups + 1)]
+    dens, wl = b.denominators(w), w.tolist()
+    avg_out = [np.zeros((d, d), dtype=np.complex128) for d in b.shape.dims]
+    for runs, n, den in zip(b.runs, sizes, dens):
+        avg = 0
+        for k, off, m in runs:
+            avg = avg + _copy_sum(wl[k - 1] * _run_blocks(summands[k - 1], off, n, m))
+        avg = avg / den
+        for k, off, m in runs:
+            _run_blocks(avg_out[k - 1], off, n, m)[...] = avg
+    norms_out = []
+    for stack in stacks:
+        by_size = {}
+        for runs, n, den in zip(b.runs, sizes, b.denominators(w)):
+            x = 0
+            for k, off, m in runs:
+                cols = _run_blocks(stack[k - 1], off, n, m, diagonal=False)
+                x = x + _copy_sum(wl[k - 1] * (np.conj(cols.swapaxes(-1, -2)) @ cols))
+            by_size.setdefault(n, []).append(x / den)
+        norms = [linalg.hermitian_opnorm_batch(np.concatenate(xs)) for xs in by_size.values()]
+        norms_out.append(np.concatenate(norms).reshape(b.num_groups, -1).max(axis=0))
+    slots = [[(off, n, m, float(dens[g])) for off, n, m, g in rows] for rows in b.slots]
+    sharp = float(np.sqrt(min(
+        w[k] / sum(den * min(n, m) for _, n, m, den in rows) for k, rows in enumerate(slots)
+    )))
+    return avg_out, norms_out, sharp, slots
+
+
+def _layout_problems():
+    problems = [(fx.name, fx.subalgebra, fx.weight) for fx in build_fleet()]
+    for n in range(2, 9):
+        theta, cf = periodic_theta((1,), n)
+        lev = es_level(theta, n, cf)
+        problems.append((f"golden-{n}", lev.subalgebra, lev.weight))
+    return problems
+
+
+def test_weight_layout_matches_a_per_call_reference_bit_for_bit():
+    """While one subalgebra alternates between two weights, the block
+    average, the induced norm on stacks of 1 and of 5, the sharp constant
+    and the slot rows equal, bit for bit, what a per-call computation of
+    the denominators and the by-size groups gives.  On a conjugate the
+    public routes carry the element to the base as before."""
+    rng = np.random.default_rng(26)
+    for name, b, v in _layout_problems():
+        base, u = standard_form(b)
+        # A second tracial weight where there is one, else the unit
+        # weights of the membership test.
+        alt = (base.shape.dims, None)
+        if base.shape.num_summands > 1:
+            other = TracialWeight.normalized(base.shape, rng.random(base.shape.num_summands) + 0.05)
+            alt = (other.weights, other)
+        for weights, tracial in [(v.weights, v), alt] * 2:
+            a = random_element(base.shape, rng)
+            shapes = [[(nb, d, d) for d in base.shape.dims] for nb in (1, 5)]
+            stacks = [[rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in ss] for ss in shapes]
+            avg, norms, sharp, slots = _per_call_reference(base, weights, a.summands, stacks)
+            got = base.block_average(weights, a.summands)
+            assert [m.tobytes() for m in got] == [m.tobytes() for m in avg], name
+            for stack, want in zip(stacks, norms):
+                assert base.induced_opnorms_sq(weights, stack).tobytes() == want.tobytes(), name
+            if tracial is None:
+                continue
+            assert base.weight_layout(weights).slots == tuple(map(tuple, slots)), name
+            assert np.float64(sharp_constant(b, tracial)).tobytes() == np.float64(sharp).tobytes(), name
+            if u is not None:
+                carried = [[m[None] for m in (a @ u).summands]]
+                _, (norm,), _, _ = _per_call_reference(base, weights, a.summands, carried)
+                assert fr_norm_squared(b, tracial, a) == float(norm[0]), name
+                avg, _, _, _ = _per_call_reference(base, weights, (u.adjoint() @ a @ u).summands, [])
+                want = u @ AlgebraElement(base.shape, avg) @ u.adjoint()
+                got = cond_expect(b, tracial, a)
+                assert [m.tobytes() for m in got.summands] == [m.tobytes() for m in want.summands], name
+
+
+def test_weight_layout_is_computed_once_and_bounded(monkeypatch):
+    """A call whose weight is cached computes no denominators; after 1000
+    distinct weights the subalgebra holds one layout, the most recent, as
+    weight_layout's docstring states; and what the layout hands out cannot
+    be written to."""
+    b = next(fx.subalgebra for fx in build_fleet() if fx.name == "threeway-cross")
+    v = TracialWeight.uniform(b.shape)
+    a = random_element(b.shape, np.random.default_rng(3))
+    layout = b.weight_layout(v.weights)
+    assert b.weight_layout(v.weights) is layout
+    calls = [0]
+    real = StandardSubalgebra.denominators
+
+    def counted(self, w):
+        calls[0] += 1
+        return real(self, w)
+
+    monkeypatch.setattr(StandardSubalgebra, "denominators", counted)
+    cond_expect(b, v, a)
+    fr_norm_squared(b, v, a)
+    b.induced_opnorms_sq(v.weights, [m[None].repeat(5, axis=0) for m in a.summands])
+    assert calls == [0]
+
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            assert not x.flags.writeable
+        else:
+            assert isinstance(x, (tuple, int, float)), type(x)
+            for item in x if isinstance(x, tuple) else ():
+                walk(item)
+
+    walk(layout)
+    rng = np.random.default_rng(4)
+    tracemalloc.start()
+    try:
+        for i in range(1000):
+            weights = tuple(TracialWeight.normalized(b.shape, rng.random(3) + 0.01).weights)
+            b.weight_layout(weights)
+            if i == 9:
+                # A full collection empties the interpreter's tuple free
+                # lists, which tracemalloc counts as held.
+                gc.collect()
+                start = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert calls == [1000]
+    assert b._layout[0] == weights
+    # One layout of threeway-cross holds well under 10 KB; 990 kept
+    # layouts would hold megabytes.
+    assert grown < 10_000, grown

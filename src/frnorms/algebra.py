@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,11 +21,13 @@ from . import linalg
 from .errors import ShapeError, WeightError
 
 WEIGHT_SUM_TOL = 1e-12
+# The signed 64-bit cap on summand dimensions and convergent denominators.
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
 class AlgebraShape:
-    """Dimensions (d_1, ..., d_N) of the matrix summands."""
+    """Dimensions (d_1, ..., d_N) of the matrix summands, each in 1..2**63 - 1."""
 
     dims: tuple[int, ...]
 
@@ -33,6 +37,8 @@ class AlgebraShape:
             raise ShapeError("shape needs at least one summand")
         if any(d < 1 for d in dims):
             raise ShapeError(f"summand dimensions must be >= 1, got {dims}")
+        if any(d > _INT64_MAX for d in dims):
+            raise ShapeError("summand dimensions must not exceed 2**63 - 1, the 64-bit range")
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -43,6 +49,11 @@ class AlgebraShape:
     def total_dim(self) -> int:
         """Dimension of the block-diagonal embedding into one matrix algebra."""
         return sum(self.dims)
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Row offset of each summand in the block-diagonal embedding."""
+        return tuple(accumulate(self.dims[:-1], initial=0))
 
     def __iter__(self):
         return iter(self.dims)
@@ -220,11 +231,8 @@ def to_block_matrix(a: AlgebraElement) -> np.ndarray:
     """Block-diagonal embedding of a direct-sum element into M_d, d = sum d_k."""
     d = a.shape.total_dim
     out = np.zeros((d, d), dtype=np.complex128)
-    pos = 0
-    for m in a.summands:
-        n = m.shape[0]
-        out[pos : pos + n, pos : pos + n] = m
-        pos += n
+    for s, n, m in zip(a.shape.offsets, a.shape.dims, a.summands):
+        out[s : s + n, s : s + n] = m
     return out
 
 
@@ -234,12 +242,9 @@ def from_block_matrix(shape: AlgebraShape, m: np.ndarray) -> AlgebraElement:
     m = linalg.as_matrix(m)
     if m.shape != (d, d):
         raise ShapeError(f"expected a {d}x{d} matrix, got {m.shape}")
-    parts = []
-    pos = 0
-    for n in shape.dims:
-        parts.append(m[pos : pos + n, pos : pos + n])
-        pos += n
-    return AlgebraElement(shape, parts)
+    return AlgebraElement(
+        shape, [m[s : s + n, s : s + n] for s, n in zip(shape.offsets, shape.dims)]
+    )
 
 
 def shape_to_json(shape: AlgebraShape) -> dict:

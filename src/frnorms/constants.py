@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import AlgebraElement, AlgebraShape, TracialWeight
+from .algebra import AlgebraElement, TracialWeight
 from .errors import InputError
 from .expectation import fr_norm
 from .subalgebra import StandardSubalgebra, single_summand_subalgebra, standard_form
@@ -93,22 +93,19 @@ def structural_constants(b, v: TracialWeight) -> StructuralConstants:
     b, _ = standard_form(b, v)
     w = v.per_trace_factors()
     L = sum(p.num_slots for p in b.partitions)
-    r = math.lcm(*(p.num_blocks for p in b.partitions))
-    ell = math.lcm(*(m for p in b.partitions for _, m in p.terms))
-    m = math.lcm(*(sum(m for _, _, m in runs) for runs in b.runs))
     alpha = min(w.tolist())
     gamma = max(b.denominators(w).tolist())
     if b.trivially_grouped:
         # With every multiplicity 1 in one summand, r = L and ell = 1.
-        bound = 1.0 / math.sqrt(r * ell)
+        bound = 1.0 / math.sqrt(b.r * b.ell)
         if b.shape.num_summands > 1:
             theorem = "direct-sum"
         else:
-            theorem = "multiplicity-free" if ell == 1 else "single-summand"
+            theorem = "multiplicity-free" if b.ell == 1 else "single-summand"
     else:
         theorem = "cross-summand"
-        bound = math.sqrt(alpha / (r * ell * m * gamma))
-    return StructuralConstants(L, r, ell, m, alpha, gamma, bound, theorem)
+        bound = math.sqrt(alpha / (b.r * b.ell * b.m * gamma))
+    return StructuralConstants(L, b.r, b.ell, b.m, alpha, gamma, bound, theorem)
 
 
 def theoretical_bound(b, v: TracialWeight) -> tuple[float, str]:
@@ -221,7 +218,7 @@ class _RatioEvaluator:
             lam[i] = linalg.top_gram_eigvals_2(lam[i], pp, qq, pq)
         for i, off, n, m in grams:
             piece = vecs[:, off : off + n * m].reshape(len(vecs), m, n)
-            adj = np.conj(np.swapaxes(piece, 1, 2))
+            adj = linalg.adjoint(piece)
             lam[i] = linalg.hermitian_opnorm_batch(piece @ adj if m <= n else adj @ piece)
         top = coef[0] * lam[0]
         for c, mass in zip(coef[1:], lam[1:]):
@@ -495,12 +492,18 @@ class Table1Row:
     flagged: bool
 
 
+def _weight_one_pair(d: int, terms) -> tuple[StandardSubalgebra, TracialWeight]:
+    """B_lambda inside M_d, lambda given by the partition ``terms``, with
+    the one tracial weight v = (1.0)."""
+    b = single_summand_subalgebra(d, terms)
+    return b, TracialWeight(b.shape, (1.0,))
+
+
 def table1_subalgebra(label: str) -> tuple[StandardSubalgebra, TracialWeight]:
     """The (subalgebra, weight) pair behind a reference-table label."""
     for lab, dim, terms, _, _ in TABLE1_SPECS:
         if lab == label:
-            b = single_summand_subalgebra(dim, terms)
-            return b, TracialWeight(AlgebraShape((dim,)), (1.0,))
+            return _weight_one_pair(dim, terms)
     raise KeyError(f"unknown table label {label!r}")
 
 
@@ -518,8 +521,7 @@ def table1(
     rows = []
     row_seeds = np.random.SeedSequence(seed).generate_state(len(TABLE1_SPECS))
     for idx, (label, dim, terms, guess_inv, theor_inv) in enumerate(TABLE1_SPECS):
-        b = single_summand_subalgebra(dim, terms)
-        v = TracialWeight(AlgebraShape((dim,)), (1.0,))
+        b, v = _weight_one_pair(dim, terms)
         bound, theorem = theoretical_bound(b, v)
         empirical = None
         if samples > 0:

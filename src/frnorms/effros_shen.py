@@ -32,12 +32,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraShape, TracialWeight
+from .algebra import _INT64_MAX, AlgebraShape, TracialWeight
 from .errors import InputError, RationalityError, WeightError
 from .subalgebra import StandardSubalgebra, make_standard_subalgebra
 
 GAUSS_REMAINDER_TOL = 1e-13
-_INT64_MAX = 2**63 - 1
 # Deepest continued fraction whose convergents fit the 64-bit range.  For
 # any [r_0; r_1, r_2, ...], q_0 = 1, q_1 = r_1 >= 1 and
 # q_n = r_n q_{n-1} + q_{n-2} >= q_{n-1} + q_{n-2}, so q_n >= F_{n+1}

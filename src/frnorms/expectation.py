@@ -29,7 +29,6 @@ phases read from the subalgebra's block layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 import numpy as np
 
@@ -167,38 +166,37 @@ def apply_pipeline(pipeline: ConjugationPipeline, x: AlgebraElement) -> AlgebraE
 
 def _phase_stage(b: StandardSubalgebra) -> PipelineStage:
     # Fine block t of summand k (one per copy of a slot) gets the phase
-    # exp(2 pi i t / r_k); g has order lcm(r_k).
+    # exp(2 pi i t / r_k); g has order r, the lcm of the r_k.
     fine = [[n for _, n, m, _ in rows for _ in range(m)] for rows in b.slots]
     phase = np.concatenate(
         [np.repeat(np.exp(2j * np.pi * np.arange(len(f)) / len(f)), f) for f in fine]
     )
-    return PipelineStage("block-phase", np.arange(len(phase)), phase, lcm(*map(len, fine)))
+    return PipelineStage("block-phase", np.arange(len(phase)), phase, b.r)
 
 
 def _circulant_stage(b: StandardSubalgebra) -> PipelineStage:
     # g shifts each slot's span cyclically by one block (n rows); g has
-    # order lcm(m).
+    # order ell, the lcm of the slot multiplicities.
     perm = []
-    for s, rows in zip(np.cumsum((0,) + b.shape.dims), b.slots):
+    for s, rows in zip(b.shape.offsets, b.slots):
         for off, n, m, _ in rows:
             perm.extend(np.roll(np.arange(s + off, s + off + n * m), -n))
-    ell = lcm(*(m for rows in b.slots for _, _, m, _ in rows))
-    return PipelineStage("circulant-shift", np.array(perm), np.ones(len(perm)), ell)
+    return PipelineStage("circulant-shift", np.array(perm), np.ones(len(perm)), b.ell)
 
 
 def _permutation_stage(b: StandardSubalgebra, v: TracialWeight) -> PipelineStage:
     # g carries each diagonal block of a group to the group's next block,
-    # cyclically across its runs' copies; g has order lcm over g of sum(m).
-    starts = np.cumsum((0,) + b.shape.dims)
+    # cyclically across its runs' copies; g has order m, the lcm over
+    # the groups of their block counts.
+    starts = b.shape.offsets
     perm = np.arange(b.shape.total_dim)
     for g, runs in enumerate(b.runs, start=1):
         n = b.group_block_size(g)
         rows = np.concatenate([starts[k - 1] + off + n * np.arange(m) for k, off, m in runs])
         rows = rows[:, None] + np.arange(n)
         perm[rows] = np.roll(rows, -1, axis=0)
-    m = lcm(*(sum(m for _, _, m in runs) for runs in b.runs))
     return PipelineStage(
-        "group-permutation", perm, np.ones(len(perm)), m, b.weight_layout(v.weights).factors
+        "group-permutation", perm, np.ones(len(perm)), b.m, b.weight_layout(v.weights).factors
     )
 
 

@@ -19,7 +19,7 @@ from .algebra import (
     element_norm,
     trace_state,
 )
-from .constants import _gaussian_stacks, table1, theoretical_bound
+from .constants import _gaussian_stacks, _weight_one_pair, table1, theoretical_bound
 from .effros_shen import GOLDEN, SQRT2_MINUS_1, SQRT3_MINUS_1, es_constant, es_level
 from .expectation import (
     apply_pipeline,
@@ -30,12 +30,7 @@ from .expectation import (
     pipeline_for,
     pinching_ratio,
 )
-from .subalgebra import (
-    conjugated_subalgebra,
-    make_standard_subalgebra,
-    single_summand_subalgebra,
-    standard_form,
-)
+from .subalgebra import conjugated_subalgebra, make_standard_subalgebra, standard_form
 
 
 @dataclass(frozen=True)
@@ -75,8 +70,7 @@ def random_unitary(shape: AlgebraShape, rng) -> AlgebraElement:
 
 
 def _single(name, d, terms):
-    b = single_summand_subalgebra(d, terms)
-    return Fixture(name, b, TracialWeight(AlgebraShape((d,)), (1.0,)))
+    return Fixture(name, *_weight_one_pair(d, terms))
 
 
 def _dft_matrix(d: int) -> np.ndarray:
@@ -135,15 +129,9 @@ def build_fleet() -> list[Fixture]:
         fleet.append(Fixture(label, lev.subalgebra, lev.weight))
 
     # Circulant matrices in M_3: the DFT conjugate of the diagonal algebra.
-    diag3 = single_summand_subalgebra(3, ((1, 1), (1, 1), (1, 1)))
-    f3 = AlgebraElement(AlgebraShape((3,)), [_dft_matrix(3)])
-    fleet.append(
-        Fixture(
-            "circulant-M3",
-            conjugated_subalgebra(diag3, f3),
-            TracialWeight(AlgebraShape((3,)), (1.0,)),
-        )
-    )
+    diag3, v3 = _weight_one_pair(3, ((1, 1), (1, 1), (1, 1)))
+    f3 = AlgebraElement(diag3.shape, [_dft_matrix(3)])
+    fleet.append(Fixture("circulant-M3", conjugated_subalgebra(diag3, f3), v3))
     return fleet
 
 
@@ -163,9 +151,8 @@ def run_selftest(seed: int = 0) -> list[CheckResult]:
     results = []
     rng = np.random.default_rng(seed)
 
-    b2 = single_summand_subalgebra(2, ((1, 1), (1, 1)))
-    v2 = TracialWeight(AlgebraShape((2,)), (1.0,))
-    a = AlgebraElement(AlgebraShape((2,)), [np.array([[1.0, 2.0], [2.0, 1.0]])])
+    b2, v2 = _weight_one_pair(2, ((1, 1), (1, 1)))
+    a = AlgebraElement(b2.shape, [np.array([[1.0, 2.0], [2.0, 1.0]])])
     vals = (
         fr_norm_squared(b2, v2, a),
         fr_norm_squared(b2, v2, a @ a),
@@ -177,10 +164,8 @@ def run_selftest(seed: int = 0) -> list[CheckResult]:
         f"got {vals[0]:.12g}, {vals[1]:.12g}",
     )
 
-    ones = AlgebraElement(AlgebraShape((2,)), [np.ones((2, 2))])
-    had = AlgebraElement(
-        AlgebraShape((2,)), [np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)]
-    )
+    ones = AlgebraElement(b2.shape, [np.ones((2, 2))])
+    had = AlgebraElement(b2.shape, [np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)])
     rotated = conjugated_subalgebra(b2, had)
     vals = (fr_norm_squared(b2, v2, ones), fr_norm_squared(rotated, v2, ones))
     _check(

@@ -45,8 +45,9 @@ def as_matrix(values, copy: bool = True) -> np.ndarray:
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack: the
+    last two axes are swapped."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def ensure_square(m: np.ndarray) -> np.ndarray:
@@ -73,7 +74,7 @@ def _spectrum(h: np.ndarray) -> np.ndarray:
     if h.shape[-1] == 1:
         x = h.real[..., 0]
         return x + x
-    h += np.conj(h.swapaxes(-1, -2))
+    h += adjoint(h)
     try:
         w = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
@@ -170,7 +171,7 @@ def opnorm_batch(m: np.ndarray) -> np.ndarray:
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
         m = _ldexp_complex(m, -exp[:, None, None])
-    gram = np.conj(m.swapaxes(1, 2)) @ m
+    gram = adjoint(m) @ m
     w = eigvalsh_batch(gram)
     norms = np.sqrt(np.maximum(w[:, -1], 0.0))
     if exp is not None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from math import lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -125,7 +126,10 @@ class StandardSubalgebra:
     summand k, and ``runs[g]`` one (k, row offset, m) row per slot of
     group g + 1, in summand-major order: the slot's m copies sit at row
     offsets offset + j n, j < m.  Offsets and groups are 0-based, k is
-    1-based.  The data a weight fixes is built on first use
+    1-based.  The structural integers come from the same tables: ``r``
+    is the lcm of the block counts of the summands, ``ell`` the lcm of
+    the slot multiplicities and ``m`` the lcm of the block counts of the
+    groups.  The data a weight fixes is built on first use
     (``weight_layout``), the canonical basis on first access.
     """
 
@@ -151,7 +155,8 @@ class StandardSubalgebra:
     def _block_layout(self):
         """Check the grouping and set ``slots``, ``runs``, ``_group_sizes``
         and ``_counts[k-1, g]``, the number of blocks of group g + 1 in
-        summand k (as float64), in one pass over the slots."""
+        summand k (as float64), in one pass over the slots, then ``r``,
+        ``ell`` and ``m`` from those tables."""
         group_of_slot = {}
         for gi, g in enumerate(self.groups):
             for slot in g:
@@ -187,6 +192,9 @@ class StandardSubalgebra:
         self.runs = tuple(tuple(r) for r in runs)
         self._group_sizes = tuple(sizes)
         self._counts = np.array(counts, dtype=np.float64)
+        self.r = lcm(*map(sum, counts))
+        self.ell = lcm(*(m for rows in slots for _, _, m, _ in rows))
+        self.m = lcm(*map(sum, zip(*counts)))
 
     def denominators(self, w: np.ndarray) -> np.ndarray:
         """Per-group normalization sum_blocks w_k for per-summand weights w."""
@@ -260,7 +268,7 @@ class StandardSubalgebra:
                     x = 0
                     for k, off, m in runs:
                         cols = _run_blocks(summands[k - 1], off, n, m, diagonal=False)
-                        grams = np.conj(cols.swapaxes(-1, -2)) @ cols
+                        grams = linalg.adjoint(cols) @ cols
                         x = x + _copy_sum(w[k - 1] * grams)
                     np.divide(x, den, out=x_g)
                 try:

@@ -7,12 +7,19 @@ from pathlib import Path
 
 import pytest
 
-from frnorms import cli
-from frnorms.algebra import TracialWeight
+from frnorms import cli, effros_shen, linalg
+from frnorms.algebra import AlgebraShape, TracialWeight, element_from_json
 from frnorms.constants import structural_constants
-from frnorms.errors import ConvergenceError
+from frnorms.errors import (
+    ConvergenceError,
+    DimensionError,
+    InputError,
+    PartitionError,
+    ShapeError,
+)
 from frnorms.subalgebra import (
     ConjugatedSubalgebra,
+    StandardSubalgebra,
     subalgebra_from_json,
     subalgebra_to_json,
 )
@@ -595,3 +602,128 @@ def test_a_non_finite_result_exits_2_as_json(monkeypatch, tmp_path, problem_file
         out = capsys.readouterr().out
         assert out.count("\n") == 1
         assert _strict_json(out)["error"]["type"] == "ValueError"
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "file.json"
+    path.write_text(text)
+    return str(path)
+
+
+def _one_summand_file(tmp_path, d, terms):
+    return _write(
+        tmp_path, json.dumps({"shape": [d], "partitions": [terms], "groups": [[[1, 1]]]})
+    )
+
+
+# Files beyond what the reader and the arithmetic take: a list nested
+# 5000 deep, past the JSON parser's recursion limit, and summand
+# dimensions above 2**63 - 1, whose weight factor 1/d or sqrt(r * ell)
+# would overflow a float.
+_UNREADABLE = {
+    "nested": lambda tmp_path: _write(tmp_path, "[" * 5000),
+    "dim-1e300": lambda tmp_path: _one_summand_file(tmp_path, 10**300, [[1, 10**300]]),
+    "dim-1e400": lambda tmp_path: _one_summand_file(tmp_path, 10**400, [[10**400, 1]]),
+    "dim-2**64": lambda tmp_path: _one_summand_file(tmp_path, 2**64, [[2**64, 1]]),
+}
+
+
+@pytest.mark.parametrize("command", ["norm", "expect", "constants", "search"])
+@pytest.mark.parametrize("name", sorted(_UNREADABLE))
+def test_deep_and_huge_files_exit_2_as_json(name, command, tmp_path, problem_files, capsys):
+    path = _UNREADABLE[name](tmp_path)
+    args = ["--subalgebra", path, "--weights", problem_files["weights"]]
+    if command in ("norm", "expect"):
+        args += ["--element", problem_files["element"]]
+    assert cli.main([command, *args]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == ("InputError" if name == "nested" else "ShapeError")
+
+
+def test_a_dimension_of_2_63_minus_1_is_accepted(tmp_path, problem_files, capsys):
+    d = 2**63 - 1
+    assert AlgebraShape((d, 2)).offsets == (0, d)
+    with pytest.raises(ShapeError, match="2\\*\\*63 - 1"):
+        AlgebraShape((2, d + 1))
+    args = ["--subalgebra", _one_summand_file(tmp_path, d, [[1, d]])]
+    assert cli.main(["constants", *args, "--weights", problem_files["weights"]]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["r"], out["ell"], out["m"]) == (d, d, d)
+    assert out["bound"] == 1.0 / d
+
+
+def _matrix(text):
+    return linalg.matrix_from_json(json.loads(text))
+
+
+# One call per typed refusal of the library and the command line, with
+# the error type it must raise and a fragment of its message.
+_REFUSALS = {
+    "load-json-not-json": (
+        lambda tmp_path: cli._load_json(_write(tmp_path, "{not json")),
+        InputError,
+        "is not valid JSON",
+    ),
+    "table1-negative-samples": (
+        lambda _: cli._cmd_table1(cli.build_parser().parse_args(["table1", "--samples", "-1"])),
+        InputError,
+        "nonnegative",
+    ),
+    "element-not-a-mapping": (lambda _: element_from_json([]), ShapeError, "mapping"),
+    "matrix-not-2d": (lambda _: linalg.as_matrix([1.0, 2.0]), DimensionError, "2-d"),
+    "matrix-not-a-mapping": (lambda _: _matrix("[]"), DimensionError, "mapping"),
+    "matrix-malformed": (lambda _: _matrix('{"rows": 1}'), DimensionError, "malformed"),
+    "matrix-data-length": (
+        lambda _: _matrix('{"rows": 1, "cols": 2, "data": [[1.0, 0.0]]}'),
+        DimensionError,
+        "does not match 1x2",
+    ),
+    "matrix-entry-not-a-pair": (
+        lambda _: _matrix('{"rows": 1, "cols": 1, "data": [[1.0]]}'),
+        DimensionError,
+        "pairs",
+    ),
+    "matrix-entry-infinite": (
+        lambda _: _matrix('{"rows": 1, "cols": 1, "data": [[Infinity, 0.0]]}'),
+        ValueError,
+        "finite",
+    ),
+    "theta-bad-prefix": (
+        lambda _: effros_shen.eventually_periodic_theta((0,), (1,), 5),
+        InputError,
+        "prefix",
+    ),
+    "theta-bad-period": (
+        lambda _: effros_shen.eventually_periodic_theta((1,), (), 5),
+        InputError,
+        "period",
+    ),
+    "es-constant-level-1": (
+        lambda _: effros_shen.es_constant(effros_shen.GOLDEN, 1),
+        ValueError,
+        "level",
+    ),
+    "continuity-probe-level-1": (
+        lambda _: effros_shen.continuity_probe(effros_shen.GOLDEN, [0.6], 1),
+        ValueError,
+        "level",
+    ),
+    "subalgebra-partition-count": (
+        lambda _: StandardSubalgebra(AlgebraShape((2, 2)), [((2, 1),)], [[(1, 1)]]),
+        PartitionError,
+        "expected 2 partitions",
+    ),
+    "subalgebra-malformed-values": (
+        lambda _: subalgebra_from_json({"shape": [2], "partitions": [[[2]]], "groups": []}),
+        ShapeError,
+        "malformed",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSALS))
+def test_each_typed_refusal_raises_its_error_type(name, tmp_path):
+    call, error, fragment = _REFUSALS[name]
+    with pytest.raises(error, match=fragment) as info:
+        call(tmp_path)
+    assert info.type is error

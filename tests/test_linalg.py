@@ -353,3 +353,15 @@ def test_spectrum_preserves_trace_and_frobenius_mass(entries):
     scale = max(np.abs(h).max(), 1.0)
     assert abs(w.sum() - np.trace(h).real) < 1e-10 * scale * n
     assert abs((w**2).sum() - (np.abs(h) ** 2).sum()) < 1e-9 * scale**2 * n
+
+
+def test_adjoint_acts_on_the_last_two_axes():
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((2, 3, 4, 5)) + 1j * rng.standard_normal((2, 3, 4, 5))
+    adj = linalg.adjoint(stack)
+    assert adj.shape == (2, 3, 5, 4)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(adj[i, j], stack[i, j].conj().T)
+    m = stack[0, 0]
+    assert np.array_equal(linalg.adjoint(m), m.conj().T)

@@ -435,6 +435,42 @@ def test_only_the_tower_expansion_and_the_theta_flag_call_cf_expand():
     assert allowed_calls == ["cli.py", "effros_shen.py"]
 
 
+# The one function that derives each structural fact, as (module,
+# function, name of the call that derives it): r, ell and m, the summand
+# offsets of the block-diagonal embedding, the adjoint of a stack, and
+# the weight-1 pair B_lambda in M_d with v = (1.0).
+_HOMES = {
+    ("subalgebra.py", "_block_layout", "lcm"),
+    ("algebra.py", "offsets", "accumulate"),
+    ("linalg.py", "adjoint", "swapaxes"),
+    ("constants.py", "_weight_one_pair", "TracialWeight"),
+}
+
+
+def test_each_structural_fact_is_derived_in_one_function():
+    """In the package sources, ``lcm``, ``accumulate`` (or ``cumsum``),
+    ``swapaxes`` and ``TracialWeight(..., (1.0,))`` are called only in the
+    home of the fact they derive (``_HOMES``)."""
+    names = {name for _, _, name in _HOMES} | {"cumsum"}
+    found = set()
+    for path in sorted(Path(frnorms.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((id(n), fn.name) for n in ast.walk(fn))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            weight_one = node.args and ast.unparse(node.args[-1]) == "(1.0,)"
+            if name == "TracialWeight" and not weight_one:
+                continue
+            if name in names:
+                found.add((path.name, owner.get(id(node)), name))
+    assert found == _HOMES
+
+
 def test_only_the_gate_tells_a_conjugate_from_a_standard_subalgebra():
     """In the package sources, an isinstance test against a subalgebra
     class appears only in ``standard_form``, and no hasattr or getattr

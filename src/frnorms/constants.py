@@ -49,11 +49,12 @@ _SPECULATE = 8
 # level 16 (d = 1597) 13-18% slower than a draw per round; at this size
 # it matched a draw per round.
 _REFINE_DRAW_ENTRIES = 1 << 16
-# Largest refine round, in doubles of Gaussian directions
-# (4 * REFINE_DIRECTIONS * d_k): 2**22 doubles, 32 MiB, reached at
-# d_k = 65536.  A search refuses a larger summand before any draw; golden
-# level 16 (d = 1597) needs 102208 doubles.
-_SEARCH_ROUND_ENTRIES = 1 << 22
+# Largest search witness, in complex entries (sum_k d_k^2, 16 bytes
+# each): 2**22, 64 MiB, reached by M_2048.  A search refuses a larger
+# algebra before any draw, which also caps a refine round at
+# 4 * REFINE_DIRECTIONS * 2048 doubles; golden level 16 (sum_k d_k^2 =
+# 3524578) fits.
+_WITNESS_ENTRIES = 1 << 22
 # Direction scales of the rounds a speculative refine block can score, in
 # units of the step: row j is 0.5**(j // REFINE_FAIL_LIMIT), the step left
 # after j failing rounds, times the two direction tiers 1 and 1/4.  Every
@@ -89,12 +90,14 @@ class StructuralConstants:
 
 def structural_constants(b, v: TracialWeight) -> StructuralConstants:
     """Structural invariants and the certified lower constant for (b, v).
-    A conjugate shares them with its standard base."""
+    alpha and gamma are read from the weight layout, the factors and
+    denominators that the expectation divides by.  A conjugate shares
+    them with its standard base."""
     b, _ = standard_form(b, v)
-    w = v.per_trace_factors()
+    layout = b.weight_layout(v.weights)
     L = sum(p.num_slots for p in b.partitions)
-    alpha = min(w.tolist())
-    gamma = max(b.denominators(w).tolist())
+    alpha = min(layout.factors)
+    gamma = max(layout.dens)
     if b.trivially_grouped:
         # With every multiplicity 1 in one summand, r = L and ell = 1.
         bound = 1.0 / math.sqrt(b.r * b.ell)
@@ -411,22 +414,22 @@ def empirical_sharp_constant(
     depend on ``refine``.  The witness is the rank-one projection onto the best vector.  On a
     conjugate U B U* the search runs on the base B, whose ratios are the
     same, and the witness is carried back: x in summand k becomes
-    y = U_k x, with projection yy*.  A summand whose refine round would
-    draw more than _SEARCH_ROUND_ENTRIES doubles is refused with
+    y = U_k x, with projection yy*.  An algebra whose dense witness
+    would hold more than _WITNESS_ENTRIES complex entries is refused with
     InputError before any draw.
     """
     b, u = standard_form(b, v)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    for d in b.shape.dims:
-        if 4 * REFINE_DIRECTIONS * d > _SEARCH_ROUND_ENTRIES:
-            raise InputError(
-                f"a refine round on a summand of dimension {d} draws "
-                f"{4 * REFINE_DIRECTIONS * d} doubles, above {_SEARCH_ROUND_ENTRIES}"
-            )
+    entries = sum(d * d for d in b.shape.dims)
+    if entries > _WITNESS_ENTRIES:
+        raise InputError(
+            f"the search witness of shape {list(b.shape.dims)} holds {entries} "
+            f"complex entries, above {_WITNESS_ENTRIES}"
+        )
     evaluator = _RatioEvaluator(b, v)
     rng = np.random.default_rng(seed)
-    chunk = max(1, _CHUNK_ENTRIES // sum(d * d for d in b.shape.dims))
+    chunk = max(1, _CHUNK_ENTRIES // entries)
     best = np.inf
     for k, d in enumerate(b.shape.dims):
         for vecs in _unit_blocks(rng, samples, chunk, d):

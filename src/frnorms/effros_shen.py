@@ -319,8 +319,14 @@ def es_level(theta: float, n: int, cf: ContinuedFraction | None = None) -> Effro
     )
 
 
-def _tower_constant(num: float, den: float, r_n: int) -> float:
-    """sqrt(num / (den r_n (r_n + 1)^2)) for the residuals num and den."""
+def _tower_constant(theta: float, cf: ContinuedFraction, N: int, theta_den: float) -> float:
+    """sqrt(|theta q_N - p_N| / (|theta_den q_{N-2} - p_{N-2}| r_N
+    (r_N + 1)^2)) from the convergents and terms of cf, which reaches
+    depth N."""
+    table = convergent_table(cf)
+    num = abs(convergent_residual(theta, table.q[N], table.p[N]))
+    den = abs(convergent_residual(theta_den, table.q[N - 2], table.p[N - 2]))
+    r_n = cf.r[N]
     return math.sqrt(num / (den * r_n * (r_n + 1) ** 2))
 
 
@@ -334,11 +340,7 @@ def es_constant(theta: float, N: int, cf: ContinuedFraction | None = None) -> fl
     """
     if N < 2:
         raise ValueError("level must be at least 2")
-    cf = _expansion(theta, N, cf)
-    table = convergent_table(cf)
-    num = abs(convergent_residual(theta, table.q[N], table.p[N]))
-    den = abs(convergent_residual(theta, table.q[N - 2], table.p[N - 2]))
-    return _tower_constant(num, den, cf.r[N])
+    return _tower_constant(theta, _expansion(theta, N, cf), N, theta)
 
 
 @dataclass(frozen=True)
@@ -392,10 +394,7 @@ def continuity_probe(
         agree = _common_prefix(cf.tail[:depth], eta_cf.tail[:depth])
         d_b = baire_distance(cf.tail[:depth], eta_cf.tail[:depth])
         c_eta = es_constant(eta, N, eta_cf)
-        table = convergent_table(eta_cf)
-        num = abs(convergent_residual(eta, table.q[N], table.p[N]))
-        den = abs(convergent_residual(theta, table.q[N - 2], table.p[N - 2]))
-        c_mixed = _tower_constant(num, den, eta_cf.r[N])
+        c_mixed = _tower_constant(eta, eta_cf, N, theta)
         gap = abs(c_theta - c_eta)
         ratio = gap / abs(theta - eta) if theta != eta else 0.0
         entries.append(

@@ -72,11 +72,6 @@ class RefinedPartition:
     def num_slots(self) -> int:
         return len(self.terms)
 
-    @property
-    def num_blocks(self) -> int:
-        """r_k: number of diagonal blocks, counting multiplicity."""
-        return sum(m for _, m in self.terms)
-
 
 @dataclass(frozen=True)
 class CanonicalBasisElement:
@@ -101,19 +96,17 @@ class CanonicalBasisElement:
 
 class WeightLayout(NamedTuple):
     """What one weight vector fixes on a standard subalgebra, for the
-    block average, the induced norm and the constants.
+    block average, the induced norm and the constants.  The groups by
+    block size, which no weight changes, are ``StandardSubalgebra.by_size``.
 
     ``factors`` holds the per-summand factors w_k = v_k / d_k, ``dens``
-    den_g = sum_blocks w_k per group, ``slots[k-1]`` one (row offset, n,
-    m, den_g) row per slot of summand k, with g the slot's group, and
-    ``by_size`` one (n, ((runs, den_g), ...)) row per block size n, in
-    increasing n, with the groups of that size in group order.
+    den_g = sum_blocks w_k per group, and ``slots[k-1]`` one (row offset,
+    n, m, den_g) row per slot of summand k, with g the slot's group.
     """
 
     factors: tuple[float, ...]
     dens: tuple[float, ...]
     slots: tuple
-    by_size: tuple
 
 
 class StandardSubalgebra:
@@ -130,7 +123,8 @@ class StandardSubalgebra:
     is the lcm of the block counts of the summands, ``ell`` the lcm of
     the slot multiplicities and ``m`` the lcm of the block counts of the
     groups.  The data a weight fixes is built on first use
-    (``weight_layout``), the canonical basis on first access.
+    (``weight_layout``); the groups by block size (``by_size``) and the
+    canonical basis, which hold for every weight, on first access.
     """
 
     def __init__(self, shape: AlgebraShape, partitions, groups):
@@ -216,14 +210,12 @@ class StandardSubalgebra:
         """
         key, layout = self._layout
         if key != weights:
-            factors = tuple(v / d for v, d in zip(weights, self.shape.dims))
+            # List comprehensions: a tower level builds one layout, and
+            # generators cost it about a microsecond more.
+            factors = tuple([v / d for v, d in zip(weights, self.shape.dims)])
             dens = tuple(self.denominators(np.array(factors)).tolist())
-            slots = tuple(tuple((o, n, m, dens[g]) for o, n, m, g in rows) for rows in self.slots)
-            sizes = {n: [] for n in sorted(set(self._group_sizes))}
-            for n, runs, den in zip(self._group_sizes, self.runs, dens):
-                sizes[n].append((runs, den))
-            by_size = tuple((n, tuple(groups)) for n, groups in sizes.items())
-            layout = WeightLayout(factors, dens, slots, by_size)
+            slots = tuple([tuple([(o, n, m, dens[g]) for o, n, m, g in rows]) for rows in self.slots])
+            layout = WeightLayout(factors, dens, slots)
             self._layout = (weights, layout)
         return layout
 
@@ -236,7 +228,7 @@ class StandardSubalgebra:
         expectation, with v = d the entrywise-orthogonal projection.  A
         group's runs are summed in summand-major order.
         """
-        w, dens, _, _ = self.weight_layout(weights)
+        w, dens, _ = self.weight_layout(weights)
         out = [np.zeros((d, d), dtype=np.complex128) for d in self.shape.dims]
         for runs, n, den in zip(self.runs, self._group_sizes, dens):
             avg = 0
@@ -259,24 +251,36 @@ class StandardSubalgebra:
         are; a Gram or a spectrum that overflows is formed without numpy's
         warnings and refused with ValueError.
         """
-        w, _, _, by_size = self.weight_layout(weights)
+        w, dens, _ = self.weight_layout(weights)
         nb, top = len(summands[0]), 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            for n, groups in by_size:
+            for n, groups in self.by_size:
                 xs = np.empty((len(groups), nb, n, n), dtype=np.complex128)
-                for x_g, (runs, den) in zip(xs, groups):
+                for x_g, (g, runs) in zip(xs, groups):
                     x = 0
                     for k, off, m in runs:
                         cols = _run_blocks(summands[k - 1], off, n, m, diagonal=False)
                         grams = linalg.adjoint(cols) @ cols
                         x = x + _copy_sum(w[k - 1] * grams)
-                    np.divide(x, den, out=x_g)
+                    np.divide(x, dens[g], out=x_g)
                 try:
                     norms = linalg.hermitian_opnorm_batch(xs.reshape(-1, n, n))
                 except ValueError as exc:
                     raise ValueError("squared induced norm exceeds the float range") from exc
                 top = np.maximum(top, np.maximum.reduce(norms.reshape(len(groups), nb)))
         return top
+
+    @cached_property
+    def by_size(self) -> tuple:
+        """One (n, ((g, runs), ...)) row per block size n, in increasing n,
+        with the 0-based groups g of that size in group order and their
+        ``runs``: the stacks of the induced norm.  Built on first access,
+        which only ``induced_opnorms_sq`` makes; it holds for every
+        weight."""
+        sizes = {n: [] for n in sorted(set(self._group_sizes))}
+        for g, (n, runs) in enumerate(zip(self._group_sizes, self.runs)):
+            sizes[n].append((g, runs))
+        return tuple((n, tuple(groups)) for n, groups in sizes.items())
 
     @cached_property
     def basis(self) -> tuple[CanonicalBasisElement, ...]:

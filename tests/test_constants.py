@@ -27,7 +27,7 @@ from frnorms.effros_shen import (
     es_level,
     periodic_theta,
 )
-from frnorms.errors import ShapeError
+from frnorms.errors import InputError, ShapeError
 from frnorms.expectation import fr_norm, fr_norm_squared
 from frnorms.fleet import build_fleet, random_unitary
 from frnorms.subalgebra import (
@@ -650,3 +650,19 @@ def test_block_refine_equals_the_round_by_round_loop(monkeypatch):
     assert accepts["es-golden-2", 0] == []
     assert accepts["B^5_{2^2,1}", 0][-1] == REFINE_ROUNDS - 1
     assert len(accepts["(1, 2)-6", 0]) > 1
+
+
+def test_the_search_witness_is_bounded(monkeypatch):
+    """The dense witness bounds a search: a one-slot M_2048 search, whose
+    witness holds 2**22 complex entries (64 MiB), is admitted, and M_2049
+    is refused with InputError before the generator is made."""
+    b, v = uniform_single(2048, [(1, 2048)])
+    rep = empirical_sharp_constant(b, v, samples=1, refine=False)
+    assert rep.witness.summands[0].shape == (2048, 2048)
+    del rep
+    made = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: made.append(args))
+    b, v = uniform_single(2049, [(1, 2049)])
+    with pytest.raises(InputError, match="4198401 complex entries"):
+        empirical_sharp_constant(b, v, samples=1, refine=False)
+    assert made == []

@@ -52,7 +52,6 @@ def test_partition_validation():
     p = RefinedPartition(((2, 1), (1, 2)))
     assert p.total == 4
     assert p.num_slots == 2
-    assert p.num_blocks == 3
     b = single_summand_subalgebra(4, p.terms)
     assert b.slots[0][0][0] == 0
     assert b.slots[0][1][0] == 2
@@ -437,21 +436,28 @@ def test_only_the_tower_expansion_and_the_theta_flag_call_cf_expand():
 
 # The one function that derives each structural fact, as (module,
 # function, name of the call that derives it): r, ell and m, the summand
-# offsets of the block-diagonal embedding, the adjoint of a stack, and
-# the weight-1 pair B_lambda in M_d with v = (1.0).
+# offsets of the block-diagonal embedding, the adjoint of a stack, the
+# weight-1 pair B_lambda in M_d with v = (1.0), the group denominators
+# (and with them gamma), and the convergent residuals of the level
+# weight and of the tower constant.
 _HOMES = {
     ("subalgebra.py", "_block_layout", "lcm"),
     ("algebra.py", "offsets", "accumulate"),
     ("linalg.py", "adjoint", "swapaxes"),
     ("constants.py", "_weight_one_pair", "TracialWeight"),
+    ("subalgebra.py", "weight_layout", "denominators"),
+    ("effros_shen.py", "_weight_t", "convergent_residual"),
+    ("effros_shen.py", "_tower_constant", "convergent_residual"),
 }
 
 
 def test_each_structural_fact_is_derived_in_one_function():
     """In the package sources, ``lcm``, ``accumulate`` (or ``cumsum``),
-    ``swapaxes`` and ``TracialWeight(..., (1.0,))`` are called only in the
-    home of the fact they derive (``_HOMES``)."""
-    names = {name for _, _, name in _HOMES} | {"cumsum"}
+    ``swapaxes``, ``TracialWeight(..., (1.0,))``, ``denominators`` and
+    ``convergent_residual`` are called only in the home of the fact they
+    derive (``_HOMES``), and ``per_trace_factors``, whose factors the
+    weight layout holds, nowhere."""
+    names = {name for _, _, name in _HOMES} | {"cumsum", "per_trace_factors"}
     found = set()
     for path in sorted(Path(frnorms.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -640,3 +646,42 @@ def test_weight_layout_is_computed_once_and_bounded(monkeypatch):
     # One layout of threeway-cross holds well under 10 KB; 990 kept
     # layouts would hold megabytes.
     assert grown < 10_000, grown
+
+
+def test_a_tower_level_never_builds_the_by_size_table():
+    """A tower level, es_level then structural_constants, leaves the
+    groups by block size unbuilt; they hold for every weight, and the
+    induced norm builds them on its first call, once."""
+    for period in ((1,), (2,), (1, 2)):
+        for n in range(2, 9):
+            theta, cf = periodic_theta(period, n)
+            lev = es_level(theta, n, cf)
+            structural_constants(lev.subalgebra, lev.weight)
+            assert "by_size" not in vars(lev.subalgebra), (period, n)
+    a = random_element(lev.shape, np.random.default_rng(5))
+    fr_norm_squared(lev.subalgebra, lev.weight, a)
+    table = lev.subalgebra.by_size
+    fr_norm_squared(lev.subalgebra, TracialWeight.uniform(lev.shape), a)
+    assert lev.subalgebra.by_size is table
+    # Group 2 (the B block, q_{n-2}) is the smaller one.
+    q = lev.q
+    assert [(n, [g for g, _ in groups]) for n, groups in table] == [(q[-3], [1]), (q[-2], [0])]
+
+
+def test_constants_and_expectation_share_one_denominator_product(monkeypatch):
+    """structural_constants then cond_expect on one fresh (b, v) pair
+    compute the group denominators once: gamma and the expectation's
+    divisors come from the same weight layout."""
+    calls = [0]
+    real = StandardSubalgebra.denominators
+
+    def counted(self, w):
+        calls[0] += 1
+        return real(self, w)
+
+    monkeypatch.setattr(StandardSubalgebra, "denominators", counted)
+    for fx in build_fleet():
+        calls[0] = 0
+        structural_constants(fx.subalgebra, fx.weight)
+        cond_expect(fx.subalgebra, fx.weight, random_element(fx.subalgebra.shape, np.random.default_rng(6)))
+        assert calls == [1], fx.name

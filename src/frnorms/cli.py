@@ -241,7 +241,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search", help="randomized sharp-constant search")
     _add_problem_args(p)
     p.add_argument("--samples", type=int, default=100000,
-                   help="random unit vectors drawn per summand")
+                   help="random unit vectors drawn per summand; a summand "
+                   "whose ratio cannot vary (one slot with block size or "
+                   "multiplicity 1) draws one")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=_cmd_search)

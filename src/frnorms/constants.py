@@ -163,11 +163,14 @@ class _RatioEvaluator:
     loop's comparisons, whole trajectories.  ``opnorms`` and
     ``fr_norms_sq`` evaluate stacks of general elements, the latter on
     their column blocks (``StandardSubalgebra.induced_opnorms_sq``).
+    ``varies[k]`` says whether summand k's ratio depends on the vector
+    (``_ratio_varies``).
     """
 
     def __init__(self, b: StandardSubalgebra, v: TracialWeight):
         self.b = b
         self.weights = v.weights
+        self.varies = [_ratio_varies(rows) for rows in b.slots]
         layout = b.weight_layout(v.weights)
         # Per summand: the c_i, the slots with min(n_i, m_i) <= 2 as
         # (i, lo, hi), the column range of X_i in x, whose mass they need,
@@ -229,9 +232,20 @@ class _RatioEvaluator:
         return np.sqrt(top, out=top)
 
 
+def _ratio_varies(rows) -> bool:
+    """Whether the rank-one ratio of a summand, given by its slot rows
+    (offset, n, m, ...), depends on the unit vector.  It does not when
+    the summand is one slot with min(n, m) = 1, B all of M_{d_k} or only
+    its scalars: X_0 is then a d_k-vector, lambda_max(X_0 X_0*) =
+    ||x||^2 = 1, and every unit x has the ratio sqrt(w_k / den_g)."""
+    return len(rows) > 1 or min(rows[0][1], rows[0][2]) > 1
+
+
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of the empirical sharp-constant search."""
+    """Outcome of the empirical sharp-constant search.  ``samples`` is
+    the requested count per summand, also where a summand whose ratio
+    cannot vary was searched with one vector."""
 
     best_ratio: float
     witness: AlgebraElement
@@ -384,6 +398,16 @@ def _refine(evaluator, k, x, best, rng):
     return best, x, accepted
 
 
+def _checked_samples(samples, least: int) -> int:
+    """``samples`` as an int, refused with ValueError unless it is an
+    integer, a bool excluded, of at least ``least``."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
+    if samples < least:
+        raise ValueError(f"samples must be >= {least}, got {samples}")
+    return int(samples)
+
+
 def empirical_sharp_constant(
     b,
     v: TracialWeight,
@@ -402,11 +426,15 @@ def empirical_sharp_constant(
     which is sqrt(||P(xx*)||_op).
 
     The search therefore draws ``samples`` complex Gaussian unit vectors
-    per summand from one generator seeded by ``seed`` and scores the
-    projection onto each.  The draws come in chunks of the chunk rule
-    (see _CHUNK_ENTRIES), which fixes the stream; several whole chunks
-    may come from one draw, the same numbers as a draw per chunk.  The
-    scoring runs on blocks of _SCORE_BLOCK_ENTRIES // d_k rows cut from
+    per summand from one generator seeded by ``seed``, in summand order,
+    and scores the projection onto each.  On a summand whose ratio cannot
+    vary (``_ratio_varies``: one slot with min(n, m) = 1) every unit
+    vector has the same ratio, so one vector searches it completely: the
+    search draws and scores one vector there, and refines nothing when
+    that summand holds the best ratio.  The draws come in chunks of the
+    chunk rule (see _CHUNK_ENTRIES), which fixes the stream; several
+    whole chunks may come from one draw, the same numbers as a draw per
+    chunk.  The scoring runs on blocks of _SCORE_BLOCK_ENTRIES // d_k rows cut from
     the draw, and a strict < across blocks in draw order keeps argmin's
     first smallest row, so the block size moves no result.  Refinement
     then runs random-direction descent on the sphere of the best vector;
@@ -419,8 +447,7 @@ def empirical_sharp_constant(
     InputError before any draw.
     """
     b, u = standard_form(b, v)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _checked_samples(samples, 1)
     entries = sum(d * d for d in b.shape.dims)
     if entries > _WITNESS_ENTRIES:
         raise InputError(
@@ -432,7 +459,7 @@ def empirical_sharp_constant(
     chunk = max(1, _CHUNK_ENTRIES // entries)
     best = np.inf
     for k, d in enumerate(b.shape.dims):
-        for vecs in _unit_blocks(rng, samples, chunk, d):
+        for vecs in _unit_blocks(rng, samples if evaluator.varies[k] else 1, chunk, d):
             ratios = evaluator.rank_one_ratios(k, vecs)
             # argmin's first index and a strict < across blocks keep the
             # first smallest row in draw order.
@@ -442,7 +469,7 @@ def empirical_sharp_constant(
                 # A copy, so that the block can go.
                 best_k, x = k, vecs[pick].copy()
     refine_steps = 0
-    if refine:
+    if refine and evaluator.varies[best_k]:
         best, x, refine_steps = _refine(evaluator, best_k, x, best, rng)
     if u is not None:
         x = u.summands[best_k] @ x
@@ -517,10 +544,12 @@ def table1(
 ) -> list[Table1Row]:
     """Recompute the reference constant table, optionally with search.
 
-    ``samples = 0`` skips the empirical column.  A row is flagged when
-    the recomputed theoretical constant differs from the stored reference
+    ``samples = 0`` skips the empirical column; a negative or non-integer
+    ``samples`` is refused with ValueError.  A row is flagged when the
+    recomputed theoretical constant differs from the stored reference
     value beyond 1e-12.
     """
+    samples = _checked_samples(samples, 0)
     rows = []
     row_seeds = np.random.SeedSequence(seed).generate_state(len(TABLE1_SPECS))
     for idx, (label, dim, terms, guess_inv, theor_inv) in enumerate(TABLE1_SPECS):

@@ -94,19 +94,30 @@ class CanonicalBasisElement:
         return AlgebraElement(shape, mats)
 
 
-class WeightLayout(NamedTuple):
+class _WeightFields(NamedTuple):
+    factors: tuple[float, ...]
+    dens: tuple[float, ...]
+    table: tuple
+
+
+class WeightLayout(_WeightFields):
     """What one weight vector fixes on a standard subalgebra, for the
     block average, the induced norm and the constants.  The groups by
     block size, which no weight changes, are ``StandardSubalgebra.by_size``.
 
     ``factors`` holds the per-summand factors w_k = v_k / d_k, ``dens``
-    den_g = sum_blocks w_k per group, and ``slots[k-1]`` one (row offset,
-    n, m, den_g) row per slot of summand k, with g the slot's group.
+    den_g = sum_blocks w_k per group, ``table`` the subalgebra's
+    ``slots``, and ``slots[k-1]`` one (row offset, n, m, den_g) row per
+    slot of summand k, with g the slot's group.  The slot rows are built
+    on their first read: the structural constants read only the factors
+    and the denominators, so a tower level never builds them.
     """
 
-    factors: tuple[float, ...]
-    dens: tuple[float, ...]
-    slots: tuple
+    @cached_property
+    def slots(self) -> tuple:
+        # List comprehensions: generators cost about a microsecond more.
+        dens = self.dens
+        return tuple([tuple([(o, n, m, dens[g]) for o, n, m, g in rows]) for rows in self.table])
 
 
 class StandardSubalgebra:
@@ -210,12 +221,11 @@ class StandardSubalgebra:
         """
         key, layout = self._layout
         if key != weights:
-            # List comprehensions: a tower level builds one layout, and
-            # generators cost it about a microsecond more.
+            # A list comprehension: a tower level builds one layout, and
+            # a generator costs it about a microsecond more.
             factors = tuple([v / d for v, d in zip(weights, self.shape.dims)])
             dens = tuple(self.denominators(np.array(factors)).tolist())
-            slots = tuple([tuple([(o, n, m, dens[g]) for o, n, m, g in rows]) for rows in self.slots])
-            layout = WeightLayout(factors, dens, slots)
+            layout = WeightLayout(factors, dens, self.slots)
             self._layout = (weights, layout)
         return layout
 

@@ -281,10 +281,27 @@ def test_min_ratio_over_samples_agrees_with_norm_route():
     assert bound - 1e-9 <= m <= 1.0 + 1e-12
 
 
-def test_invalid_search_arguments():
+def test_invalid_search_arguments(monkeypatch):
+    """A sample count that is not an integer (a bool included) is refused
+    with ValueError before any generator is made, as is one below 1 in
+    the search and a negative one in table1; a numpy integer is read as
+    an int."""
     b, v = uniform_single(2, [(1, 1), (1, 1)])
-    with pytest.raises(ValueError):
-        empirical_sharp_constant(b, v, samples=0)
+    rep = empirical_sharp_constant(b, v, samples=np.int64(5), refine=False)
+    assert rep.samples == 5 and type(rep.samples) is int
+    made = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: made.append(args))
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=">= 1"):
+            empirical_sharp_constant(b, v, samples=bad)
+    with pytest.raises(ValueError, match=">= 0"):
+        table1(samples=-3)
+    for bad in (2.5, True, False, np.float64(3.0), "10", None):
+        with pytest.raises(ValueError, match="an integer"):
+            empirical_sharp_constant(b, v, samples=bad)
+        with pytest.raises(ValueError, match="an integer"):
+            table1(samples=bad)
+    assert made == []
 
 
 def test_constants_refuse_a_weight_of_another_shape():
@@ -524,20 +541,31 @@ def test_search_witness_is_a_rank_one_projection():
     assert abs(np.trace(p) - 1.0) < 1e-12
 
 
+def _constant_summand(partition):
+    """Whether a summand's rank-one ratio is the same for every unit
+    vector, read from its refined partition: one term (n, m) with
+    min(n, m) = 1, the summand's full matrix algebra or its scalars."""
+    return len(partition.terms) == 1 and min(partition.terms[0]) == 1
+
+
 def _sample_by_chunks(b, v, samples, seed, refine):
     """The search with one draw and one scoring call per chunk, as a
     chunk-by-chunk loop runs it: the reference for the blocks of
-    ``empirical_sharp_constant``.  Refines like the search and returns
-    (best_ratio, refine_steps, witness summands)."""
+    ``empirical_sharp_constant``.  A constant summand
+    (``_constant_summand``) draws one vector and is never refined.
+    Refines like the search and returns (best_ratio, refine_steps,
+    witness summands)."""
     base, u = standard_form(b, v)
     evaluator = _RatioEvaluator(base, v)
     rng = np.random.default_rng(seed)
     dims = base.shape.dims
     chunk = max(1, constants._CHUNK_ENTRIES // sum(d * d for d in dims))
+    varies = [not _constant_summand(p) for p in base.partitions]
     best = np.inf
     for k, d in enumerate(dims):
-        for done in range(0, samples, chunk):
-            count = min(chunk, samples - done)
+        drawn = samples if varies[k] else 1
+        for done in range(0, drawn, chunk):
+            count = min(chunk, drawn - done)
             vecs = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
             vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
             ratios = evaluator.rank_one_ratios(k, vecs)
@@ -545,7 +573,7 @@ def _sample_by_chunks(b, v, samples, seed, refine):
             if ratios[pick] < best:
                 best, best_k, x = float(ratios[pick]), k, vecs[pick]
     steps = 0
-    if refine:
+    if refine and varies[best_k]:
         best, x, steps = constants._refine(evaluator, best_k, x, best, rng)
     if u is not None:
         x = u.summands[best_k] @ x
@@ -612,7 +640,9 @@ def _refine_by_rounds(evaluator, k, x, best, rng, accepts):
 def _refine_both_ways(monkeypatch, b, v, samples, seed):
     """Search (b, v) and run both ``_refine`` and the round-by-round loop
     from the state the sampling leaves; return both results and the
-    rounds the loop accepted in."""
+    rounds the loop accepted in.  When the best ratio lies in a constant
+    summand (``_constant_summand``), check that the search did not
+    refine and return None."""
     runs = {}
     blocks = constants._refine
 
@@ -625,8 +655,12 @@ def _refine_both_ways(monkeypatch, b, v, samples, seed):
         return runs["blocks"]
 
     monkeypatch.setattr(constants, "_refine", both)
-    empirical_sharp_constant(b, v, samples=samples, seed=seed)
+    rep = empirical_sharp_constant(b, v, samples=samples, seed=seed)
     monkeypatch.undo()
+    k = next(k for k, m in enumerate(rep.witness.summands) if np.any(m))
+    if _constant_summand(standard_form(b, v)[0].partitions[k]):
+        assert runs == {} and rep.refine_steps == 0
+        return None
     return runs["blocks"], runs["rounds"], runs["accepts"]
 
 
@@ -641,15 +675,28 @@ def test_block_refine_equals_the_round_by_round_loop(monkeypatch):
         problems.append((f"{period}-{level}", lvl.subalgebra, lvl.weight, 100, 0))
     accepts = {}
     for name, b, v, samples, seed in problems:
-        got, want, accepts[name, seed] = _refine_both_ways(monkeypatch, b, v, samples, seed)
+        both = _refine_both_ways(monkeypatch, b, v, samples, seed)
+        if both is None:
+            continue
+        got, want, accepts[name, seed] = both
         assert got[0] == want[0], (name, seed)
         assert np.array_equal(got[1], want[1]), (name, seed)
         assert got[2] == want[2], (name, seed)
-    # The set covers a refine that never accepts and one that accepts in
-    # its last round.
-    assert accepts["es-golden-2", 0] == []
+    # The set covers a refine that accepts in its last round and one
+    # that accepts more than once.
     assert accepts["B^5_{2^2,1}", 0][-1] == REFINE_ROUNDS - 1
     assert len(accepts["(1, 2)-6", 0]) > 1
+    # And a refine that never accepts: a best ratio of 0 lies below
+    # every candidate's.
+    b, v = table1_subalgebra("B^5_{2^2,1}")
+    evaluator = _RatioEvaluator(b, v)
+    x = constants._unit_rows(constants._complex_gaussian(np.random.default_rng(1), (1, 5)))[0]
+    got = constants._refine(evaluator, 0, x, 0.0, np.random.default_rng(2))
+    never = []
+    want = _refine_by_rounds(evaluator, 0, x, 0.0, np.random.default_rng(2), never)
+    assert never == [] and got[2] == want[2] == 0
+    assert got[0] == want[0] == 0.0
+    assert got[1] is x and np.array_equal(want[1], x)
 
 
 def test_the_search_witness_is_bounded(monkeypatch):
@@ -666,3 +713,66 @@ def test_the_search_witness_is_bounded(monkeypatch):
     with pytest.raises(InputError, match="4198401 complex entries"):
         empirical_sharp_constant(b, v, samples=1, refine=False)
     assert made == []
+
+
+def test_a_constant_summand_is_searched_with_one_vector(monkeypatch):
+    """On a summand of one slot with min(n, m) = 1 every unit vector has
+    the ratio sqrt(w_k / den_g), so the search draws one vector there,
+    the next summand's stream starts right after it, and no refine runs
+    when that summand holds the best ratio.  Checked on C1 in M_3 and on
+    shape (2, 3), whose first summand is all of M_2 and shares its group
+    with a 2x2 slot of the second, under weights that put the best ratio
+    in the first summand, then in the second."""
+    real_rng = np.random.default_rng
+    sizes = []
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def standard_normal(self, size):
+            sizes.append(size)
+            return self.rng.standard_normal(size)
+
+    def no_refine(*args):
+        raise AssertionError("refined a constant summand")
+
+    shape = AlgebraShape((2, 3))
+    two = make_standard_subalgebra(shape, [[(2, 1)], [(2, 1), (1, 1)]], [[(1, 1), (2, 1)], [(2, 2)]])
+    problems = [
+        (*uniform_single(3, [(1, 3)]), 0),
+        (two, TracialWeight(shape, (0.1, 0.9)), 0),
+        (two, TracialWeight(shape, (0.9, 0.1)), 1),
+    ]
+    samples = 500
+    for b, v, best_k in problems:
+        layout = b.weight_layout(v.weights)
+        for seed, refine in ((3, False), (4, True)):
+            sizes.clear()
+            monkeypatch.setattr(np.random, "default_rng", Recording)
+            if best_k == 0:
+                monkeypatch.setattr(constants, "_refine", no_refine)
+            rep = empirical_sharp_constant(b, v, samples=samples, seed=seed, refine=refine)
+            monkeypatch.undo()
+            dims = b.shape.dims
+            assert sizes[0] == (1, 2, 1, dims[0])
+            assert sizes[1 : len(dims)] == [(1, 2, samples, d) for d in dims[1:]]
+            assert rep.samples == samples
+            if best_k == 0:
+                assert len(sizes) == len(dims) and rep.refine_steps == 0
+                sharp = math.sqrt(layout.factors[0] / layout.dens[0])
+                assert abs(rep.best_ratio - sharp) <= 1e-15
+                assert rep.best_ratio == pytest.approx(sharp_constant(b, v), abs=1e-15)
+            elif not refine:
+                # The second summand's draw follows the first summand's
+                # one vector, 2 * d_1 normals.
+                rng = real_rng(seed)
+                rng.standard_normal(2 * dims[0])
+                raw = rng.standard_normal((2, samples, dims[1]))
+                vecs = raw[0] + 1j * raw[1]
+                vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+                want = _RatioEvaluator(b, v).rank_one_ratios(1, vecs).min()
+                assert rep.best_ratio == want
+            else:
+                assert rep.refine_steps > 0 and len(sizes) > len(dims)
+            assert np.any(rep.witness.summands[best_k])

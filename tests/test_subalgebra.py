@@ -438,8 +438,9 @@ def test_only_the_tower_expansion_and_the_theta_flag_call_cf_expand():
 # function, name of the call that derives it): r, ell and m, the summand
 # offsets of the block-diagonal embedding, the adjoint of a stack, the
 # weight-1 pair B_lambda in M_d with v = (1.0), the group denominators
-# (and with them gamma), and the convergent residuals of the level
-# weight and of the tower constant.
+# (and with them gamma), the convergent residuals of the level weight
+# and of the tower constant, and whether a summand's rank-one ratio can
+# vary, which the search's ratio evaluator decides once per summand.
 _HOMES = {
     ("subalgebra.py", "_block_layout", "lcm"),
     ("algebra.py", "offsets", "accumulate"),
@@ -448,15 +449,16 @@ _HOMES = {
     ("subalgebra.py", "weight_layout", "denominators"),
     ("effros_shen.py", "_weight_t", "convergent_residual"),
     ("effros_shen.py", "_tower_constant", "convergent_residual"),
+    ("constants.py", "__init__", "_ratio_varies"),
 }
 
 
 def test_each_structural_fact_is_derived_in_one_function():
     """In the package sources, ``lcm``, ``accumulate`` (or ``cumsum``),
-    ``swapaxes``, ``TracialWeight(..., (1.0,))``, ``denominators`` and
-    ``convergent_residual`` are called only in the home of the fact they
-    derive (``_HOMES``), and ``per_trace_factors``, whose factors the
-    weight layout holds, nowhere."""
+    ``swapaxes``, ``TracialWeight(..., (1.0,))``, ``denominators``,
+    ``convergent_residual`` and ``_ratio_varies`` are called only in the
+    home of the fact they derive (``_HOMES``), and ``per_trace_factors``,
+    whose factors the weight layout holds, nowhere."""
     names = {name for _, _, name in _HOMES} | {"cumsum", "per_trace_factors"}
     found = set()
     for path in sorted(Path(frnorms.__file__).parent.glob("*.py")):
@@ -666,6 +668,23 @@ def test_a_tower_level_never_builds_the_by_size_table():
     # Group 2 (the B block, q_{n-2}) is the smaller one.
     q = lev.q
     assert [(n, [g for g, _ in groups]) for n, groups in table] == [(q[-3], [1]), (q[-2], [0])]
+
+
+def test_a_tower_level_never_builds_the_slot_rows():
+    """A tower level, es_level then structural_constants, reads only the
+    factors and the denominators of its weight layout, so the layout's
+    per-slot rows stay unbuilt; the first read of ``slots`` builds them,
+    once."""
+    for period in ((1,), (2,), (1, 2)):
+        for n in range(2, 9):
+            theta, cf = periodic_theta(period, n)
+            lev = es_level(theta, n, cf)
+            structural_constants(lev.subalgebra, lev.weight)
+            layout = lev.subalgebra.weight_layout(lev.weight.weights)
+            assert "slots" not in vars(layout), (period, n)
+    rows = layout.slots
+    assert vars(layout)["slots"] is rows and layout.slots is rows
+    assert len(rows) == 2 and [len(r) for r in rows] == [2, 1]
 
 
 def test_constants_and_expectation_share_one_denominator_product(monkeypatch):

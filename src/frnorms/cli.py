@@ -241,16 +241,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search", help="randomized sharp-constant search")
     _add_problem_args(p)
     p.add_argument("--samples", type=int, default=100000,
-                   help="random unit vectors drawn per summand; a summand "
+                   help="random candidates drawn per summand; a summand "
                    "whose ratio cannot vary (one slot with block size or "
-                   "multiplicity 1) draws one")
+                   "multiplicity 1) draws none")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("table1", help="reference constant table")
     p.add_argument("--samples", type=int, default=0,
-                   help="random unit vectors drawn per row; 0 skips the "
+                   help="random candidates drawn per row; 0 skips the "
                    "empirical column")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True)

@@ -27,27 +27,20 @@ REFINE_ROUNDS = 200
 REFINE_INITIAL_STEP = 0.1
 REFINE_FAIL_LIMIT = 5
 REFINE_DIRECTIONS = 16
-# Sampling chunk rule: a chunk holds _CHUNK_ENTRIES // sum_k d_k^2 vectors
-# (at least one), e.g. 25600 on M_5 and 160000 on M_2.  The chunk sizes
-# fix the order of the draws, and with it every sample stream and search
-# result for a given seed; they do not fix the size of a scoring call
-# (see _SCORE_BLOCK_ENTRIES).
-_CHUNK_ENTRIES = 20000 * 32
-# Complex entries per sampling score call: _SCORE_BLOCK_ENTRIES // d rows
-# (at least one), cut from the draw.  On a 2-core x86 host (2 MiB L2 per
-# core), blocks of 2048 rows at d = 5 cut the unrefined sampling of the
-# fleet fixtures (5000 samples) by about 15% and of table1's rows (10000
-# samples) by about a third against one call per chunk, whose complex
-# copy and temporaries leave the cache; blocks of 4096 rows lost most of
-# the table1 gain.
-_SCORE_BLOCK_ENTRIES = 2048 * 5
+# Numbers per sampling block: summand k's Gram draws come in blocks of
+# _DRAW_BLOCK_ENTRIES // sum_i s_i^2 draws (at least one), s_i the short
+# side of slot i, each one standard_gamma call and then one
+# standard_normal call.  The block size fixes the order of the draws, and
+# with it every search stream for a seed; it bounds a block's memory for
+# any sample count.
+_DRAW_BLOCK_ENTRIES = 1 << 14
 # Refine rounds scored per rank_one_ratios call (see _refine).
 _SPECULATE = 8
 # Doubles of refine directions per draw (512 KiB): all 200 rounds at once
 # up to d = 5, fewer rounds above.  On a 2-core x86 host, draws of
-# _CHUNK_ENTRIES (5 MB) fell out of cache and made refinement at golden
-# level 16 (d = 1597) 13-18% slower than a draw per round; at this size
-# it matched a draw per round.
+# 640000 complex entries (5 MB) fell out of cache and made refinement at
+# golden level 16 (d = 1597) 13-18% slower than a draw per round; at
+# this size it matched a draw per round.
 _REFINE_DRAW_ENTRIES = 1 << 16
 # Largest search witness, in complex entries (sum_k d_k^2, 16 bytes
 # each): 2**22, 64 MiB, reached by M_2048.  A search refuses a larger
@@ -158,13 +151,15 @@ class _RatioEvaluator:
     row, is scored column by column: a numpy reduction along rows of two to
     five entries costs many times the arithmetic it does.  The column sums
     keep the order of the row reductions they replace, so every score,
-    and with it every sample stream's search result, is the same bit for
-    bit; a different order would move last digits and, through the refine
+    and with it every refine trajectory, is the same bit for bit; a
+    different order would move last digits and, through the refine
     loop's comparisons, whole trajectories.  ``opnorms`` and
     ``fr_norms_sq`` evaluate stacks of general elements, the latter on
     their column blocks (``StandardSubalgebra.induced_opnorms_sq``).
     ``varies[k]`` says whether summand k's ratio depends on the vector
-    (``_ratio_varies``).
+    (``_ratio_varies``).  ``gram_blocks`` scores random candidates
+    without forming them: the ratio reads only each slot's s_i x s_i Gram
+    on its short side, s_i = min(n_i, m_i), which it draws directly.
     """
 
     def __init__(self, b: StandardSubalgebra, v: TracialWeight):
@@ -172,6 +167,7 @@ class _RatioEvaluator:
         self.weights = v.weights
         self.varies = [_ratio_varies(rows) for rows in b.slots]
         layout = b.weight_layout(v.weights)
+        self.rows = layout.slots
         # Per summand: the c_i, the slots with min(n_i, m_i) <= 2 as
         # (i, lo, hi), the column range of X_i in x, whose mass they need,
         # those with min(n_i, m_i) = 2 as (i, p, q), the slices of x
@@ -231,6 +227,74 @@ class _RatioEvaluator:
             np.maximum(top, c * mass, out=top)
         return np.sqrt(top, out=top)
 
+    def gram_blocks(self, k: int, samples: int, rng):
+        """Squared ratios of ``samples`` random candidates in summand k,
+        drawn as slot Grams, in blocks of the block rule
+        (_DRAW_BLOCK_ENTRIES): (ratio^2, gammas, normals) per block, one
+        column per draw.
+
+        For a complex Gaussian x the slots X_i are independent, and the
+        Gram of X_i on its short side is complex Wishart CW(t_i, I_s),
+        t_i = max(n_i, m_i).  Bartlett's decomposition draws it as L L*
+        (``_bartlett``): |L_jj|^2 ~ Gamma(t_i - j), j < s_i, and the
+        entries below the diagonal complex normal with E|z|^2 = 1.  The
+        ratio is scale-free, so ratio^2 = max_i c_i lambda_max(L_i L_i*)
+        / sum_i tr(L_i L_i*) has the law of a Gaussian unit vector's.  A
+        block is one standard_gamma call per diagonal entry, slot by
+        slot, each of a row of draws, then one standard_normal call: the
+        real parts, then the imaginary parts, of the entries below the
+        diagonals, a row per entry.  A
+        summand whose ratio cannot vary (``varies[k]`` false) is one draw
+        L = [1] from no random numbers, of ratio^2 c_0 = w_k / den_g; its
+        vector is the summand's first unit vector."""
+        coef, rows = self.slots[k][0], self.rows[k]
+        short = [min(n, m) for _, n, m, _ in rows]
+        shapes = [max(n, m) - j for _, n, m, _ in rows for j in range(min(n, m))]
+        low = sum(s * (s - 1) // 2 for s in short)
+        per = max(1, _DRAW_BLOCK_ENTRIES // sum(s * s for s in short))
+        varies = self.varies[k]
+        for done in range(0, samples if varies else 1, per):
+            count = min(per, samples - done) if varies else 1
+            g = np.ones((len(shapes), count))
+            # A summand whose ratio cannot vary keeps its L = [1].
+            for j, t in enumerate(shapes if varies else ()):
+                rng.standard_gamma(t, out=g[j])
+            raw = rng.standard_normal((2, low, count)) if low else np.empty((2, 0, count))
+            zz = 0.5 * (raw[0] ** 2 + raw[1] ** 2)
+            total = g.sum(axis=0) + zz.sum(axis=0)
+            top = None
+            a = b = 0
+            for c, s in zip(coef, short):
+                if s == 1:
+                    lam = g[a]
+                elif s == 2:
+                    pp, qq = g[a], zz[b] + g[a + 1]
+                    lam = linalg.top_gram_eigvals_2(pp + qq, pp, qq, np.sqrt(pp * zz[b]))
+                else:
+                    f = _bartlett(g[a : a + s], raw[:, b : b + s * (s - 1) // 2])
+                    lam = linalg.hermitian_opnorm_batch(f @ linalg.adjoint(f))
+                top = c * lam if top is None else np.maximum(top, c * lam, out=top)
+                a, b = a + s, b + s * (s - 1) // 2
+            yield np.divide(top, total, out=top), g, raw
+
+    def draw_vector(self, k: int, draw) -> np.ndarray:
+        """The unit vector of summand k whose slot Grams are the draw's
+        L_i L_i*: X_i = [L_i*; 0] when m_i <= n_i, else [L_i, 0], cut as in
+        ``sharp_constant`` and normalized."""
+        x = np.zeros(self.b.shape.dims[k], dtype=np.complex128)
+        a = b = 0
+        for off, n, m, _ in self.rows[k]:
+            s = min(n, m)
+            f = _bartlett(draw[0][a : a + s, None], draw[1][:, b : b + s * (s - 1) // 2, None])[0]
+            # Row j of the piece is column j of X_i.
+            piece = x[off : off + n * m].reshape(m, n)
+            if m <= n:
+                piece[:, :s] = np.conj(f)
+            else:
+                piece[:s] = f.T
+            a, b = a + s, b + s * (s - 1) // 2
+        return _unit_rows(x[None])[0]
+
 
 def _ratio_varies(rows) -> bool:
     """Whether the rank-one ratio of a summand, given by its slot rows
@@ -245,7 +309,7 @@ def _ratio_varies(rows) -> bool:
 class SearchReport:
     """Outcome of the empirical sharp-constant search.  ``samples`` is
     the requested count per summand, also where a summand whose ratio
-    cannot vary was searched with one vector."""
+    cannot vary drew nothing."""
 
     best_ratio: float
     witness: AlgebraElement
@@ -321,26 +385,17 @@ def _row_sums(sq: np.ndarray) -> np.ndarray:
     return total
 
 
-def _unit_blocks(rng, samples: int, chunk: int, d: int):
-    """``samples`` Gaussian unit vectors of length d, drawn chunk by
-    chunk, as blocks of at most _SCORE_BLOCK_ENTRIES // d rows (at least
-    one) in draw order.  One draw holds as many whole chunks as fill a
-    block, or the last partial chunk: an (n, 2, count, d) draw is the
-    stream of n draws of (2, count, d)."""
-    rows = max(1, _SCORE_BLOCK_ENTRIES // d)
-    done = 0
-    while done < samples:
-        n = min(max(1, rows // chunk), (samples - done) // chunk)
-        count = chunk if n else samples - done
-        raw = rng.standard_normal((max(n, 1), 2, count, d))
-        done += len(raw) * count
-        for lo in range(0, count, rows):
-            block = _complex_parts(raw[:, :, lo : lo + rows], 1).reshape(-1, d)
-            if lo + rows >= count:
-                # Copied out in full: the draw goes before the last block
-                # is scored, as a draw converted whole would.
-                del raw
-            yield _unit_rows(block)
+def _bartlett(g: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Lower-triangular s x s Bartlett factors L, one per column of g,
+    (s, count): sqrt(g) on the diagonal and, below it in row-major
+    order, the complex normals whose real and imaginary parts are raw[0]
+    and raw[1], scaled by sqrt(1/2) so that E|z|^2 = 1."""
+    s, count = g.shape
+    f = np.zeros((count, s, s), dtype=np.complex128)
+    f.reshape(count, s * s)[:, :: s + 1] = np.sqrt(g.T)
+    if s > 1:
+        f[(slice(None), *np.tril_indices(s, -1))] = _complex_parts(raw).T * np.sqrt(0.5)
+    return f
 
 
 def _refine(evaluator, k, x, best, rng):
@@ -398,14 +453,14 @@ def _refine(evaluator, k, x, best, rng):
     return best, x, accepted
 
 
-def _checked_samples(samples, least: int) -> int:
-    """``samples`` as an int, refused with ValueError unless it is an
-    integer, a bool excluded, of at least ``least``."""
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    if samples < least:
-        raise ValueError(f"samples must be >= {least}, got {samples}")
-    return int(samples)
+def _checked_int(value, name: str, least: int) -> int:
+    """``value`` as an int, refused with ValueError naming ``name``
+    unless it is an integer, a bool excluded, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 def empirical_sharp_constant(
@@ -425,29 +480,33 @@ def empirical_sharp_constant(
     t ||P(xx*)||_op, and the ratio of A is at least the ratio of xx*,
     which is sqrt(||P(xx*)||_op).
 
-    The search therefore draws ``samples`` complex Gaussian unit vectors
-    per summand from one generator seeded by ``seed``, in summand order,
-    and scores the projection onto each.  On a summand whose ratio cannot
-    vary (``_ratio_varies``: one slot with min(n, m) = 1) every unit
-    vector has the same ratio, so one vector searches it completely: the
-    search draws and scores one vector there, and refines nothing when
-    that summand holds the best ratio.  The draws come in chunks of the
-    chunk rule (see _CHUNK_ENTRIES), which fixes the stream; several
-    whole chunks may come from one draw, the same numbers as a draw per
-    chunk.  The scoring runs on blocks of _SCORE_BLOCK_ENTRIES // d_k rows cut from
-    the draw, and a strict < across blocks in draw order keeps argmin's
-    first smallest row, so the block size moves no result.  Refinement
-    then runs random-direction descent on the sphere of the best vector;
-    its draws follow the sampling draws, so the sampling result does not
-    depend on ``refine``.  The witness is the rank-one projection onto the best vector.  On a
+    The search therefore draws ``samples`` random candidates per summand
+    from one generator seeded by ``seed``, in summand order, and keeps
+    the first smallest ratio.  A candidate is drawn as its slot Grams,
+    whose law is that of a complex Gaussian unit vector's, not as a
+    vector (``_RatioEvaluator.gram_blocks``), so a draw costs
+    sum_i min(n_i, m_i)^2 numbers whatever d_k is.  On a summand whose
+    ratio cannot vary (``_ratio_varies``: one slot with min(n, m) = 1)
+    every unit vector has the ratio sqrt(w_k / den_g), read from the
+    weight layout: nothing is drawn there, its first unit vector stands
+    for it, and nothing is refined when it holds the best ratio.  Only
+    the best draw becomes a vector (``_RatioEvaluator.draw_vector``),
+    which is scored once more by ``rank_one_ratios``, the evaluator of
+    every later comparison.  Refinement then runs random-direction
+    descent on the sphere from that vector; its draws follow the sampling
+    draws, so the sampling result does not depend on ``refine``.  The
+    witness is the rank-one projection onto the best vector.  On a
     conjugate U B U* the search runs on the base B, whose ratios are the
     same, and the witness is carried back: x in summand k becomes
     y = U_k x, with projection yy*.  An algebra whose dense witness
     would hold more than _WITNESS_ENTRIES complex entries is refused with
-    InputError before any draw.
+    InputError before any draw.  ``samples`` must be an integer of at
+    least 1 and ``seed`` one of at least 0, a bool excluded; anything
+    else is refused with ValueError before any draw.
     """
     b, u = standard_form(b, v)
-    samples = _checked_samples(samples, 1)
+    samples = _checked_int(samples, "samples", 1)
+    seed = _checked_int(seed, "seed", 0)
     entries = sum(d * d for d in b.shape.dims)
     if entries > _WITNESS_ENTRIES:
         raise InputError(
@@ -456,18 +515,16 @@ def empirical_sharp_constant(
         )
     evaluator = _RatioEvaluator(b, v)
     rng = np.random.default_rng(seed)
-    chunk = max(1, _CHUNK_ENTRIES // entries)
     best = np.inf
-    for k, d in enumerate(b.shape.dims):
-        for vecs in _unit_blocks(rng, samples if evaluator.varies[k] else 1, chunk, d):
-            ratios = evaluator.rank_one_ratios(k, vecs)
+    for k in range(b.shape.num_summands):
+        for sq, g, raw in evaluator.gram_blocks(k, samples, rng):
             # argmin's first index and a strict < across blocks keep the
-            # first smallest row in draw order.
-            pick = int(np.argmin(ratios))
-            if ratios[pick] < best:
-                best = float(ratios[pick])
-                # A copy, so that the block can go.
-                best_k, x = k, vecs[pick].copy()
+            # first smallest draw.
+            pick = int(np.argmin(sq))
+            if sq[pick] < best:
+                best, best_k, draw = sq[pick], k, (g[:, pick].copy(), raw[:, :, pick].copy())
+    x = evaluator.draw_vector(best_k, draw)
+    best = float(evaluator.rank_one_ratios(best_k, x[None])[0])
     refine_steps = 0
     if refine and evaluator.varies[best_k]:
         best, x, refine_steps = _refine(evaluator, best_k, x, best, rng)
@@ -545,11 +602,12 @@ def table1(
     """Recompute the reference constant table, optionally with search.
 
     ``samples = 0`` skips the empirical column; a negative or non-integer
-    ``samples`` is refused with ValueError.  A row is flagged when the
-    recomputed theoretical constant differs from the stored reference
-    value beyond 1e-12.
+    ``samples`` or ``seed`` is refused with ValueError.  A row is flagged
+    when the recomputed theoretical constant differs from the stored
+    reference value beyond 1e-12.
     """
-    samples = _checked_samples(samples, 0)
+    samples = _checked_int(samples, "samples", 0)
+    seed = _checked_int(seed, "seed", 0)
     rows = []
     row_seeds = np.random.SeedSequence(seed).generate_state(len(TABLE1_SPECS))
     for idx, (label, dim, terms, guess_inv, theor_inv) in enumerate(TABLE1_SPECS):

@@ -19,7 +19,7 @@ from .algebra import (
     element_norm,
     trace_state,
 )
-from .constants import _gaussian_stacks, _weight_one_pair, table1, theoretical_bound
+from .constants import _checked_int, _gaussian_stacks, _weight_one_pair, table1, theoretical_bound
 from .effros_shen import GOLDEN, SQRT2_MINUS_1, SQRT3_MINUS_1, es_constant, es_level
 from .expectation import (
     apply_pipeline,
@@ -147,9 +147,11 @@ def _check(results, name, passed, detail=""):
 
 
 def run_selftest(seed: int = 0) -> list[CheckResult]:
-    """Quick invariant sweep over the fleet; returns one result per check."""
+    """Quick invariant sweep over the fleet; returns one result per check.
+    A ``seed`` that is not a non-negative integer is refused with
+    ValueError."""
     results = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_int(seed, "seed", 0))
 
     b2, v2 = _weight_one_pair(2, ((1, 1), (1, 1)))
     a = AlgebraElement(b2.shape, [np.array([[1.0, 2.0], [2.0, 1.0]])])

@@ -228,11 +228,25 @@ def test_readme_search_example(problem_files):
     proc = run_cli("search", *problem_args(problem_files),
                    "--samples", "2000", "--seed", "1", check=True)
     out = json.loads(proc.stdout)
-    assert out["best_ratio"] == 0.7071067811866137
-    assert out["refine_steps"] == 23
+    assert out["best_ratio"] == 0.7071067811865517
+    assert out["refine_steps"] == 20
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    assert '{"best_ratio": 0.7071067811866137,' in readme
-    assert '"refine_steps": 23}' in readme
+    assert '{"best_ratio": 0.7071067811865517,' in readme
+    assert '"refine_steps": 20}' in readme
+
+
+def test_a_negative_seed_exits_2_naming_the_seed(problem_files, capsys):
+    """search, table1 and selftest refuse --seed -1 with exit 2 and a
+    JSON error that names the seed."""
+    for args in (
+        ["search", *problem_args(problem_files), "--samples", "10"],
+        ["table1", "--samples", "10"],
+        ["table1"],
+        ["selftest"],
+    ):
+        assert cli.main([*args, "--seed", "-1"]) == 2, args
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValueError" and "seed" in err["message"], args
 
 
 def test_search_rejects_bad_counts(problem_files):

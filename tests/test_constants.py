@@ -284,11 +284,12 @@ def test_min_ratio_over_samples_agrees_with_norm_route():
 def test_invalid_search_arguments(monkeypatch):
     """A sample count that is not an integer (a bool included) is refused
     with ValueError before any generator is made, as is one below 1 in
-    the search and a negative one in table1; a numpy integer is read as
-    an int."""
+    the search and a negative one in table1, and so is a seed that is not
+    an integer of at least 0; a numpy integer is read as an int."""
     b, v = uniform_single(2, [(1, 1), (1, 1)])
-    rep = empirical_sharp_constant(b, v, samples=np.int64(5), refine=False)
+    rep = empirical_sharp_constant(b, v, samples=np.int64(5), seed=np.uint32(7), refine=False)
     assert rep.samples == 5 and type(rep.samples) is int
+    assert rep.seed == 7 and type(rep.seed) is int
     made = []
     monkeypatch.setattr(np.random, "default_rng", lambda *args: made.append(args))
     for bad in (0, -3):
@@ -297,10 +298,21 @@ def test_invalid_search_arguments(monkeypatch):
     with pytest.raises(ValueError, match=">= 0"):
         table1(samples=-3)
     for bad in (2.5, True, False, np.float64(3.0), "10", None):
-        with pytest.raises(ValueError, match="an integer"):
+        with pytest.raises(ValueError, match="samples must be an integer"):
             empirical_sharp_constant(b, v, samples=bad)
-        with pytest.raises(ValueError, match="an integer"):
+        with pytest.raises(ValueError, match="samples must be an integer"):
             table1(samples=bad)
+    # The seed likewise: an integer of at least 0, a bool excluded.
+    for bad in (-1, -3, np.int64(-2)):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            empirical_sharp_constant(b, v, samples=5, seed=bad)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            table1(samples=0, seed=bad)
+    for bad in (2.5, True, False, np.float64(3.0), "3", None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            empirical_sharp_constant(b, v, samples=5, seed=bad)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            table1(samples=5, seed=bad)
     assert made == []
 
 
@@ -548,30 +560,80 @@ def _constant_summand(partition):
     return len(partition.terms) == 1 and min(partition.terms[0]) == 1
 
 
-def _sample_by_chunks(b, v, samples, seed, refine):
-    """The search with one draw and one scoring call per chunk, as a
-    chunk-by-chunk loop runs it: the reference for the blocks of
-    ``empirical_sharp_constant``.  A constant summand
-    (``_constant_summand``) draws one vector and is never refined.
-    Refines like the search and returns (best_ratio, refine_steps,
-    witness summands)."""
+def _bartlett_factors(rows, g, z):
+    """The lower-triangular factors L_i of each slot, built entry by
+    entry from the gammas g and complex normals z of a stack of draws:
+    sqrt(g) on the diagonals, slot by slot, and z below them in
+    row-major order."""
+    factors, a, b = [], 0, 0
+    for _, n, m, _ in rows:
+        s = min(n, m)
+        f = np.zeros((len(g), s, s), dtype=complex)
+        for j in range(s):
+            f[:, j, j] = np.sqrt(g[:, a + j])
+        for i, j in zip(*np.tril_indices(s, -1)):
+            f[:, i, j] = z[:, b]
+            b += 1
+        factors.append(f)
+        a += s
+    return factors
+
+
+def _sample_by_summands(b, v, samples, seed, refine):
+    """The search with each summand's Gram draws scored in one call: the
+    reference for the blocks of ``empirical_sharp_constant``.  The draws
+    follow the block rule, which fixes the stream; each draw's Bartlett
+    factors are built entry by entry, their Grams L L* go to LAPACK, the
+    traces are row sums, and the best draw's slots X_i = [L_i*; 0]
+    (m_i <= n_i) or [L_i, 0] are laid out column by column.  A constant
+    summand (``_constant_summand``) draws nothing, stands as its first
+    unit vector and is never refined.  Refines like the search and
+    returns (best_ratio, refine_steps, witness summands)."""
     base, u = standard_form(b, v)
     evaluator = _RatioEvaluator(base, v)
+    layout = base.weight_layout(v.weights)
     rng = np.random.default_rng(seed)
     dims = base.shape.dims
-    chunk = max(1, constants._CHUNK_ENTRIES // sum(d * d for d in dims))
     varies = [not _constant_summand(p) for p in base.partitions]
     best = np.inf
-    for k, d in enumerate(dims):
-        drawn = samples if varies[k] else 1
-        for done in range(0, drawn, chunk):
-            count = min(chunk, drawn - done)
-            vecs = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
-            vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-            ratios = evaluator.rank_one_ratios(k, vecs)
+    for k, (w, rows) in enumerate(zip(layout.factors, layout.slots)):
+        coef = np.array([w / den for *_, den in rows])
+        x = np.zeros(dims[k], dtype=complex)
+        if not varies[k]:
+            x[0] = 1.0
+            sq = coef[0]
+        else:
+            short = [min(n, m) for _, n, m, _ in rows]
+            shapes = [max(n, m) - j for _, n, m, _ in rows for j in range(min(n, m))]
+            low = sum(s * (s - 1) // 2 for s in short)
+            per = max(1, constants._DRAW_BLOCK_ENTRIES // sum(s * s for s in short))
+            gs, zs = [], []
+            for done in range(0, samples, per):
+                count = min(per, samples - done)
+                gs.append(np.array([rng.standard_gamma(t, count) for t in shapes]).T)
+                raw = rng.standard_normal((2, low, count))
+                zs.append((raw[0] + 1j * raw[1]).T * math.sqrt(0.5))
+            g, z = np.concatenate(gs), np.concatenate(zs)
+            factors = _bartlett_factors(rows, g, z)
+            lam = [np.linalg.eigvalsh(f @ np.conj(np.swapaxes(f, 1, 2)))[:, -1] for f in factors]
+            ratios = np.max(coef * np.stack(lam, axis=1), axis=1) / (g.sum(1) + (np.abs(z) ** 2).sum(1))
             pick = int(np.argmin(ratios))
-            if ratios[pick] < best:
-                best, best_k, x = float(ratios[pick]), k, vecs[pick]
+            sq = ratios[pick]
+            for (off, n, m, _), f in zip(rows, factors):
+                piece = np.zeros((n, m), dtype=complex)
+                if m <= n:
+                    piece[:m] = np.conj(f[pick].T)
+                else:
+                    piece[:, :n] = f[pick]
+                x[off : off + n * m] = piece.T.reshape(-1)
+            # The norm division of _unit_rows (see
+            # test_unit_rows_equal_division_by_the_norm), which keeps the
+            # signed zeros of the search's vector.
+            x = constants._unit_rows(x[None])[0]
+        if sq < best:
+            best, best_k, best_x = sq, k, x
+    x = best_x
+    best = float(evaluator.rank_one_ratios(best_k, x[None])[0])
     steps = 0
     if refine and varies[best_k]:
         best, x, steps = constants._refine(evaluator, best_k, x, best, rng)
@@ -583,25 +645,26 @@ def _sample_by_chunks(b, v, samples, seed, refine):
 
 
 def test_block_sampling_equals_the_chunk_by_chunk_loop():
-    """Whole-chunk draws scored in blocks find the row a draw and a call
-    per chunk find, bit for bit: on every table row and fixture (a
-    conjugate included) and on tower levels whose chunks hold 400, 58
-    and one vector, at counts that neither a chunk nor a block divides.
-    The refine runs from one sample, except at the one-vector-chunk
-    levels, where it would cost more than the rest of the test and the
-    round-by-round test below covers it."""
-    problems = _all_problems()
-    for period, level in (((1,), 8), ((1,), 10), ((1,), 16), ((2,), 8)):
+    """Gram draws scored block by block find the draw that one scoring
+    call per summand finds, and build the same vector, bit for bit: on
+    every table row and fixture (a conjugate included) and on tower
+    levels, at one sample and at counts that no block divides.  The
+    refine runs from one sample on the fixtures; the round-by-round test
+    below covers it on the table rows and tower levels."""
+    problems = [(label, *table1_subalgebra(label), False) for label, *_ in TABLE1_SPECS]
+    problems += [(f.name, f.subalgebra, f.weight, True) for f in FLEET]
+    for period, level in (((1,), 8), ((1,), 12), ((2,), 8), ((1, 2), 8)):
         theta, cf = periodic_theta(period, level)
         lvl = es_level(theta, level, cf)
-        problems.append((f"{period}-{level}", lvl.subalgebra, lvl.weight))
-    for name, b, v in problems:
-        dims = standard_form(b, v)[0].shape.dims
-        chunk = max(1, constants._CHUNK_ENTRIES // sum(d * d for d in dims))
-        for samples in sorted({1, max(chunk - 1, 1), chunk + 1, 2001}):
-            seed, refine = samples % 7, samples == 1 < chunk
+        problems.append((f"{period}-{level}", lvl.subalgebra, lvl.weight, False))
+    for name, b, v, refinable in problems:
+        base = standard_form(b, v)[0]
+        entries = max(sum(min(n, m) ** 2 for n, m in p.terms) for p in base.partitions)
+        per = max(1, constants._DRAW_BLOCK_ENTRIES // entries)
+        for samples in (1, per + 1, 2 * per + 3):
+            seed, refine = samples % 7, refinable and samples == 1
             rep = empirical_sharp_constant(b, v, samples=samples, seed=seed, refine=refine)
-            best, steps, witness = _sample_by_chunks(b, v, samples, seed, refine)
+            best, steps, witness = _sample_by_summands(b, v, samples, seed, refine)
             case = (name, samples)
             assert np.float64(rep.best_ratio).tobytes() == np.float64(best).tobytes(), case
             assert rep.refine_steps == steps, case
@@ -684,7 +747,7 @@ def test_block_refine_equals_the_round_by_round_loop(monkeypatch):
         assert got[2] == want[2], (name, seed)
     # The set covers a refine that accepts in its last round and one
     # that accepts more than once.
-    assert accepts["B^5_{2^2,1}", 0][-1] == REFINE_ROUNDS - 1
+    assert accepts["B^4_{2^2}", 2][-1] == REFINE_ROUNDS - 1
     assert len(accepts["(1, 2)-6", 0]) > 1
     # And a refine that never accepts: a best ratio of 0 lies below
     # every candidate's.
@@ -715,24 +778,34 @@ def test_the_search_witness_is_bounded(monkeypatch):
     assert made == []
 
 
+class _Recording:
+    """A generator that records its draws as (kind, size), in order."""
+
+    draws = []
+    make = np.random.default_rng
+
+    def __init__(self, seed):
+        self.rng = _Recording.make(seed)
+
+    def standard_gamma(self, shape, size=None, out=None):
+        self.draws.append(("gamma", size if out is None else out.shape))
+        return self.rng.standard_gamma(shape, size, out=out)
+
+    def standard_normal(self, size):
+        self.draws.append(("normal", size))
+        return self.rng.standard_normal(size)
+
+
 def test_a_constant_summand_is_searched_with_one_vector(monkeypatch):
     """On a summand of one slot with min(n, m) = 1 every unit vector has
-    the ratio sqrt(w_k / den_g), so the search draws one vector there,
-    the next summand's stream starts right after it, and no refine runs
-    when that summand holds the best ratio.  Checked on C1 in M_3 and on
+    the ratio sqrt(w_k / den_g), so the search draws nothing there, the
+    next summand's stream starts the generator, and no refine runs when
+    that summand holds the best ratio.  Checked on C1 in M_3 and on
     shape (2, 3), whose first summand is all of M_2 and shares its group
     with a 2x2 slot of the second, under weights that put the best ratio
     in the first summand, then in the second."""
     real_rng = np.random.default_rng
-    sizes = []
-
-    class Recording:
-        def __init__(self, seed):
-            self.rng = real_rng(seed)
-
-        def standard_normal(self, size):
-            sizes.append(size)
-            return self.rng.standard_normal(size)
+    sizes = _Recording.draws
 
     def no_refine(*args):
         raise AssertionError("refined a constant summand")
@@ -749,30 +822,115 @@ def test_a_constant_summand_is_searched_with_one_vector(monkeypatch):
         layout = b.weight_layout(v.weights)
         for seed, refine in ((3, False), (4, True)):
             sizes.clear()
-            monkeypatch.setattr(np.random, "default_rng", Recording)
+            monkeypatch.setattr(np.random, "default_rng", _Recording)
             if best_k == 0:
                 monkeypatch.setattr(constants, "_refine", no_refine)
             rep = empirical_sharp_constant(b, v, samples=samples, seed=seed, refine=refine)
             monkeypatch.undo()
             dims = b.shape.dims
-            assert sizes[0] == (1, 2, 1, dims[0])
-            assert sizes[1 : len(dims)] == [(1, 2, samples, d) for d in dims[1:]]
+            # Nothing is drawn on the constant first summand: the second
+            # summand's slots (2, 1) and (1, 1) draw the generator's first
+            # numbers, a row of gammas each and no normal.
+            head = [("gamma", (samples,))] * 2 * (len(dims) - 1)
+            assert sizes[: len(head)] == head
             assert rep.samples == samples
             if best_k == 0:
-                assert len(sizes) == len(dims) and rep.refine_steps == 0
+                assert len(sizes) == len(head) and rep.refine_steps == 0
                 sharp = math.sqrt(layout.factors[0] / layout.dens[0])
                 assert abs(rep.best_ratio - sharp) <= 1e-15
                 assert rep.best_ratio == pytest.approx(sharp_constant(b, v), abs=1e-15)
             elif not refine:
-                # The second summand's draw follows the first summand's
-                # one vector, 2 * d_1 normals.
+                # The best draw's vector holds sqrt(g) at the head of each
+                # slot and is scored once more by rank_one_ratios.
                 rng = real_rng(seed)
-                rng.standard_normal(2 * dims[0])
-                raw = rng.standard_normal((2, samples, dims[1]))
-                vecs = raw[0] + 1j * raw[1]
-                vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-                want = _RatioEvaluator(b, v).rank_one_ratios(1, vecs).min()
+                g = np.array([rng.standard_gamma(t, samples) for t in (2, 1)]).T
+                coef = [layout.factors[1] / den for *_, den in layout.slots[1]]
+                pick = np.argmin(np.maximum(coef[0] * g[:, 0], coef[1] * g[:, 1]) / (g[:, 0] + g[:, 1]))
+                x = np.zeros(dims[1], dtype=complex)
+                x[[0, 2]] = np.sqrt(g[pick])
+                x = x / np.linalg.norm(x)
+                want = _RatioEvaluator(b, v).rank_one_ratios(1, x[None])[0]
                 assert rep.best_ratio == want
             else:
-                assert rep.refine_steps > 0 and len(sizes) > len(dims)
+                assert rep.refine_steps > 0 and len(sizes) > len(head)
             assert np.any(rep.witness.summands[best_k])
+
+
+def test_sampling_draws_do_not_grow_with_the_dimension(monkeypatch):
+    """A draw costs sum_i min(n_i, m_i) gammas and
+    sum_i min(n_i, m_i) (min(n_i, m_i) - 1) normals, whatever d_k is:
+    golden level 12, whose M_233 holds slots (144, 1) and (89, 1) and
+    whose M_144 is constant, draws two gammas per sample and no normal,
+    and slots (4, 3) and (1, 2) in M_14 draw four gammas and six
+    normals."""
+    theta, cf = periodic_theta((1,), 12)
+    lvl = es_level(theta, 12, cf)
+    assert [p.terms for p in lvl.subalgebra.partitions] == [((144, 1), (89, 1)), ((144, 1),)]
+    problems = [(lvl.subalgebra, lvl.weight, 2, 0), (*uniform_single(14, [(4, 3), (1, 2)]), 4, 6)]
+    samples = 3000
+    for b, v, gammas, normals in problems:
+        _Recording.draws.clear()
+        monkeypatch.setattr(np.random, "default_rng", _Recording)
+        empirical_sharp_constant(b, v, samples=samples, refine=False)
+        monkeypatch.undo()
+        counted = {"gamma": 0, "normal": 0}
+        for kind, size in _Recording.draws:
+            counted[kind] += math.prod(size)
+        assert counted == {"gamma": samples * gammas, "normal": samples * normals}
+
+
+# Slots whose short side is 2 in both orientations, 3, and a pair of
+# slots with short sides 3 and 1.
+GRAM_SHAPES = ([(2, 3)], [(3, 2)], [(3, 3)], [(4, 3), (1, 2)])
+
+
+def _gram_shape_problems():
+    return [(str(t), *uniform_single(sum(n * m for n, m in t), t)) for t in GRAM_SHAPES]
+
+
+def _ks_distance(a, b):
+    """The two-sample Kolmogorov-Smirnov distance of a and b."""
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate((a, b))
+    fa = np.searchsorted(a, pooled, side="right") / len(a)
+    fb = np.searchsorted(b, pooled, side="right") / len(b)
+    return float(np.abs(fa - fb).max())
+
+
+def test_gram_draws_have_the_law_of_gaussian_unit_vectors():
+    """The ratios of Gram draws and of Gaussian unit vectors, the
+    sampler the Gram draws replace, scored by ``rank_one_ratios``, are
+    20000 draws apart by a KS distance below 0.03 on every varying
+    summand of the table rows and fixtures and on GRAM_SHAPES.  Under
+    equal laws a distance above 0.03 has probability about 3e-8 per
+    summand; a sampler with Gamma(t) on every Bartlett diagonal read
+    0.23."""
+    draws = 20000
+    rng = np.random.default_rng(47)
+    for name, b, v in _all_problems() + _gram_shape_problems():
+        b = standard_form(b, v)[0]
+        ev = _RatioEvaluator(b, v)
+        for k, d in enumerate(b.shape.dims):
+            if not ev.varies[k]:
+                continue
+            grams = np.sqrt(np.concatenate([sq for sq, _, _ in ev.gram_blocks(k, draws, rng)]))
+            vecs = constants._unit_rows(constants._complex_gaussian(rng, (draws, d)))
+            dist = _ks_distance(grams, ev.rank_one_ratios(k, vecs))
+            assert dist < 0.03, (name, k, dist)
+
+
+def test_the_best_draw_builds_a_witness_with_its_ratio():
+    """Unrefined, on GRAM_SHAPES: the witness is a rank-one projection
+    whose induced norm is the reported ratio, and that ratio is the best
+    Gram draw's."""
+    for name, b, v in _gram_shape_problems():
+        ev = _RatioEvaluator(b, v)
+        for seed in range(3):
+            rep = empirical_sharp_constant(b, v, samples=2000, seed=seed, refine=False)
+            assert abs(fr_norm(b, v, rep.witness) - rep.best_ratio) < 1e-12, (name, seed)
+            p = rep.witness.summands[0]
+            assert np.abs(p @ p - p).max() < 1e-12
+            assert np.abs(p - p.conj().T).max() < 1e-15
+            assert abs(np.trace(p) - 1.0) < 1e-12
+            best = min(sq.min() for sq, _, _ in ev.gram_blocks(0, 2000, np.random.default_rng(seed)))
+            assert abs(rep.best_ratio - math.sqrt(best)) < 1e-12, (name, seed)

@@ -56,9 +56,6 @@ _STEP_SCALES = np.multiply.outer(
     0.5 ** (np.arange(REFINE_FAIL_LIMIT + _SPECULATE - 1) // REFINE_FAIL_LIMIT),
     np.repeat([1.0 + 0j, 0.25 + 0j], REFINE_DIRECTIONS),
 )[:, :, None]
-# numpy's pairwise summation adds a run of fewer than this many terms one
-# at a time (see _slot_masses).
-_PAIRWISE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -131,6 +128,18 @@ def sharp_constant(b, v: TracialWeight) -> float:
 
     With a single summand this is 1 / sum_i m_i * min(n_i, m_i).
     Invariant under conjugation: it reads the base of a conjugate.
+
+    sharp^2 is also the Pimsner-Popa constant of P, the largest lambda
+    with P(a) >= lambda a for every positive a (Pimsner and Popa, Ann.
+    Sci. ENS 19, 1986), an order inequality that implies the norm one.
+    The positive a with P(a) >= lambda a form a convex cone, and every
+    positive a is a sum of rank-one vv* with v in one summand k, so these
+    decide lambda.  On summand k, P(vv*) is the sum over the slots of
+    c_i X_i X_i* (x) 1_{m_i}, c_i = w_k / den_g(i), and v lies in its
+    range, so P(vv*) >= lambda vv* exactly when lambda <v, P(vv*)^+ v> =
+    lambda sum_i rank(X_i) / c_i <= 1.  The sum is at most
+    sum_i den_g(i) min(n_i, m_i) / w_k, and a generic x attains it, so
+    the best lambda is the minimum over k above.
     """
     b, _ = standard_form(b, v)
     layout = b.weight_layout(v.weights)
@@ -144,22 +153,20 @@ def sharp_constant(b, v: TracialWeight) -> float:
 class _RatioEvaluator:
     """Ratios ||A||_{v,B} / ||A||_op for the search.
 
-    The search scores rank-one projections xx* on slot Grams: with slot i
-    of summand k cut from x as in ``sharp_constant`` and
-    c_i = w_k / den_g(i), the ratio is sqrt(max_i c_i lambda_max(X_i* X_i)),
-    read from the d_k entries of x alone.  A stack of candidates, one per
-    row, is scored column by column: a numpy reduction along rows of two to
-    five entries costs many times the arithmetic it does.  The column sums
-    keep the order of the row reductions they replace, so every score,
-    and with it every refine trajectory, is the same bit for bit; a
-    different order would move last digits and, through the refine
-    loop's comparisons, whole trajectories.  ``opnorms`` and
-    ``fr_norms_sq`` evaluate stacks of general elements, the latter on
-    their column blocks (``StandardSubalgebra.induced_opnorms_sq``).
-    ``varies[k]`` says whether summand k's ratio depends on the vector
-    (``_ratio_varies``).  ``gram_blocks`` scores random candidates
-    without forming them: the ratio reads only each slot's s_i x s_i Gram
-    on its short side, s_i = min(n_i, m_i), which it draws directly.
+    The search scores rank-one projections on slot Grams.  Cut slot i of
+    summand k from a vector x as in ``sharp_constant``, let G_i be the
+    s_i x s_i Gram of X_i on its short side, s_i = min(n_i, m_i), and
+    c_i = w_k / den_g(i).  The projection onto x / ||x|| has the ratio
+
+        sqrt(max_i c_i lambda_max(G_i) / sum_i tr G_i),
+
+    which is homogeneous of degree 0 in x, so no candidate needs unit
+    length.  ``rank_one_ratios`` reads the G_i from vectors and
+    ``gram_blocks`` draws them directly; both take the lambda_max and the
+    quotient in ``_ratios_sq``.  ``opnorms`` and ``fr_norms_sq`` evaluate
+    stacks of general elements, the latter on their column blocks
+    (``StandardSubalgebra.induced_opnorms_sq``).  ``varies[k]`` says
+    whether summand k's ratio depends on the vector (``_ratio_varies``).
     """
 
     def __init__(self, b: StandardSubalgebra, v: TracialWeight):
@@ -168,26 +175,8 @@ class _RatioEvaluator:
         self.varies = [_ratio_varies(rows) for rows in b.slots]
         layout = b.weight_layout(v.weights)
         self.rows = layout.slots
-        # Per summand: the c_i, the slots with min(n_i, m_i) <= 2 as
-        # (i, lo, hi), the column range of X_i in x, whose mass they need,
-        # those with min(n_i, m_i) = 2 as (i, p, q), the slices of x
-        # holding the two rows p, q of X_i on its short side, and the
-        # slots with min(n_i, m_i) > 2, the only ones that need an
-        # eigensolver.
-        self.slots = []
-        for w, rows in zip(layout.factors, layout.slots):
-            coef = [w / den for _, _, _, den in rows]
-            cols, pairs, grams = [], [], []
-            for i, (off, n, m, _) in enumerate(rows):
-                if min(n, m) <= 2:
-                    cols.append((i, off, off + n * m))
-                if m == 2 <= n:
-                    pairs.append((i, slice(off, off + n), slice(off + n, off + 2 * n)))
-                elif n == 2 < m:
-                    pairs.append((i, slice(off, off + 2 * m, 2), slice(off + 1, off + 2 * m, 2)))
-                elif min(n, m) > 2:
-                    grams.append((i, off, n, m))
-            self.slots.append((coef, cols, pairs, grams))
+        self.coefs = [[w / r[3] for r in rows] for w, rows in zip(layout.factors, self.rows)]
+        self.sums = [_mass_matrix(d, rows) for d, rows in zip(b.shape.dims, layout.slots)]
 
     def opnorms(self, stacks) -> np.ndarray:
         return np.max([linalg.opnorm_batch(s) for s in stacks], axis=0)
@@ -198,33 +187,25 @@ class _RatioEvaluator:
         return self.b.induced_opnorms_sq(self.weights, stacks)
 
     def rank_one_ratios(self, k: int, vecs: np.ndarray) -> np.ndarray:
-        """Ratios of the projections xx* onto the unit rows x of ``vecs``,
-        placed in summand k, column by column.  A slot with
-        min(n_i, m_i) = 1 has lambda_max = ||X_i||_F^2, its mass, a sum of
-        whole columns of |x|^2 in a fixed order (``_slot_masses``).  With
-        min(n_i, m_i) = 2 the Gram on the smaller side of X_i is that of
-        two rows p, q, whose top eigenvalue has a closed form in ||p||^2,
-        ||q||^2 and <p, q>; larger Grams go to LAPACK.  The maximum over
-        the slots is a running maximum of the columns c_i lambda_i, exact
-        in any order."""
-        coef, cols, pairs, grams = self.slots[k]
-        sq = vecs.real**2 + vecs.imag**2
-        lam = [None] * len(coef)
-        for i, lo, hi in cols:
-            lam[i] = _slot_masses(sq, lo, hi)
-        # einsum sums these short rows about twice as fast as np.sum.
-        for i, p, q in pairs:
-            pp = np.einsum("ij->i", sq[:, p])
-            qq = np.einsum("ij->i", sq[:, q])
-            pq = np.einsum("ij,ij->i", vecs[:, p], np.conj(vecs[:, q]))
-            lam[i] = linalg.top_gram_eigvals_2(lam[i], pp, qq, pq)
-        for i, off, n, m in grams:
-            piece = vecs[:, off : off + n * m].reshape(len(vecs), m, n)
-            adj = linalg.adjoint(piece)
-            lam[i] = linalg.hermitian_opnorm_batch(piece @ adj if m <= n else adj @ piece)
-        top = coef[0] * lam[0]
-        for c, mass in zip(coef[1:], lam[1:]):
-            np.maximum(top, c * mass, out=top)
+        """Ratios of the projections onto the rows x of ``vecs`` scaled to
+        unit length, placed in summand k; the rows need not be unit.  One
+        product of |x|^2 with the summand's 0/1 matrix (``_mass_matrix``)
+        gives each slot's mass tr G_i, the mass pp of the first short-side
+        row p of each slot with s_i = 2, and the total; the second row q
+        has the mass qq = tr G_i - pp, and <p, q> is summed per slot.  The
+        product's rounding can depend on the number of rows (see
+        ``_refine``)."""
+        rows = self.rows[k]
+        sums = self.sums[k] @ (vecs.real**2 + vecs.imag**2).T
+        firsts = iter(sums[len(rows) : -1])
+        slots = []
+        for (off, n, m, _), mass in zip(rows, sums):
+            s, gram = min(n, m), _short_side(vecs, off, n, m)
+            if s == 2:
+                pp = next(firsts)
+                gram = (pp, mass - pp, np.einsum("ij,ij->i", gram[:, 0], np.conj(gram[:, 1])))
+            slots.append((s, mass, gram))
+        top = _ratios_sq(self.coefs[k], slots, sums[-1])
         return np.sqrt(top, out=top)
 
     def gram_blocks(self, k: int, samples: int, rng):
@@ -243,11 +224,11 @@ class _RatioEvaluator:
         block is one standard_gamma call per diagonal entry, slot by
         slot, each of a row of draws, then one standard_normal call: the
         real parts, then the imaginary parts, of the entries below the
-        diagonals, a row per entry.  A
-        summand whose ratio cannot vary (``varies[k]`` false) is one draw
-        L = [1] from no random numbers, of ratio^2 c_0 = w_k / den_g; its
-        vector is the summand's first unit vector."""
-        coef, rows = self.slots[k][0], self.rows[k]
+        diagonals, a row per entry.  A summand whose ratio cannot vary
+        (``varies[k]`` false) is one draw L = [1] from no random numbers,
+        of ratio^2 c_0 = w_k / den_g; its vector is the summand's first
+        unit vector."""
+        rows = self.rows[k]
         short = [min(n, m) for _, n, m, _ in rows]
         shapes = [max(n, m) - j for _, n, m, _ in rows for j in range(min(n, m))]
         low = sum(s * (s - 1) // 2 for s in short)
@@ -262,38 +243,81 @@ class _RatioEvaluator:
             raw = rng.standard_normal((2, low, count)) if low else np.empty((2, 0, count))
             zz = 0.5 * (raw[0] ** 2 + raw[1] ** 2)
             total = g.sum(axis=0) + zz.sum(axis=0)
-            top = None
+            slots = []
             a = b = 0
-            for c, s in zip(coef, short):
+            for s in short:
+                tri = s * (s - 1) // 2
                 if s == 1:
-                    lam = g[a]
+                    slots.append((1, g[a], None))
                 elif s == 2:
                     pp, qq = g[a], zz[b] + g[a + 1]
-                    lam = linalg.top_gram_eigvals_2(pp + qq, pp, qq, np.sqrt(pp * zz[b]))
+                    slots.append((2, pp + qq, (pp, qq, np.sqrt(pp * zz[b]))))
                 else:
-                    f = _bartlett(g[a : a + s], raw[:, b : b + s * (s - 1) // 2])
-                    lam = linalg.hermitian_opnorm_batch(f @ linalg.adjoint(f))
-                top = c * lam if top is None else np.maximum(top, c * lam, out=top)
-                a, b = a + s, b + s * (s - 1) // 2
-            yield np.divide(top, total, out=top), g, raw
+                    slots.append((s, None, _bartlett(g[a : a + s], raw[:, b : b + tri])))
+                a, b = a + s, b + tri
+            yield _ratios_sq(self.coefs[k], slots, total), g, raw
 
     def draw_vector(self, k: int, draw) -> np.ndarray:
         """The unit vector of summand k whose slot Grams are the draw's
         L_i L_i*: X_i = [L_i*; 0] when m_i <= n_i, else [L_i, 0], cut as in
-        ``sharp_constant`` and normalized."""
+        ``sharp_constant`` and normalized (``_unit``)."""
         x = np.zeros(self.b.shape.dims[k], dtype=np.complex128)
         a = b = 0
         for off, n, m, _ in self.rows[k]:
             s = min(n, m)
-            f = _bartlett(draw[0][a : a + s, None], draw[1][:, b : b + s * (s - 1) // 2, None])[0]
-            # Row j of the piece is column j of X_i.
-            piece = x[off : off + n * m].reshape(m, n)
-            if m <= n:
-                piece[:, :s] = np.conj(f)
-            else:
-                piece[:s] = f.T
-            a, b = a + s, b + s * (s - 1) // 2
-        return _unit_rows(x[None])[0]
+            tri = s * (s - 1) // 2
+            f = _bartlett(draw[0][a : a + s, None], draw[1][:, b : b + tri, None])[0]
+            # The short side of [L*; 0] is conj(L) (see _short_side).
+            _short_side(x[None], off, n, m)[0, :, :s] = np.conj(f) if m <= n else f
+            a, b = a + s, b + tri
+        return _unit(x)
+
+
+def _short_side(vecs: np.ndarray, off: int, n: int, m: int) -> np.ndarray:
+    """The slot X_i (n x m, at ``off``) of each row of ``vecs`` on its
+    short side, a view of shape (count, s, t): row j is column j of X_i
+    when m <= n, and row j of X_i otherwise.  Its Grams f f* have the
+    spectra of the G_i."""
+    piece = vecs[:, off : off + n * m].reshape(len(vecs), m, n)
+    return piece if m <= n else piece.transpose(0, 2, 1)
+
+
+def _mass_matrix(d: int, rows) -> np.ndarray:
+    """The 0/1 matrix that sums |x|^2 of a vector x of a summand of
+    dimension d, given by its slot rows (offset, n, m, ...), into one
+    entry per row of the matrix: each slot's mass, then the mass of the
+    first short-side row of each slot with min(n, m) = 2, then the
+    total."""
+    firsts = [
+        _short_side(np.arange(d)[None], off, n, m)[0, 0] for off, n, m, _ in rows if min(n, m) == 2
+    ]
+    mat = np.zeros((len(rows) + len(firsts) + 1, d))
+    for i, (off, n, m, _) in enumerate(rows):
+        mat[i, off : off + n * m] = 1.0
+    for j, first in enumerate(firsts):
+        mat[len(rows) + j, first] = 1.0
+    mat[-1] = 1.0
+    return mat
+
+
+def _ratios_sq(coefs, slots, total) -> np.ndarray:
+    """Squared ratios max_i c_i lambda_i / total of a stack of candidates,
+    one per entry of ``total``, computed in place.  ``slots`` gives slot
+    by slot (s_i, mass, gram), lambda_i being the top eigenvalue of the
+    slot's s_i x s_i Gram of trace ``mass``: the mass itself when
+    s_i = 1; with s_i = 2, gram holds the Gram's entries (pp, qq, pq),
+    and ``linalg.top_gram_eigvals_2`` gives it in closed form; above,
+    gram is a stack of f whose Grams f f* go to LAPACK."""
+    top = None
+    for c, (s, mass, gram) in zip(coefs, slots):
+        if s == 1:
+            lam = mass
+        elif s == 2:
+            lam = linalg.top_gram_eigvals_2(mass, *gram)
+        else:
+            lam = linalg.hermitian_opnorm_batch(gram @ linalg.adjoint(gram))
+        top = c * lam if top is None else np.maximum(top, c * lam, out=top)
+    return np.divide(top, total, out=top)
 
 
 def _ratio_varies(rows) -> bool:
@@ -316,26 +340,6 @@ class SearchReport:
     samples: int
     seed: int
     refine_steps: int
-
-
-def _slot_masses(sq: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Row sums of sq[:, lo:hi], bit for bit those of
-    ``np.add.reduceat(sq, [lo, hi], axis=1)[:, 0]``.
-
-    Up to _PAIRWISE_BLOCK entries the sum is taken over whole columns, in
-    the order reduceat adds them: a_0 + (a_1 + a_2 + ...), the tail one
-    term at a time, as numpy's pairwise summation adds a run of fewer
-    than _PAIRWISE_BLOCK terms.  It unrolls longer runs, so a longer slot
-    keeps reduceat, whose rows are then long enough to pay for it.
-    """
-    if hi - lo > _PAIRWISE_BLOCK:
-        return np.add.reduceat(sq[:, lo:hi], [0], axis=1)[:, 0]
-    if hi - lo == 1:
-        return sq[:, lo]
-    tail = sq[:, lo + 1]
-    for j in range(lo + 2, hi):
-        tail = tail + sq[:, j]
-    return sq[:, lo] + tail
 
 
 def _complex_parts(raw: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -362,27 +366,9 @@ def _gaussian_stacks(rng, dims, count):
     return [_complex_gaussian(rng, (count, d, d)) for d in dims]
 
 
-def _unit_rows(vecs: np.ndarray) -> np.ndarray:
-    """The rows of ``vecs`` scaled to unit length, bit for bit
-    ``vecs / np.linalg.norm(vecs, axis=1, keepdims=True)``: the same
-    reduction that ``norm`` runs, without its checks, and a product with
-    1/norm, which is how numpy divides a complex number by a real one
-    (Smith's method with a zero imaginary part).  The |x|^2 temporary
-    goes before the scaled copy is made."""
-    return vecs * (1.0 / np.sqrt(_row_sums((vecs.conj() * vecs).real)))[:, None]
-
-
-def _row_sums(sq: np.ndarray) -> np.ndarray:
-    """Row sums of sq, bit for bit ``np.add.reduce(sq, axis=1)``: rows of
-    fewer than _PAIRWISE_BLOCK entries are summed over whole columns in
-    the order the reduction adds them, ((a_0 + a_1) + a_2) + ...; longer
-    rows keep the reduction."""
-    if sq.shape[1] >= _PAIRWISE_BLOCK:
-        return np.add.reduce(sq, axis=1)
-    total = sq[:, 0]
-    for j in range(1, sq.shape[1]):
-        total = total + sq[:, j]
-    return total
+def _unit(x: np.ndarray) -> np.ndarray:
+    """The vector x scaled to unit length, by the product with 1/||x||."""
+    return x * (1 / math.sqrt(np.vdot(x, x).real))
 
 
 def _bartlett(g: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -403,20 +389,28 @@ def _refine(evaluator, k, x, best, rng):
 
     Each round moves the unit vector x along 2 * REFINE_DIRECTIONS
     Gaussian directions, half at scale ``step`` and half at ``step / 4``,
-    renormalizes, and keeps the best candidate if it lowers the ratio;
-    the step halves after REFINE_FAIL_LIMIT consecutive failing rounds.
+    scores the candidates as they are, the ratio being scale-free (see
+    ``_RatioEvaluator``), and keeps the best one, scaled to unit length,
+    if it lowers the ratio; the step halves after REFINE_FAIL_LIMIT
+    consecutive failing rounds.
 
     The rounds run in speculative blocks.  One draw gives the directions
-    of as many rounds as fit in _REFINE_DRAW_ENTRIES doubles, in the order
-    that a draw per round would give them.  Up to _SPECULATE rounds are then
-    scored in one call, on the guess that all of them fail: x stays put,
-    and round j of the block takes the step that j failing rounds leave,
-    step * 0.5**((fails + j) // REFINE_FAIL_LIMIT), read from
-    _STEP_SCALES, which is exact since halving is.  The first round that beats ``best`` is accepted as a
-    round-by-round loop accepts it; the scores after it are dropped, and
-    their directions are rescored from the new x.  A candidate's score
-    depends on its own row alone, so x, ``best`` and the accept count
-    equal those of the round-by-round loop bit for bit.
+    of as many rounds as fit in _REFINE_DRAW_ENTRIES doubles, in the
+    order that a draw per round would give them.  Up to _SPECULATE rounds
+    are then scored in one call, on the guess that all of them fail: x
+    stays put, and round j of the block takes the step that j failing
+    rounds leave, step * 0.5**((fails + j) // REFINE_FAIL_LIMIT), read
+    from _STEP_SCALES, which is exact since halving is.  The first round
+    that beats ``best`` is accepted as a round-by-round loop accepts it;
+    the scores after it are dropped, and their directions are rescored
+    from the new x.  A candidate's score depends on its own row and on the
+    BLAS kernel that sums its slot masses (``rank_one_ratios``), which
+    numpy and OpenBLAS pick by the stack's shape: one row goes to gemv,
+    and a product of more than about 10^6 multiply-adds can leave the
+    small-matrix kernel.  The refine's stacks of 32 to 32 * _SPECULATE
+    rows stayed on one kernel on every problem tested, and there x,
+    ``best`` and the accept count equal those of the round-by-round loop
+    bit for bit.
     """
     ndir = REFINE_DIRECTIONS
     d = x.size
@@ -432,7 +426,7 @@ def _refine(evaluator, k, x, best, rng):
         span = min(_SPECULATE, len(dirs))
         cands = dirs[:span] * (step * _STEP_SCALES[fails : fails + span])
         cands += x
-        cands = _unit_rows(cands.reshape(-1, d))
+        cands = cands.reshape(-1, d)
         ratios = evaluator.rank_one_ratios(k, cands)
         hits = (ratios < best).nonzero()[0]
         # The rounds before the first hit, or all of them, failed.
@@ -444,7 +438,7 @@ def _refine(evaluator, k, x, best, rng):
             lo = failed * 2 * ndir
             pick = lo + int(ratios[lo : lo + 2 * ndir].argmin())
             best = float(ratios[pick])
-            x = cands[pick]
+            x = _unit(cands[pick])
             accepted += 1
             fails = 0
             used += 1

@@ -228,10 +228,10 @@ def test_readme_search_example(problem_files):
     proc = run_cli("search", *problem_args(problem_files),
                    "--samples", "2000", "--seed", "1", check=True)
     out = json.loads(proc.stdout)
-    assert out["best_ratio"] == 0.7071067811865517
+    assert out["best_ratio"] == 0.7071067811865518
     assert out["refine_steps"] == 20
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    assert '{"best_ratio": 0.7071067811865517,' in readme
+    assert '{"best_ratio": 0.7071067811865518,' in readme
     assert '"refine_steps": 20}' in readme
 
 

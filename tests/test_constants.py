@@ -28,7 +28,7 @@ from frnorms.effros_shen import (
     periodic_theta,
 )
 from frnorms.errors import InputError, ShapeError
-from frnorms.expectation import fr_norm, fr_norm_squared
+from frnorms.expectation import cond_expect, fr_norm, fr_norm_squared
 from frnorms.fleet import build_fleet, random_unitary
 from frnorms.subalgebra import (
     ConjugatedSubalgebra,
@@ -358,6 +358,38 @@ def test_sharp_constant_invariant_under_conjugation():
         assert sharp_constant(c, f.weight) == sharp_constant(f.subalgebra, f.weight)
 
 
+def _order_gap(b, v, a, lam):
+    """The smallest eigenvalue of E(a) - lam * a over the summands."""
+    e = cond_expect(b, v, a)
+    return min(np.linalg.eigvalsh(x - lam * y)[0] for x, y in zip(e.summands, a.summands))
+
+
+def test_the_sharp_constant_is_the_pimsner_popa_constant():
+    """E(a) >= sharp^2 a for positive a (see ``sharp_constant``), and no
+    larger constant holds at the search witness p: E(p) - (1.01 sharp)^2 p
+    has a negative eigenvalue.  On the fleet, the table rows, golden tower
+    levels 2-8 and levels 2-5 of periods (2) and (1, 2)."""
+    problems = _all_problems()
+    tower = [((1,), level) for level in range(2, 9)]
+    tower += [(period, level) for period in ((2,), (1, 2)) for level in range(2, 6)]
+    for period, level in tower:
+        theta, cf = periodic_theta(period, level)
+        lvl = es_level(theta, level, cf)
+        problems.append((f"{period}-{level}", lvl.subalgebra, lvl.weight))
+    assert len(problems) == 45
+    rng = np.random.default_rng(53)
+    for name, b, v in problems:
+        sq = sharp_constant(b, v) ** 2
+        for _ in range(10):
+            g = [constants._complex_gaussian(rng, (d, d)) for d in b.shape.dims]
+            a = AlgebraElement(b.shape, [x @ np.conj(x.T) for x in g])
+            size = max(np.linalg.eigvalsh(x)[-1] for x in a.summands)
+            assert _order_gap(b, v, a, sq) >= -1e-12 * size, name
+        p = empirical_sharp_constant(b, v, samples=500, seed=1).witness
+        assert _order_gap(b, v, p, sq) >= -1e-12, name
+        assert _order_gap(b, v, p, 1.01**2 * sq) < 0, name
+
+
 def test_slot_gram_ratios_match_the_induced_norm():
     """The search scores xx* on slot Grams; the closed form of P behind
     them is checked here against fr_norm_squared(xx*), built from the
@@ -446,37 +478,12 @@ def test_two_row_slot_grams_in_both_orientations():
             assert sharp - 1e-12 <= best <= sharp + 1e-6, (terms, seed, best - sharp)
 
 
-def _row_wise_ratios(b, v, k, vecs):
-    """The scorer that reduced along each candidate's row: slot masses
-    by np.add.reduceat and the maximum by np.max(coef * lam, axis=1).
-    The reference for the column-wise ``rank_one_ratios``."""
-    w = v.per_trace_factors()
-    rows = b.weight_layout(v.weights).slots[k]
-    offsets = np.array([off for off, _, _, _ in rows])
-    coef = np.array([w[k] / den for _, _, _, den in rows])
-    sq = vecs.real**2 + vecs.imag**2
-    lam = np.add.reduceat(sq, offsets, axis=1)
-    for i, (off, n, m, _) in enumerate(rows):
-        if min(n, m) > 2:
-            piece = vecs[:, off : off + n * m].reshape(len(vecs), m, n)
-            adj = np.conj(np.swapaxes(piece, 1, 2))
-            lam[:, i] = linalg.hermitian_opnorm_batch(piece @ adj if m <= n else adj @ piece)
-        elif min(n, m) == 2:
-            if m == 2:
-                p, q = slice(off, off + n), slice(off + n, off + 2 * n)
-            else:
-                p, q = slice(off, off + 2 * m, 2), slice(off + 1, off + 2 * m, 2)
-            pp = np.einsum("ij->i", sq[:, p])
-            qq = np.einsum("ij->i", sq[:, q])
-            pq = np.einsum("ij,ij->i", vecs[:, p], np.conj(vecs[:, q]))
-            lam[:, i] = linalg.top_gram_eigvals_2(lam[:, i], pp, qq, pq)
-    return np.sqrt(np.max(coef * lam, axis=1))
-
-
-def test_column_wise_scoring_equals_the_row_wise_reference():
-    """Slots of 1 to 12 entries, on both sides of the switch to reduceat
-    above 8, two-row slots in both orientations, slots with
-    min(n, m) > 2, and every table row and fixture: the same bits."""
+def test_rank_one_ratios_are_scale_free():
+    """Rows need not be unit: the ratio of c x is that of x, bit for bit
+    when c is a power of two and to 2e-15 relative otherwise, and it is
+    the induced norm of the projection x x* / ||x||^2.  Checked on slots
+    of 1 to 12 entries, on slots with min(n, m) = 2 in both orientations
+    and above 2, and on every table row and fixture summand."""
     problems = [("slot", *uniform_single(e + 1, [(e, 1), (1, 1)])) for e in range(1, 13)]
     problems += [("mult", *uniform_single(e + 2, [(1, e), (2, 1)])) for e in range(1, 13)]
     for terms in ([(2, 3)], [(3, 2)], [(2, 5), (1, 1)], [(5, 2)], [(3, 3)], [(4, 3), (1, 2)]):
@@ -484,24 +491,21 @@ def test_column_wise_scoring_equals_the_row_wise_reference():
     problems += _all_problems()
     rng = np.random.default_rng(41)
     for name, b, v in problems:
-        if isinstance(b, ConjugatedSubalgebra):
-            b = b.base
+        b = standard_form(b, v)[0]
         ev = _RatioEvaluator(b, v)
         for k, d in enumerate(b.shape.dims):
-            for count in (1, 256, 3000):
-                vecs = constants._unit_rows(constants._complex_gaussian(rng, (count, d)))
-                got = ev.rank_one_ratios(k, vecs)
-                want = _row_wise_ratios(b, v, k, vecs)
-                assert got.tobytes() == want.tobytes(), (name, k, count)
-
-
-def test_unit_rows_equal_division_by_the_norm():
-    rng = np.random.default_rng(43)
-    for d in range(1, 13):
-        for count in (1, 256, 10000):
-            vecs = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
-            want = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-            assert constants._unit_rows(vecs).tobytes() == want.tobytes(), (d, count)
+            vecs = constants._complex_gaussian(rng, (64, d))
+            ratios = ev.rank_one_ratios(k, vecs)
+            for c in (2.0**20, 2.0**-20):
+                assert ev.rank_one_ratios(k, c * vecs).tobytes() == ratios.tobytes(), (name, k, c)
+            for c in (1e-3, 3.0, 700.0):
+                err = np.abs(ev.rank_one_ratios(k, c * vecs) / ratios - 1.0).max()
+                assert err <= 2e-15, (name, k, c, err)
+            for x, ratio in zip(vecs[:8], ratios):
+                mats = [np.zeros((e, e), dtype=complex) for e in b.shape.dims]
+                mats[k] = np.outer(x, np.conj(x)) / np.vdot(x, x).real
+                want = math.sqrt(fr_norm_squared(b, v, AlgebraElement(b.shape, mats)))
+                assert abs(ratio - want) < 1e-14, (name, k, ratio - want)
 
 
 def test_complex_draws_equal_the_sum_of_two_real_draws():
@@ -626,10 +630,7 @@ def _sample_by_summands(b, v, samples, seed, refine):
                 else:
                     piece[:, :n] = f[pick]
                 x[off : off + n * m] = piece.T.reshape(-1)
-            # The norm division of _unit_rows (see
-            # test_unit_rows_equal_division_by_the_norm), which keeps the
-            # signed zeros of the search's vector.
-            x = constants._unit_rows(x[None])[0]
+            x = x * (1 / math.sqrt(np.vdot(x, x).real))
         if sq < best:
             best, best_k, best_x = sq, k, x
     x = best_x
@@ -684,12 +685,11 @@ def _refine_by_rounds(evaluator, k, x, best, rng, accepts):
         g[:ndir] *= step
         g[ndir:] *= 0.25 * step
         cands = x + g
-        cands = cands / np.linalg.norm(cands, axis=1, keepdims=True)
         ratios = evaluator.rank_one_ratios(k, cands)
         pick = int(np.argmin(ratios))
         if ratios[pick] < best:
             best = float(ratios[pick])
-            x = cands[pick]
+            x = cands[pick] * (1 / math.sqrt(np.vdot(cands[pick], cands[pick]).real))
             accepts.append(r)
             fails = 0
         else:
@@ -753,7 +753,8 @@ def test_block_refine_equals_the_round_by_round_loop(monkeypatch):
     # every candidate's.
     b, v = table1_subalgebra("B^5_{2^2,1}")
     evaluator = _RatioEvaluator(b, v)
-    x = constants._unit_rows(constants._complex_gaussian(np.random.default_rng(1), (1, 5)))[0]
+    x = constants._complex_gaussian(np.random.default_rng(1), (5,))
+    x /= np.linalg.norm(x)
     got = constants._refine(evaluator, 0, x, 0.0, np.random.default_rng(2))
     never = []
     want = _refine_by_rounds(evaluator, 0, x, 0.0, np.random.default_rng(2), never)
@@ -914,7 +915,8 @@ def test_gram_draws_have_the_law_of_gaussian_unit_vectors():
             if not ev.varies[k]:
                 continue
             grams = np.sqrt(np.concatenate([sq for sq, _, _ in ev.gram_blocks(k, draws, rng)]))
-            vecs = constants._unit_rows(constants._complex_gaussian(rng, (draws, d)))
+            vecs = constants._complex_gaussian(rng, (draws, d))
+            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
             dist = _ks_distance(grams, ev.rank_one_ratios(k, vecs))
             assert dist < 0.03, (name, k, dist)
 

@@ -144,8 +144,8 @@ def sharp_constant(b, v: TracialWeight) -> float:
     b, _ = standard_form(b, v)
     layout = b.weight_layout(v.weights)
     sq = min(
-        w / sum(den * min(n, m) for _, n, m, den in slots)
-        for w, slots in zip(layout.factors, layout.slots)
+        w / sum(layout.dens[g] * min(n, m) for _, n, m, g in slots)
+        for w, slots in zip(layout.factors, b.slots)
     )
     return float(np.sqrt(sq))
 
@@ -173,10 +173,9 @@ class _RatioEvaluator:
         self.b = b
         self.weights = v.weights
         self.varies = [_ratio_varies(rows) for rows in b.slots]
-        layout = b.weight_layout(v.weights)
-        self.rows = layout.slots
-        self.coefs = [[w / r[3] for r in rows] for w, rows in zip(layout.factors, self.rows)]
-        self.sums = [_mass_matrix(d, rows) for d, rows in zip(b.shape.dims, layout.slots)]
+        factors, dens = b.weight_layout(v.weights)
+        self.coefs = [[w / dens[g] for *_, g in rows] for w, rows in zip(factors, b.slots)]
+        self.sums = [_mass_matrix(d, rows) for d, rows in zip(b.shape.dims, b.slots)]
 
     def opnorms(self, stacks) -> np.ndarray:
         return np.max([linalg.opnorm_batch(s) for s in stacks], axis=0)
@@ -195,7 +194,7 @@ class _RatioEvaluator:
         has the mass qq = tr G_i - pp, and <p, q> is summed per slot.  The
         product's rounding can depend on the number of rows (see
         ``_refine``)."""
-        rows = self.rows[k]
+        rows = self.b.slots[k]
         sums = self.sums[k] @ (vecs.real**2 + vecs.imag**2).T
         firsts = iter(sums[len(rows) : -1])
         slots = []
@@ -228,7 +227,7 @@ class _RatioEvaluator:
         (``varies[k]`` false) is one draw L = [1] from no random numbers,
         of ratio^2 c_0 = w_k / den_g; its vector is the summand's first
         unit vector."""
-        rows = self.rows[k]
+        rows = self.b.slots[k]
         short = [min(n, m) for _, n, m, _ in rows]
         shapes = [max(n, m) - j for _, n, m, _ in rows for j in range(min(n, m))]
         low = sum(s * (s - 1) // 2 for s in short)
@@ -263,7 +262,7 @@ class _RatioEvaluator:
         ``sharp_constant`` and normalized (``_unit``)."""
         x = np.zeros(self.b.shape.dims[k], dtype=np.complex128)
         a = b = 0
-        for off, n, m, _ in self.rows[k]:
+        for off, n, m, _ in self.b.slots[k]:
             s = min(n, m)
             tri = s * (s - 1) // 2
             f = _bartlett(draw[0][a : a + s, None], draw[1][:, b : b + tri, None])[0]

@@ -319,13 +319,12 @@ def es_level(theta: float, n: int, cf: ContinuedFraction | None = None) -> Effro
     )
 
 
-def _tower_constant(theta: float, cf: ContinuedFraction, N: int, theta_den: float) -> float:
-    """sqrt(|theta q_N - p_N| / (|theta_den q_{N-2} - p_{N-2}| r_N
-    (r_N + 1)^2)) from the convergents and terms of cf, which reaches
-    depth N."""
+def _tower_constant(theta: float, cf: ContinuedFraction, N: int) -> float:
+    """sqrt(|theta q_N - p_N| / (|theta q_{N-2} - p_{N-2}| r_N (r_N + 1)^2))
+    from the convergents and terms of cf, which reaches depth N."""
     table = convergent_table(cf)
     num = abs(convergent_residual(theta, table.q[N], table.p[N]))
-    den = abs(convergent_residual(theta_den, table.q[N - 2], table.p[N - 2]))
+    den = abs(convergent_residual(theta, table.q[N - 2], table.p[N - 2]))
     r_n = cf.r[N]
     return math.sqrt(num / (den * r_n * (r_n + 1) ** 2))
 
@@ -340,7 +339,7 @@ def es_constant(theta: float, N: int, cf: ContinuedFraction | None = None) -> fl
     """
     if N < 2:
         raise ValueError("level must be at least 2")
-    return _tower_constant(theta, _expansion(theta, N, cf), N, theta)
+    return _tower_constant(theta, _expansion(theta, N, cf), N)
 
 
 @dataclass(frozen=True)
@@ -352,7 +351,6 @@ class ContinuityEntry:
     baire: float
     constant_theta: float
     constant_eta: float
-    constant_eta_mixed: float
     gap: float
     lipschitz_ratio: float
 
@@ -376,10 +374,7 @@ def continuity_probe(
     For each perturbation eta the entry records how deep the
     continued-fraction prefixes agree (out of N+1 terms), the Baire
     distance of the term sequences, both constants, their gap, and the
-    ratio gap/|theta - eta|.  ``constant_eta_mixed`` re-evaluates eta's
-    constant with theta multiplying the denominator convergent, the
-    alternative reading of the limit formula; with matching prefixes the
-    two readings differ by O(|theta - eta|).
+    ratio gap/|theta - eta|.
     """
     if N < 2:
         raise ValueError("level must be at least 2")
@@ -394,7 +389,6 @@ def continuity_probe(
         agree = _common_prefix(cf.tail[:depth], eta_cf.tail[:depth])
         d_b = baire_distance(cf.tail[:depth], eta_cf.tail[:depth])
         c_eta = es_constant(eta, N, eta_cf)
-        c_mixed = _tower_constant(eta, eta_cf, N, theta)
         gap = abs(c_theta - c_eta)
         ratio = gap / abs(theta - eta) if theta != eta else 0.0
         entries.append(
@@ -404,7 +398,6 @@ def continuity_probe(
                 baire=d_b,
                 constant_theta=c_theta,
                 constant_eta=c_eta,
-                constant_eta_mixed=c_mixed,
                 gap=gap,
                 lipschitz_ratio=ratio,
             )

@@ -94,30 +94,17 @@ class CanonicalBasisElement:
         return AlgebraElement(shape, mats)
 
 
-class _WeightFields(NamedTuple):
-    factors: tuple[float, ...]
-    dens: tuple[float, ...]
-    table: tuple
-
-
-class WeightLayout(_WeightFields):
+class WeightLayout(NamedTuple):
     """What one weight vector fixes on a standard subalgebra, for the
-    block average, the induced norm and the constants.  The groups by
-    block size, which no weight changes, are ``StandardSubalgebra.by_size``.
-
-    ``factors`` holds the per-summand factors w_k = v_k / d_k, ``dens``
-    den_g = sum_blocks w_k per group, ``table`` the subalgebra's
-    ``slots``, and ``slots[k-1]`` one (row offset, n, m, den_g) row per
-    slot of summand k, with g the slot's group.  The slot rows are built
-    on their first read: the structural constants read only the factors
-    and the denominators, so a tower level never builds them.
+    block average, the induced norm and the constants: ``factors`` holds
+    the per-summand factors w_k = v_k / d_k and ``dens`` the group
+    denominators den_g = sum_blocks w_k.  Where the blocks sit, which no
+    weight changes, is the subalgebra's ``slots``, ``runs`` and
+    ``by_size``.
     """
 
-    @cached_property
-    def slots(self) -> tuple:
-        # List comprehensions: generators cost about a microsecond more.
-        dens = self.dens
-        return tuple([tuple([(o, n, m, dens[g]) for o, n, m, g in rows]) for rows in self.table])
+    factors: tuple[float, ...]
+    dens: tuple[float, ...]
 
 
 class StandardSubalgebra:
@@ -225,7 +212,7 @@ class StandardSubalgebra:
             # a generator costs it about a microsecond more.
             factors = tuple([v / d for v, d in zip(weights, self.shape.dims)])
             dens = tuple(self.denominators(np.array(factors)).tolist())
-            layout = WeightLayout(factors, dens, self.slots)
+            layout = WeightLayout(factors, dens)
             self._layout = (weights, layout)
         return layout
 
@@ -238,7 +225,7 @@ class StandardSubalgebra:
         expectation, with v = d the entrywise-orthogonal projection.  A
         group's runs are summed in summand-major order.
         """
-        w, dens, _ = self.weight_layout(weights)
+        w, dens = self.weight_layout(weights)
         out = [np.zeros((d, d), dtype=np.complex128) for d in self.shape.dims]
         for runs, n, den in zip(self.runs, self._group_sizes, dens):
             avg = 0
@@ -261,7 +248,7 @@ class StandardSubalgebra:
         are; a Gram or a spectrum that overflows is formed without numpy's
         warnings and refused with ValueError.
         """
-        w, dens, _ = self.weight_layout(weights)
+        w, dens = self.weight_layout(weights)
         nb, top = len(summands[0]), 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             for n, groups in self.by_size:

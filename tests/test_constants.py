@@ -435,7 +435,7 @@ def _two_row_vectors(rng, b):
     and with it random."""
     d = b.shape.dims[0]
     vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(50)]
-    for off, n, m, _ in b.weight_layout(b.shape.dims).slots[0]:
+    for off, n, m, _ in b.slots[0]:
         if min(n, m) != 2:
             continue
         p = rng.standard_normal(max(n, m)) + 1j * rng.standard_normal(max(n, m))
@@ -464,14 +464,14 @@ def test_two_row_slot_grams_in_both_orientations():
         vecs = _two_row_vectors(rng, b)
         ratios = _RatioEvaluator(b, v).rank_one_ratios(0, vecs)
         w = v.per_trace_factors()
-        slots = b.weight_layout(v.weights).slots[0]
+        dens = b.weight_layout(v.weights).dens
         for x, ratio in zip(vecs, ratios):
             a = AlgebraElement(b.shape, [np.outer(x, np.conj(x))])
             assert abs(ratio - math.sqrt(fr_norm_squared(b, v, a))) < 1e-14, terms
             lam = []
-            for off, n, m, den in slots:
+            for off, n, m, g in b.slots[0]:
                 xi = x[off : off + n * m].reshape(m, n).T
-                lam.append(w[0] / den * linalg.eigvalsh_batch((xi @ np.conj(xi.T))[None])[0, -1])
+                lam.append(w[0] / dens[g] * linalg.eigvalsh_batch((xi @ np.conj(xi.T))[None])[0, -1])
             assert abs(ratio - math.sqrt(max(lam))) < 1e-14, terms
         for seed in range(3):
             best = empirical_sharp_constant(b, v, samples=2000, seed=seed).best_ratio
@@ -600,8 +600,8 @@ def _sample_by_summands(b, v, samples, seed, refine):
     dims = base.shape.dims
     varies = [not _constant_summand(p) for p in base.partitions]
     best = np.inf
-    for k, (w, rows) in enumerate(zip(layout.factors, layout.slots)):
-        coef = np.array([w / den for *_, den in rows])
+    for k, (w, rows) in enumerate(zip(layout.factors, base.slots)):
+        coef = np.array([w / layout.dens[g] for *_, g in rows])
         x = np.zeros(dims[k], dtype=complex)
         if not varies[k]:
             x[0] = 1.0
@@ -845,7 +845,7 @@ def test_a_constant_summand_is_searched_with_one_vector(monkeypatch):
                 # slot and is scored once more by rank_one_ratios.
                 rng = real_rng(seed)
                 g = np.array([rng.standard_gamma(t, samples) for t in (2, 1)]).T
-                coef = [layout.factors[1] / den for *_, den in layout.slots[1]]
+                coef = [layout.factors[1] / layout.dens[gi] for *_, gi in b.slots[1]]
                 pick = np.argmin(np.maximum(coef[0] * g[:, 0], coef[1] * g[:, 1]) / (g[:, 0] + g[:, 1]))
                 x = np.zeros(dims[1], dtype=complex)
                 x[[0, 2]] = np.sqrt(g[pick])

@@ -417,9 +417,7 @@ def test_continuity_probe_converges_along_convergent_tails():
     # closer inputs give closer constants
     assert dists[0] > dists[1] > dists[2]
     assert gaps[0] >= gaps[1] >= gaps[2]
-    # both readings of the alternative formula are reported
     for e in rep.entries:
-        assert e.constant_eta_mixed > 0.0
         assert e.constant_eta > 0.0
 
 

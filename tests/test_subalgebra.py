@@ -27,6 +27,7 @@ from frnorms.subalgebra import (
     ConjugatedSubalgebra,
     RefinedPartition,
     StandardSubalgebra,
+    WeightLayout,
     _copy_sum,
     _run_blocks,
     canonical_basis,
@@ -516,10 +517,10 @@ def test_only_the_gate_tells_a_conjugate_from_a_standard_subalgebra():
 
 def _per_call_reference(b, weights, summands, stacks):
     """block_average, induced_opnorms_sq on each stack, and, for a tracial
-    weight, the sharp constant and the slot rows, as they were computed
-    before the weight layout: the denominators, their float lists and the
-    groups by block size rebuilt on every call, and every block size's
-    group averages joined by np.concatenate."""
+    weight, the sharp constant, as they were computed before the weight
+    layout: the denominators, their float lists and the groups by block
+    size rebuilt on every call, and every block size's group averages
+    joined by np.concatenate."""
     w = np.array([x / d for x, d in zip(weights, b.shape.dims)])
     sizes = [b.group_block_size(g) for g in range(1, b.num_groups + 1)]
     dens, wl = b.denominators(w), w.tolist()
@@ -542,11 +543,10 @@ def _per_call_reference(b, weights, summands, stacks):
             by_size.setdefault(n, []).append(x / den)
         norms = [linalg.hermitian_opnorm_batch(np.concatenate(xs)) for xs in by_size.values()]
         norms_out.append(np.concatenate(norms).reshape(b.num_groups, -1).max(axis=0))
-    slots = [[(off, n, m, float(dens[g])) for off, n, m, g in rows] for rows in b.slots]
     sharp = float(np.sqrt(min(
-        w[k] / sum(den * min(n, m) for _, n, m, den in rows) for k, rows in enumerate(slots)
+        w[k] / sum(float(dens[g]) * min(n, m) for _, n, m, g in rows) for k, rows in enumerate(b.slots)
     )))
-    return avg_out, norms_out, sharp, slots
+    return avg_out, norms_out, sharp
 
 
 def _layout_problems():
@@ -560,9 +560,9 @@ def _layout_problems():
 
 def test_weight_layout_matches_a_per_call_reference_bit_for_bit():
     """While one subalgebra alternates between two weights, the block
-    average, the induced norm on stacks of 1 and of 5, the sharp constant
-    and the slot rows equal, bit for bit, what a per-call computation of
-    the denominators and the by-size groups gives.  On a conjugate the
+    average, the induced norm on stacks of 1 and of 5 and the sharp
+    constant equal, bit for bit, what a per-call computation of the
+    denominators and the by-size groups gives.  On a conjugate the
     public routes carry the element to the base as before."""
     rng = np.random.default_rng(26)
     for name, b, v in _layout_problems():
@@ -577,20 +577,19 @@ def test_weight_layout_matches_a_per_call_reference_bit_for_bit():
             a = random_element(base.shape, rng)
             shapes = [[(nb, d, d) for d in base.shape.dims] for nb in (1, 5)]
             stacks = [[rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in ss] for ss in shapes]
-            avg, norms, sharp, slots = _per_call_reference(base, weights, a.summands, stacks)
+            avg, norms, sharp = _per_call_reference(base, weights, a.summands, stacks)
             got = base.block_average(weights, a.summands)
             assert [m.tobytes() for m in got] == [m.tobytes() for m in avg], name
             for stack, want in zip(stacks, norms):
                 assert base.induced_opnorms_sq(weights, stack).tobytes() == want.tobytes(), name
             if tracial is None:
                 continue
-            assert base.weight_layout(weights).slots == tuple(map(tuple, slots)), name
             assert np.float64(sharp_constant(b, tracial)).tobytes() == np.float64(sharp).tobytes(), name
             if u is not None:
                 carried = [[m[None] for m in (a @ u).summands]]
-                _, (norm,), _, _ = _per_call_reference(base, weights, a.summands, carried)
+                _, (norm,), _ = _per_call_reference(base, weights, a.summands, carried)
                 assert fr_norm_squared(b, tracial, a) == float(norm[0]), name
-                avg, _, _, _ = _per_call_reference(base, weights, (u.adjoint() @ a @ u).summands, [])
+                avg, _, _ = _per_call_reference(base, weights, (u.adjoint() @ a @ u).summands, [])
                 want = u @ AlgebraElement(base.shape, avg) @ u.adjoint()
                 got = cond_expect(b, tracial, a)
                 assert [m.tobytes() for m in got.summands] == [m.tobytes() for m in want.summands], name
@@ -671,20 +670,19 @@ def test_a_tower_level_never_builds_the_by_size_table():
 
 
 def test_a_tower_level_never_builds_the_slot_rows():
-    """A tower level, es_level then structural_constants, reads only the
-    factors and the denominators of its weight layout, so the layout's
-    per-slot rows stay unbuilt; the first read of ``slots`` builds them,
-    once."""
+    """After a tower level's structural_constants, its weight layout is
+    the pair (factors, dens) and nothing else, so no per-slot row with a
+    denominator exists to be built: where the blocks sit is the
+    subalgebra's ``slots``, which no weight changes."""
     for period in ((1,), (2,), (1, 2)):
         for n in range(2, 9):
             theta, cf = periodic_theta(period, n)
             lev = es_level(theta, n, cf)
             structural_constants(lev.subalgebra, lev.weight)
             layout = lev.subalgebra.weight_layout(lev.weight.weights)
-            assert "slots" not in vars(layout), (period, n)
-    rows = layout.slots
-    assert vars(layout)["slots"] is rows and layout.slots is rows
-    assert len(rows) == 2 and [len(r) for r in rows] == [2, 1]
+            assert type(layout) is WeightLayout and WeightLayout._fields == ("factors", "dens")
+            assert len(layout.factors) == 2 and len(layout.dens) == 2, (period, n)
+    assert [len(r) for r in lev.subalgebra.slots] == [2, 1]
 
 
 def test_constants_and_expectation_share_one_denominator_product(monkeypatch):

@@ -22,6 +22,7 @@ import json
 import sys
 from dataclasses import fields
 
+from . import linalg
 from .algebra import (
     element_from_json,
     element_norm,
@@ -153,7 +154,10 @@ def _cmd_search(args) -> int:
         seed=args.seed,
         refine=args.refine,
     )
-    _emit({**_record(report), "witness": element_to_json(report.witness)})
+    vector = linalg.matrix_to_json(report.witness_vector[:, None])
+    witness = {"summand": report.witness_summand, "vector": vector}
+    tail = _record(report, ("samples", "seed", "refine_steps"))
+    _emit({"best_ratio": report.best_ratio, "witness": witness, **tail})
     return 0
 
 

@@ -12,13 +12,14 @@ recomputed constant deviates from the stored reference value.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .algebra import AlgebraElement, TracialWeight
+from .algebra import AlgebraElement, AlgebraShape, TracialWeight
 from .errors import InputError
 from .expectation import fr_norm
 from .subalgebra import StandardSubalgebra, single_summand_subalgebra, standard_form
@@ -42,12 +43,10 @@ _SPECULATE = 8
 # golden level 16 (d = 1597) 13-18% slower than a draw per round; at
 # this size it matched a draw per round.
 _REFINE_DRAW_ENTRIES = 1 << 16
-# Largest search witness, in complex entries (sum_k d_k^2, 16 bytes
-# each): 2**22, 64 MiB, reached by M_2048.  A search refuses a larger
-# algebra before any draw, which also caps a refine round at
-# 4 * REFINE_DIRECTIONS * 2048 doubles; golden level 16 (sum_k d_k^2 =
-# 3524578) fits.
-_WITNESS_ENTRIES = 1 << 22
+# Largest array a search builds for a summand, in doubles: its slot-mass
+# matrix (at most 2 L_k + 1 rows of d_k) or a refine round's directions
+# (4 * REFINE_DIRECTIONS * d_k).  2**20 (8 MiB) admits d_k <= 16384.
+_SEARCH_DOUBLES = 1 << 20
 # Direction scales of the rounds a speculative refine block can score, in
 # units of the step: row j is 0.5**(j // REFINE_FAIL_LIMIT), the step left
 # after j failing rounds, times the two direction tiers 1 and 1/4.  Every
@@ -328,17 +327,29 @@ def _ratio_varies(rows) -> bool:
     return len(rows) > 1 or min(rows[0][1], rows[0][2]) > 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchReport:
-    """Outcome of the empirical sharp-constant search.  ``samples`` is
+    """Outcome of the empirical sharp-constant search: the best ratio is
+    that of the projection onto the unit vector ``witness_vector`` of
+    summand ``witness_summand`` (1-based) of ``shape``.  ``samples`` is
     the requested count per summand, also where a summand whose ratio
     cannot vary drew nothing."""
 
     best_ratio: float
-    witness: AlgebraElement
+    witness_summand: int
+    witness_vector: np.ndarray
+    shape: AlgebraShape
     samples: int
     seed: int
     refine_steps: int
+
+    @functools.cached_property
+    def witness(self) -> AlgebraElement:
+        """xx* in its summand, zero elsewhere, built on first read."""
+        x = self.witness_vector
+        mats = [np.zeros((d, d), dtype=np.complex128) for d in self.shape.dims]
+        mats[self.witness_summand - 1] = np.outer(x, np.conj(x))
+        return AlgebraElement._result(self.shape, mats)
 
 
 def _complex_parts(raw: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -488,11 +499,11 @@ def empirical_sharp_constant(
     every later comparison.  Refinement then runs random-direction
     descent on the sphere from that vector; its draws follow the sampling
     draws, so the sampling result does not depend on ``refine``.  The
-    witness is the rank-one projection onto the best vector.  On a
-    conjugate U B U* the search runs on the base B, whose ratios are the
-    same, and the witness is carried back: x in summand k becomes
-    y = U_k x, with projection yy*.  An algebra whose dense witness
-    would hold more than _WITNESS_ENTRIES complex entries is refused with
+    witness is the best summand k and unit vector x; no d_k x d_k array
+    is built unless ``SearchReport.witness`` is read.  On a conjugate
+    U B U* the search runs on the base B, whose ratios are the same, and
+    x is carried back to U_k x.  A summand whose slot-mass matrix or
+    refine round would pass _SEARCH_DOUBLES doubles is refused with
     InputError before any draw.  ``samples`` must be an integer of at
     least 1 and ``seed`` one of at least 0, a bool excluded; anything
     else is refused with ValueError before any draw.
@@ -500,11 +511,13 @@ def empirical_sharp_constant(
     b, u = standard_form(b, v)
     samples = _checked_int(samples, "samples", 1)
     seed = _checked_int(seed, "seed", 0)
-    entries = sum(d * d for d in b.shape.dims)
-    if entries > _WITNESS_ENTRIES:
+    doubles = max(
+        max(2 * len(rows) + 1, 4 * REFINE_DIRECTIONS) * d for d, rows in zip(b.shape.dims, b.slots)
+    )
+    if doubles > _SEARCH_DOUBLES:
         raise InputError(
-            f"the search witness of shape {list(b.shape.dims)} holds {entries} "
-            f"complex entries, above {_WITNESS_ENTRIES}"
+            f"a search of shape {list(b.shape.dims)} builds arrays of {doubles} "
+            f"doubles, above {_SEARCH_DOUBLES}"
         )
     evaluator = _RatioEvaluator(b, v)
     rng = np.random.default_rng(seed)
@@ -523,13 +536,12 @@ def empirical_sharp_constant(
         best, x, refine_steps = _refine(evaluator, best_k, x, best, rng)
     if u is not None:
         x = u.summands[best_k] @ x
-    witness = [
-        np.outer(x, np.conj(x)) if k == best_k else np.zeros((d, d), dtype=np.complex128)
-        for k, d in enumerate(b.shape.dims)
-    ]
+    x.setflags(write=False)
     return SearchReport(
         best_ratio=best,
-        witness=AlgebraElement._result(b.shape, witness),
+        witness_summand=best_k + 1,
+        witness_vector=x,
+        shape=b.shape,
         samples=samples,
         seed=seed,
         refine_steps=refine_steps,

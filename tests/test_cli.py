@@ -5,10 +5,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from frnorms import cli, effros_shen, linalg
-from frnorms.algebra import AlgebraShape, TracialWeight, element_from_json
+from frnorms.algebra import (
+    AlgebraElement,
+    AlgebraShape,
+    TracialWeight,
+    element_from_json,
+    weight_to_json,
+)
 from frnorms.constants import structural_constants
 from frnorms.errors import (
     ConvergenceError,
@@ -17,6 +24,8 @@ from frnorms.errors import (
     PartitionError,
     ShapeError,
 )
+from frnorms.expectation import fr_norm
+from frnorms.fleet import build_fleet
 from frnorms.subalgebra import (
     ConjugatedSubalgebra,
     StandardSubalgebra,
@@ -741,3 +750,27 @@ def test_each_typed_refusal_raises_its_error_type(name, tmp_path):
     with pytest.raises(error, match=fragment) as info:
         call(tmp_path)
     assert info.type is error
+
+
+def test_search_prints_its_witness_as_a_summand_and_a_vector(tmp_path, capsys):
+    """On a conjugate and on a two-summand fixture, search prints the
+    witness as its summand (1-based) and a unit vector of that summand,
+    whose projection has the printed ratio; the keys keep their order."""
+    fleet = {f.name: f for f in build_fleet()}
+    for name in ("circulant-M3", "dsum-cross"):
+        fx = fleet[name]
+        sub, weights = tmp_path / f"{name}.json", tmp_path / f"{name}-w.json"
+        sub.write_text(json.dumps(subalgebra_to_json(fx.subalgebra)))
+        weights.write_text(json.dumps(weight_to_json(fx.weight)))
+        args = ["--subalgebra", str(sub), "--weights", str(weights), "--samples", "500"]
+        assert cli.main(["search", *args]) == 0, name
+        out = _strict_json(capsys.readouterr().out)
+        assert list(out) == ["best_ratio", "witness", "samples", "seed", "refine_steps"]
+        assert list(out["witness"]) == ["summand", "vector"], name
+        k = out["witness"]["summand"]
+        x = linalg.matrix_from_json(out["witness"]["vector"])
+        assert x.shape == (fx.shape.dims[k - 1], 1), name
+        assert abs(np.linalg.norm(x) - 1.0) < 1e-12, name
+        mats = [x @ x.conj().T if j == k else np.zeros((d, d)) for j, d in enumerate(fx.shape.dims, 1)]
+        ratio = fr_norm(fx.subalgebra, fx.weight, AlgebraElement(fx.shape, mats))
+        assert abs(ratio - out["best_ratio"]) < 1e-12, name

@@ -763,20 +763,44 @@ def test_block_refine_equals_the_round_by_round_loop(monkeypatch):
     assert got[1] is x and np.array_equal(want[1], x)
 
 
-def test_the_search_witness_is_bounded(monkeypatch):
-    """The dense witness bounds a search: a one-slot M_2048 search, whose
-    witness holds 2**22 complex entries (64 MiB), is admitted, and M_2049
-    is refused with InputError before the generator is made."""
-    b, v = uniform_single(2048, [(1, 2048)])
-    rep = empirical_sharp_constant(b, v, samples=1, refine=False)
-    assert rep.witness.summands[0].shape == (2048, 2048)
-    del rep
+def test_the_search_arrays_are_bounded(monkeypatch):
+    """A search refuses a summand whose slot-mass matrix (2 L_k + 1 rows of
+    d_k) or refine round (64 d_k doubles) would pass 2**20 doubles, and
+    nothing else: golden level 20 and the one-slot M_3000 are searched,
+    one slot of 10**8 copies and M_3000 cut into 3000 (1, 1) slots are
+    refused with InputError before the generator is made."""
+    theta, cf = periodic_theta((1,), 20)
+    lvl = es_level(theta, 20, cf)
+    assert lvl.shape.dims == (10946, 6765)
+    rep = empirical_sharp_constant(lvl.subalgebra, lvl.weight, samples=1, refine=False)
+    assert rep.witness_vector.shape == (lvl.shape.dims[rep.witness_summand - 1],)
+    b, v = uniform_single(3000, [(1, 3000)])
+    rep = empirical_sharp_constant(b, v, samples=1)
+    assert rep.witness_summand == 1 and rep.witness_vector.shape == (3000,)
     made = []
     monkeypatch.setattr(np.random, "default_rng", lambda *args: made.append(args))
-    b, v = uniform_single(2049, [(1, 2049)])
-    with pytest.raises(InputError, match="4198401 complex entries"):
-        empirical_sharp_constant(b, v, samples=1, refine=False)
+    for d, terms, doubles in ((10**8, [(1, 10**8)], 64 * 10**8), (3000, [(1, 1)] * 3000, 6001 * 3000)):
+        with pytest.raises(InputError, match=f"arrays of {doubles} doubles"):
+            empirical_sharp_constant(*uniform_single(d, terms), samples=1, refine=False)
     assert made == []
+
+
+def test_the_report_builds_its_dense_witness_once():
+    """``witness`` is xx* in summand ``witness_summand`` and zero elsewhere,
+    built on first access and kept; reports compare by identity."""
+    f = next(f for f in FLEET if f.name == "dsum-cross")
+    rep = empirical_sharp_constant(f.subalgebra, f.weight, samples=200, seed=1)
+    assert "witness" not in vars(rep)
+    x = rep.witness_vector
+    assert not x.flags.writeable
+    w = rep.witness
+    assert rep.witness is w
+    for k, m in enumerate(w.summands, 1):
+        want = np.outer(x, np.conj(x)) if k == rep.witness_summand else 0
+        assert np.array_equal(m, np.broadcast_to(want, m.shape)), k
+    again = empirical_sharp_constant(f.subalgebra, f.weight, samples=200, seed=1)
+    assert rep != again and rep == rep
+    assert len({rep, again}) == 2
 
 
 class _Recording:

@@ -300,12 +300,13 @@ def test_gram_oracle_is_bounded():
 
 
 def test_deep_level_search_is_bounded():
-    """The search scores each candidate on its own d_k entries, so on
-    golden level 8 (dims 34, 21), golden level 16 (dims 1597, 987) and
-    period (2) level 8 (dims 985, 408) a refined 2000-sample search stays
-    small in time and memory and lands on the sharp constant: the
+    """The search scores each candidate on its own d_k entries and
+    reports its witness as a vector, so on golden level 8 (dims 34, 21),
+    golden level 16 (dims 1597, 987), period (2) level 8 (dims 985, 408)
+    and golden level 20 (dims 10946, 6765) a refined 2000-sample search
+    stays small in time and memory and lands on the sharp constant: the
     empirical oracle for the tower's sharp constant."""
-    for period, level in (((1,), 8), ((1,), 16), ((2,), 8)):
+    for period, level in (((1,), 8), ((1,), 16), ((2,), 8), ((1,), 20)):
         theta, cf = periodic_theta(period, level)
         lvl = es_level(theta, level, cf)
         t0 = time.monotonic()
@@ -318,7 +319,7 @@ def test_deep_level_search_is_bounded():
         assert time.monotonic() - t0 < 5.0, (period, level)
         sharp = sharp_constant(lvl.subalgebra, lvl.weight)
         assert sharp - 1e-12 <= rep.best_ratio <= sharp + 1e-6, (period, level)
-        assert peak < 64 * 2**20, (period, level)
+        assert peak < 8 * 2**20, (period, level)
 
 
 def test_level_weights_follow_the_parameter():

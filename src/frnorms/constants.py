@@ -12,14 +12,13 @@ recomputed constant deviates from the stored reference value.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .algebra import AlgebraElement, AlgebraShape, TracialWeight
+from .algebra import AlgebraElement, TracialWeight
 from .errors import InputError
 from .expectation import fr_norm
 from .subalgebra import StandardSubalgebra, single_summand_subalgebra, standard_form
@@ -174,7 +173,9 @@ class _RatioEvaluator:
         self.varies = [_ratio_varies(rows) for rows in b.slots]
         factors, dens = b.weight_layout(v.weights)
         self.coefs = [[w / dens[g] for *_, g in rows] for w, rows in zip(factors, b.slots)]
-        self.sums = [_mass_matrix(d, rows) for d, rows in zip(b.shape.dims, b.slots)]
+        # Slot-mass matrices (_mass_matrix), built for a summand when it is
+        # first scored: the search scores only its best summand.
+        self.sums = {}
 
     def opnorms(self, stacks) -> np.ndarray:
         return np.max([linalg.opnorm_batch(s) for s in stacks], axis=0)
@@ -194,6 +195,8 @@ class _RatioEvaluator:
         product's rounding can depend on the number of rows (see
         ``_refine``)."""
         rows = self.b.slots[k]
+        if k not in self.sums:
+            self.sums[k] = _mass_matrix(self.b.shape.dims[k], rows)
         sums = self.sums[k] @ (vecs.real**2 + vecs.imag**2).T
         firsts = iter(sums[len(rows) : -1])
         slots = []
@@ -331,25 +334,16 @@ def _ratio_varies(rows) -> bool:
 class SearchReport:
     """Outcome of the empirical sharp-constant search: the best ratio is
     that of the projection onto the unit vector ``witness_vector`` of
-    summand ``witness_summand`` (1-based) of ``shape``.  ``samples`` is
-    the requested count per summand, also where a summand whose ratio
-    cannot vary drew nothing."""
+    summand ``witness_summand`` (1-based).  ``samples`` is the requested
+    count per summand, also where a summand whose ratio cannot vary drew
+    nothing.  Reports compare by identity."""
 
     best_ratio: float
     witness_summand: int
     witness_vector: np.ndarray
-    shape: AlgebraShape
     samples: int
     seed: int
     refine_steps: int
-
-    @functools.cached_property
-    def witness(self) -> AlgebraElement:
-        """xx* in its summand, zero elsewhere, built on first read."""
-        x = self.witness_vector
-        mats = [np.zeros((d, d), dtype=np.complex128) for d in self.shape.dims]
-        mats[self.witness_summand - 1] = np.outer(x, np.conj(x))
-        return AlgebraElement._result(self.shape, mats)
 
 
 def _complex_parts(raw: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -500,13 +494,12 @@ def empirical_sharp_constant(
     descent on the sphere from that vector; its draws follow the sampling
     draws, so the sampling result does not depend on ``refine``.  The
     witness is the best summand k and unit vector x; no d_k x d_k array
-    is built unless ``SearchReport.witness`` is read.  On a conjugate
-    U B U* the search runs on the base B, whose ratios are the same, and
-    x is carried back to U_k x.  A summand whose slot-mass matrix or
-    refine round would pass _SEARCH_DOUBLES doubles is refused with
-    InputError before any draw.  ``samples`` must be an integer of at
-    least 1 and ``seed`` one of at least 0, a bool excluded; anything
-    else is refused with ValueError before any draw.
+    is built.  On a conjugate U B U* the search runs on the base B, whose
+    ratios are the same, and x is carried back to U_k x.  A summand whose
+    slot-mass matrix or refine round would pass _SEARCH_DOUBLES doubles
+    is refused with InputError before any draw.  ``samples`` must be an
+    integer of at least 1 and ``seed`` one of at least 0, a bool
+    excluded; anything else is refused with ValueError before any draw.
     """
     b, u = standard_form(b, v)
     samples = _checked_int(samples, "samples", 1)
@@ -541,7 +534,6 @@ def empirical_sharp_constant(
         best_ratio=best,
         witness_summand=best_k + 1,
         witness_vector=x,
-        shape=b.shape,
         samples=samples,
         seed=seed,
         refine_steps=refine_steps,

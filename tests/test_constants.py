@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from frnorms.expectation import cond_expect, fr_norm, fr_norm_squared
 from frnorms.fleet import build_fleet, random_unitary
 from frnorms.subalgebra import (
     ConjugatedSubalgebra,
+    RefinedPartition,
     conjugated_subalgebra,
     make_standard_subalgebra,
     single_summand_subalgebra,
@@ -44,6 +46,15 @@ FLEET = build_fleet()
 def uniform_single(d, terms):
     b = single_summand_subalgebra(d, terms)
     return b, TracialWeight(AlgebraShape((d,)), (1.0,))
+
+
+def _dense_witness(rep, shape):
+    """The search witness as an element of ``shape``: xx* in summand
+    ``witness_summand``, zero elsewhere."""
+    x = rep.witness_vector
+    mats = [np.zeros((d, d), dtype=np.complex128) for d in shape.dims]
+    mats[rep.witness_summand - 1] = np.outer(x, np.conj(x))
+    return AlgebraElement(shape, mats)
 
 
 def test_block_count_and_multiplicity_worked_examples():
@@ -229,9 +240,8 @@ def test_search_is_deterministic_and_consistent():
     r1 = empirical_sharp_constant(b, v, samples=400, seed=5, refine=False)
     r2 = empirical_sharp_constant(b, v, samples=400, seed=5, refine=False)
     assert r1.best_ratio == r2.best_ratio
-    assert all(
-        np.array_equal(a, c) for a, c in zip(r1.witness.summands, r2.witness.summands)
-    )
+    assert r1.witness_summand == r2.witness_summand
+    assert np.array_equal(r1.witness_vector, r2.witness_vector)
     r3 = empirical_sharp_constant(b, v, samples=400, seed=6, refine=False)
     assert r3.best_ratio != r1.best_ratio
     assert r1.samples == 400 and r1.seed == 5
@@ -243,9 +253,10 @@ def test_search_witness_invariants():
     rep = empirical_sharp_constant(b, v, samples=500, seed=1)
     from frnorms.algebra import element_norm
 
-    assert abs(element_norm(rep.witness) - 1.0) < 1e-12
+    p = _dense_witness(rep, b.shape)
+    assert abs(element_norm(p) - 1.0) < 1e-12
     # reported ratio is reproduced by the witness
-    assert abs(fr_norm(b, v, rep.witness) - rep.best_ratio) < 1e-12
+    assert abs(fr_norm(b, v, p) - rep.best_ratio) < 1e-12
     assert rep.refine_steps > 0
     bound = structural_constants(b, v).bound
     assert rep.best_ratio >= bound - 1e-9
@@ -385,7 +396,7 @@ def test_the_sharp_constant_is_the_pimsner_popa_constant():
             a = AlgebraElement(b.shape, [x @ np.conj(x.T) for x in g])
             size = max(np.linalg.eigvalsh(x)[-1] for x in a.summands)
             assert _order_gap(b, v, a, sq) >= -1e-12 * size, name
-        p = empirical_sharp_constant(b, v, samples=500, seed=1).witness
+        p = _dense_witness(empirical_sharp_constant(b, v, samples=500, seed=1), b.shape)
         assert _order_gap(b, v, p, sq) >= -1e-12, name
         assert _order_gap(b, v, p, 1.01**2 * sq) < 0, name
 
@@ -538,9 +549,10 @@ def test_witness_reproduces_the_ratio_on_every_fixture():
     for f in FLEET:
         for seed in range(3):
             rep = empirical_sharp_constant(f.subalgebra, f.weight, samples=2000, seed=seed)
-            ratio = fr_norm(f.subalgebra, f.weight, rep.witness)
+            w = _dense_witness(rep, f.shape)
+            ratio = fr_norm(f.subalgebra, f.weight, w)
             assert abs(ratio - rep.best_ratio) < 1e-12, (f.name, seed, ratio)
-            p = next(m for m in rep.witness.summands if np.any(m))
+            p = w.summands[rep.witness_summand - 1]
             assert np.abs(p @ p - p).max() < 1e-12
             assert np.abs(p - p.conj().T).max() < 1e-15
             assert abs(np.trace(p) - 1.0) < 1e-12
@@ -549,7 +561,7 @@ def test_witness_reproduces_the_ratio_on_every_fixture():
 def test_search_witness_is_a_rank_one_projection():
     f = next(x for x in FLEET if x.name == "dsum-cross")
     rep = empirical_sharp_constant(f.subalgebra, f.weight, samples=300, seed=3)
-    nonzero = [m for m in rep.witness.summands if np.any(m)]
+    nonzero = [m for m in _dense_witness(rep, f.shape).summands if np.any(m)]
     assert len(nonzero) == 1
     p = nonzero[0]
     assert np.allclose(p @ p, p, atol=1e-12)
@@ -669,7 +681,7 @@ def test_block_sampling_equals_the_chunk_by_chunk_loop():
             case = (name, samples)
             assert np.float64(rep.best_ratio).tobytes() == np.float64(best).tobytes(), case
             assert rep.refine_steps == steps, case
-            for got, want in zip(rep.witness.summands, witness):
+            for got, want in zip(_dense_witness(rep, b.shape).summands, witness):
                 assert got.tobytes() == want.tobytes(), case
 
 
@@ -720,7 +732,7 @@ def _refine_both_ways(monkeypatch, b, v, samples, seed):
     monkeypatch.setattr(constants, "_refine", both)
     rep = empirical_sharp_constant(b, v, samples=samples, seed=seed)
     monkeypatch.undo()
-    k = next(k for k, m in enumerate(rep.witness.summands) if np.any(m))
+    k = rep.witness_summand - 1
     if _constant_summand(standard_form(b, v)[0].partitions[k]):
         assert runs == {} and rep.refine_steps == 0
         return None
@@ -768,7 +780,9 @@ def test_the_search_arrays_are_bounded(monkeypatch):
     d_k) or refine round (64 d_k doubles) would pass 2**20 doubles, and
     nothing else: golden level 20 and the one-slot M_3000 are searched,
     one slot of 10**8 copies and M_3000 cut into 3000 (1, 1) slots are
-    refused with InputError before the generator is made."""
+    refused with InputError before the generator is made.  The bound is
+    per summand, and so is the search: 200 one-slot M_16384 summands,
+    whose slot-mass matrices together hold 50 MiB, stay under 4 MiB."""
     theta, cf = periodic_theta((1,), 20)
     lvl = es_level(theta, 20, cf)
     assert lvl.shape.dims == (10946, 6765)
@@ -777,6 +791,14 @@ def test_the_search_arrays_are_bounded(monkeypatch):
     b, v = uniform_single(3000, [(1, 3000)])
     rep = empirical_sharp_constant(b, v, samples=1)
     assert rep.witness_summand == 1 and rep.witness_vector.shape == (3000,)
+    shape = AlgebraShape((16384,) * 200)
+    parts = [RefinedPartition(((1, 16384),))] * 200
+    b = make_standard_subalgebra(shape, parts, [tuple((k, 1) for k in range(1, 201))])
+    tracemalloc.start()
+    rep = empirical_sharp_constant(b, TracialWeight(shape, (1 / 200,) * 200), samples=1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert rep.witness_summand == 1 and peak < 4 * 2**20
     made = []
     monkeypatch.setattr(np.random, "default_rng", lambda *args: made.append(args))
     for d, terms, doubles in ((10**8, [(1, 10**8)], 64 * 10**8), (3000, [(1, 1)] * 3000, 6001 * 3000)):
@@ -785,19 +807,16 @@ def test_the_search_arrays_are_bounded(monkeypatch):
     assert made == []
 
 
-def test_the_report_builds_its_dense_witness_once():
-    """``witness`` is xx* in summand ``witness_summand`` and zero elsewhere,
-    built on first access and kept; reports compare by identity."""
+def test_the_report_holds_a_summand_and_a_read_only_vector():
+    """The witness is a summand (1-based) and a frozen unit vector of its
+    dimension, and no dense element; reports compare by identity."""
     f = next(f for f in FLEET if f.name == "dsum-cross")
     rep = empirical_sharp_constant(f.subalgebra, f.weight, samples=200, seed=1)
-    assert "witness" not in vars(rep)
+    assert not hasattr(rep, "witness")
     x = rep.witness_vector
     assert not x.flags.writeable
-    w = rep.witness
-    assert rep.witness is w
-    for k, m in enumerate(w.summands, 1):
-        want = np.outer(x, np.conj(x)) if k == rep.witness_summand else 0
-        assert np.array_equal(m, np.broadcast_to(want, m.shape)), k
+    assert x.shape == (f.shape.dims[rep.witness_summand - 1],)
+    assert abs(np.linalg.norm(x) - 1.0) < 1e-12
     again = empirical_sharp_constant(f.subalgebra, f.weight, samples=200, seed=1)
     assert rep != again and rep == rep
     assert len({rep, again}) == 2
@@ -878,7 +897,7 @@ def test_a_constant_summand_is_searched_with_one_vector(monkeypatch):
                 assert rep.best_ratio == want
             else:
                 assert rep.refine_steps > 0 and len(sizes) > len(head)
-            assert np.any(rep.witness.summands[best_k])
+            assert rep.witness_summand == best_k + 1 and np.any(rep.witness_vector)
 
 
 def test_sampling_draws_do_not_grow_with_the_dimension(monkeypatch):
@@ -953,8 +972,9 @@ def test_the_best_draw_builds_a_witness_with_its_ratio():
         ev = _RatioEvaluator(b, v)
         for seed in range(3):
             rep = empirical_sharp_constant(b, v, samples=2000, seed=seed, refine=False)
-            assert abs(fr_norm(b, v, rep.witness) - rep.best_ratio) < 1e-12, (name, seed)
-            p = rep.witness.summands[0]
+            p = _dense_witness(rep, b.shape)
+            assert abs(fr_norm(b, v, p) - rep.best_ratio) < 1e-12, (name, seed)
+            p = p.summands[0]
             assert np.abs(p @ p - p).max() < 1e-12
             assert np.abs(p - p.conj().T).max() < 1e-15
             assert abs(np.trace(p) - 1.0) < 1e-12

@@ -27,24 +27,21 @@ REFINE_ROUNDS = 200
 REFINE_INITIAL_STEP = 0.1
 REFINE_FAIL_LIMIT = 5
 REFINE_DIRECTIONS = 16
-# Numbers per sampling block: summand k's Gram draws come in blocks of
+# Numbers per draw block: summand k's Gram draws come in blocks of
 # _DRAW_BLOCK_ENTRIES // sum_i s_i^2 draws (at least one), s_i the short
 # side of slot i, each one standard_gamma call and then one
-# standard_normal call.  The block size fixes the order of the draws, and
+# standard_normal call, and its refine draws the directions of
+# _DRAW_BLOCK_ENTRIES // (2 * REFINE_DIRECTIONS * sum_i s_i^2) rounds (at
+# least one) at a time.  The block size fixes the order of the draws, and
 # with it every search stream for a seed; it bounds a block's memory for
 # any sample count.
 _DRAW_BLOCK_ENTRIES = 1 << 14
-# Refine rounds scored per rank_one_ratios call (see _refine).
+# Refine rounds scored per ratios_sq call (see _refine).
 _SPECULATE = 8
-# Doubles of refine directions per draw (512 KiB): all 200 rounds at once
-# up to d = 5, fewer rounds above.  On a 2-core x86 host, draws of
-# 640000 complex entries (5 MB) fell out of cache and made refinement at
-# golden level 16 (d = 1597) 13-18% slower than a draw per round; at
-# this size it matched a draw per round.
-_REFINE_DRAW_ENTRIES = 1 << 16
-# Largest array a search builds for a summand, in doubles: its slot-mass
-# matrix (at most 2 L_k + 1 rows of d_k) or a refine round's directions
-# (4 * REFINE_DIRECTIONS * d_k).  2**20 (8 MiB) admits d_k <= 16384.
+# Largest array a search builds for a summand, in doubles: its witness
+# vector (2 d_k) or a refine round's candidates
+# (2 * REFINE_DIRECTIONS * sum_i s_i^2).  2**20 (8 MiB) admits a one-slot
+# M_d up to d = 2**19.
 _SEARCH_DOUBLES = 1 << 20
 # Direction scales of the rounds a speculative refine block can score, in
 # units of the step: row j is 0.5**(j // REFINE_FAIL_LIMIT), the step left
@@ -52,8 +49,8 @@ _SEARCH_DOUBLES = 1 << 20
 # factor is a power of two, so a product with the step is exact.
 _STEP_SCALES = np.multiply.outer(
     0.5 ** (np.arange(REFINE_FAIL_LIMIT + _SPECULATE - 1) // REFINE_FAIL_LIMIT),
-    np.repeat([1.0 + 0j, 0.25 + 0j], REFINE_DIRECTIONS),
-)[:, :, None]
+    np.repeat([1.0, 0.25], REFINE_DIRECTIONS),
+)
 
 
 @dataclass(frozen=True)
@@ -159,10 +156,11 @@ class _RatioEvaluator:
         sqrt(max_i c_i lambda_max(G_i) / sum_i tr G_i),
 
     which is homogeneous of degree 0 in x, so no candidate needs unit
-    length.  ``rank_one_ratios`` reads the G_i from vectors and
-    ``gram_blocks`` draws them directly; both take the lambda_max and the
-    quotient in ``_ratios_sq``.  ``opnorms`` and ``fr_norms_sq`` evaluate
-    stacks of general elements, the latter on their column blocks
+    length.  A candidate is given by lower-triangular factors G_i = L_i L_i*
+    (``_bartlett``), which ``gram_blocks`` draws and ``_refine`` moves;
+    ``ratios_sq`` scores both, and ``draw_vector`` turns one into a
+    vector.  ``opnorms`` and ``fr_norms_sq`` evaluate stacks of general
+    elements, the latter on their column blocks
     (``StandardSubalgebra.induced_opnorms_sq``).  ``varies[k]`` says
     whether summand k's ratio depends on the vector (``_ratio_varies``).
     """
@@ -173,9 +171,6 @@ class _RatioEvaluator:
         self.varies = [_ratio_varies(rows) for rows in b.slots]
         factors, dens = b.weight_layout(v.weights)
         self.coefs = [[w / dens[g] for *_, g in rows] for w, rows in zip(factors, b.slots)]
-        # Slot-mass matrices (_mass_matrix), built for a summand when it is
-        # first scored: the search scores only its best summand.
-        self.sums = {}
 
     def opnorms(self, stacks) -> np.ndarray:
         return np.max([linalg.opnorm_batch(s) for s in stacks], axis=0)
@@ -185,50 +180,59 @@ class _RatioEvaluator:
         summand, shapes (nb, d_k, d_k))."""
         return self.b.induced_opnorms_sq(self.weights, stacks)
 
-    def rank_one_ratios(self, k: int, vecs: np.ndarray) -> np.ndarray:
-        """Ratios of the projections onto the rows x of ``vecs`` scaled to
-        unit length, placed in summand k; the rows need not be unit.  One
-        product of |x|^2 with the summand's 0/1 matrix (``_mass_matrix``)
-        gives each slot's mass tr G_i, the mass pp of the first short-side
-        row p of each slot with s_i = 2, and the total; the second row q
-        has the mass qq = tr G_i - pp, and <p, q> is summed per slot.  The
-        product's rounding can depend on the number of rows (see
-        ``_refine``)."""
-        rows = self.b.slots[k]
-        if k not in self.sums:
-            self.sums[k] = _mass_matrix(self.b.shape.dims[k], rows)
-        sums = self.sums[k] @ (vecs.real**2 + vecs.imag**2).T
-        firsts = iter(sums[len(rows) : -1])
-        slots = []
-        for (off, n, m, _), mass in zip(rows, sums):
-            s, gram = min(n, m), _short_side(vecs, off, n, m)
-            if s == 2:
-                pp = next(firsts)
-                gram = (pp, mass - pp, np.einsum("ij,ij->i", gram[:, 0], np.conj(gram[:, 1])))
-            slots.append((s, mass, gram))
-        top = _ratios_sq(self.coefs[k], slots, sums[-1])
-        return np.sqrt(top, out=top)
+    def ratios_sq(self, k: int, g: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        """Squared ratios max_i c_i lambda_max(L_i L_i*) / sum_i
+        tr(L_i L_i*) of candidates in summand k, one per column of their
+        Bartlett parameters: g (sum_i s_i, count) holds the squared
+        diagonals of the L_i, slot by slot, and raw (2, sum_i
+        s_i (s_i - 1) / 2, count) the real and imaginary parts of the
+        entries below them, scaled by sqrt(2) (``_bartlett``).  The
+        total is the sum of g and of the halved squares of raw.
+        lambda_max is the slot's mass when s_i = 1; with s_i = 2 it is
+        ``linalg.top_gram_eigvals_2`` of the two rows p, q of L_i, whose
+        masses are pp = g_0 and qq = g_1 + |z|^2 and whose inner product
+        has the modulus sqrt(g_0) |z|; above, the Grams go to LAPACK.  A
+        candidate's score reads only its own column, and its bits do not
+        depend on the other columns, except that numpy sums a lone column
+        of more than 8 rows of g pairwise."""
+        zz = 0.5 * (raw[0] ** 2 + raw[1] ** 2)
+        total = g.sum(axis=0) + zz.sum(axis=0)
+        top = None
+        a = b = 0
+        for c, (_, n, m, _) in zip(self.coefs[k], self.b.slots[k]):
+            s = min(n, m)
+            tri = s * (s - 1) // 2
+            if s == 1:
+                lam = g[a]
+            elif s == 2:
+                pp, qq = g[a], zz[b] + g[a + 1]
+                lam = linalg.top_gram_eigvals_2(pp + qq, pp, qq, np.sqrt(pp * zz[b]))
+            else:
+                f = _bartlett(g[a : a + s], raw[:, b : b + tri])
+                lam = linalg.hermitian_opnorm_batch(f @ linalg.adjoint(f))
+            top = c * lam if top is None else np.maximum(top, c * lam, out=top)
+            a, b = a + s, b + tri
+        return np.divide(top, total, out=top)
 
     def gram_blocks(self, k: int, samples: int, rng):
         """Squared ratios of ``samples`` random candidates in summand k,
         drawn as slot Grams, in blocks of the block rule
         (_DRAW_BLOCK_ENTRIES): (ratio^2, gammas, normals) per block, one
-        column per draw.
+        column per draw, scored by ``ratios_sq``.
 
         For a complex Gaussian x the slots X_i are independent, and the
         Gram of X_i on its short side is complex Wishart CW(t_i, I_s),
         t_i = max(n_i, m_i).  Bartlett's decomposition draws it as L L*
         (``_bartlett``): |L_jj|^2 ~ Gamma(t_i - j), j < s_i, and the
         entries below the diagonal complex normal with E|z|^2 = 1.  The
-        ratio is scale-free, so ratio^2 = max_i c_i lambda_max(L_i L_i*)
-        / sum_i tr(L_i L_i*) has the law of a Gaussian unit vector's.  A
-        block is one standard_gamma call per diagonal entry, slot by
-        slot, each of a row of draws, then one standard_normal call: the
-        real parts, then the imaginary parts, of the entries below the
-        diagonals, a row per entry.  A summand whose ratio cannot vary
-        (``varies[k]`` false) is one draw L = [1] from no random numbers,
-        of ratio^2 c_0 = w_k / den_g; its vector is the summand's first
-        unit vector."""
+        ratio is scale-free, so ratio^2 has the law of a Gaussian unit
+        vector's.  A block is one standard_gamma call per diagonal entry,
+        slot by slot, each of a row of draws, then one standard_normal
+        call: the real parts, then the imaginary parts, of the entries
+        below the diagonals, a row per entry.  A summand whose ratio
+        cannot vary (``varies[k]`` false) is one draw L = [1] from no
+        random numbers, of ratio^2 c_0 = w_k / den_g; its vector is the
+        summand's first unit vector."""
         rows = self.b.slots[k]
         short = [min(n, m) for _, n, m, _ in rows]
         shapes = [max(n, m) - j for _, n, m, _ in rows for j in range(min(n, m))]
@@ -242,21 +246,7 @@ class _RatioEvaluator:
             for j, t in enumerate(shapes if varies else ()):
                 rng.standard_gamma(t, out=g[j])
             raw = rng.standard_normal((2, low, count)) if low else np.empty((2, 0, count))
-            zz = 0.5 * (raw[0] ** 2 + raw[1] ** 2)
-            total = g.sum(axis=0) + zz.sum(axis=0)
-            slots = []
-            a = b = 0
-            for s in short:
-                tri = s * (s - 1) // 2
-                if s == 1:
-                    slots.append((1, g[a], None))
-                elif s == 2:
-                    pp, qq = g[a], zz[b] + g[a + 1]
-                    slots.append((2, pp + qq, (pp, qq, np.sqrt(pp * zz[b]))))
-                else:
-                    slots.append((s, None, _bartlett(g[a : a + s], raw[:, b : b + tri])))
-                a, b = a + s, b + tri
-            yield _ratios_sq(self.coefs[k], slots, total), g, raw
+            yield self.ratios_sq(k, g, raw), g, raw
 
     def draw_vector(self, k: int, draw) -> np.ndarray:
         """The unit vector of summand k whose slot Grams are the draw's
@@ -268,57 +258,15 @@ class _RatioEvaluator:
             s = min(n, m)
             tri = s * (s - 1) // 2
             f = _bartlett(draw[0][a : a + s, None], draw[1][:, b : b + tri, None])[0]
-            # The short side of [L*; 0] is conj(L) (see _short_side).
-            _short_side(x[None], off, n, m)[0, :, :s] = np.conj(f) if m <= n else f
+            # Row j of piece is column j of X_i: conj of row j of L when
+            # m <= n, and column j of L otherwise.
+            piece = x[off : off + n * m].reshape(m, n)
+            if m <= n:
+                piece[:, :s] = np.conj(f)
+            else:
+                piece.T[:, :s] = f
             a, b = a + s, b + tri
         return _unit(x)
-
-
-def _short_side(vecs: np.ndarray, off: int, n: int, m: int) -> np.ndarray:
-    """The slot X_i (n x m, at ``off``) of each row of ``vecs`` on its
-    short side, a view of shape (count, s, t): row j is column j of X_i
-    when m <= n, and row j of X_i otherwise.  Its Grams f f* have the
-    spectra of the G_i."""
-    piece = vecs[:, off : off + n * m].reshape(len(vecs), m, n)
-    return piece if m <= n else piece.transpose(0, 2, 1)
-
-
-def _mass_matrix(d: int, rows) -> np.ndarray:
-    """The 0/1 matrix that sums |x|^2 of a vector x of a summand of
-    dimension d, given by its slot rows (offset, n, m, ...), into one
-    entry per row of the matrix: each slot's mass, then the mass of the
-    first short-side row of each slot with min(n, m) = 2, then the
-    total."""
-    firsts = [
-        _short_side(np.arange(d)[None], off, n, m)[0, 0] for off, n, m, _ in rows if min(n, m) == 2
-    ]
-    mat = np.zeros((len(rows) + len(firsts) + 1, d))
-    for i, (off, n, m, _) in enumerate(rows):
-        mat[i, off : off + n * m] = 1.0
-    for j, first in enumerate(firsts):
-        mat[len(rows) + j, first] = 1.0
-    mat[-1] = 1.0
-    return mat
-
-
-def _ratios_sq(coefs, slots, total) -> np.ndarray:
-    """Squared ratios max_i c_i lambda_i / total of a stack of candidates,
-    one per entry of ``total``, computed in place.  ``slots`` gives slot
-    by slot (s_i, mass, gram), lambda_i being the top eigenvalue of the
-    slot's s_i x s_i Gram of trace ``mass``: the mass itself when
-    s_i = 1; with s_i = 2, gram holds the Gram's entries (pp, qq, pq),
-    and ``linalg.top_gram_eigvals_2`` gives it in closed form; above,
-    gram is a stack of f whose Grams f f* go to LAPACK."""
-    top = None
-    for c, (s, mass, gram) in zip(coefs, slots):
-        if s == 1:
-            lam = mass
-        elif s == 2:
-            lam = linalg.top_gram_eigvals_2(mass, *gram)
-        else:
-            lam = linalg.hermitian_opnorm_batch(gram @ linalg.adjoint(gram))
-        top = c * lam if top is None else np.maximum(top, c * lam, out=top)
-    return np.divide(top, total, out=top)
 
 
 def _ratio_varies(rows) -> bool:
@@ -346,21 +294,19 @@ class SearchReport:
     refine_steps: int
 
 
-def _complex_parts(raw: np.ndarray, axis: int = 0) -> np.ndarray:
-    """The complex array whose real and imaginary parts are the two
-    entries of ``raw`` along ``axis``, of length 2.  The parts are copied
-    into place, bit for bit the sum re + 1j * im."""
-    re, im = np.moveaxis(raw, axis, 0)
-    out = np.empty(re.shape, dtype=np.complex128)
-    out.real, out.imag = re, im
+def _complex_parts(raw: np.ndarray) -> np.ndarray:
+    """The complex array whose real and imaginary parts are raw[0] and
+    raw[1].  The parts are copied into place, bit for bit the sum
+    re + 1j * im."""
+    out = np.empty(raw.shape[1:], dtype=np.complex128)
+    out.real, out.imag = raw
     return out
 
 
-def _complex_gaussian(rng, shape, axis: int = 0) -> np.ndarray:
-    """Complex Gaussian array of the given shape from one real draw with
-    an axis of length 2 inserted at ``axis``: along it, real parts, then
-    imaginary parts."""
-    return _complex_parts(rng.standard_normal((*shape[:axis], 2, *shape[axis:])), axis)
+def _complex_gaussian(rng, shape) -> np.ndarray:
+    """Complex Gaussian array of the given shape from one real draw of
+    shape (2, *shape): real parts, then imaginary parts."""
+    return _complex_parts(rng.standard_normal((2, *shape)))
 
 
 def _gaussian_stacks(rng, dims, count):
@@ -388,50 +334,64 @@ def _bartlett(g: np.ndarray, raw: np.ndarray) -> np.ndarray:
     return f
 
 
-def _refine(evaluator, k, x, best, rng):
-    """Random-direction descent on the unit sphere of summand k.
+def _unit_mass(y: np.ndarray, s: int) -> np.ndarray:
+    """Bartlett parameters y, s square roots of gammas and then normals,
+    scaled to unit total mass sum y[:s]^2 + sum y[s:]^2 / 2, the total of
+    ``_RatioEvaluator.ratios_sq``."""
+    sq = y * y
+    return y * (1 / math.sqrt(sq[:s].sum() + 0.5 * sq[s:].sum()))
 
-    Each round moves the unit vector x along 2 * REFINE_DIRECTIONS
-    Gaussian directions, half at scale ``step`` and half at ``step / 4``,
-    scores the candidates as they are, the ratio being scale-free (see
-    ``_RatioEvaluator``), and keeps the best one, scaled to unit length,
-    if it lowers the ratio; the step halves after REFINE_FAIL_LIMIT
-    consecutive failing rounds.
+
+def _refine(evaluator, k, draw, best, rng):
+    """Random-direction descent on the Bartlett parameters of summand k.
+
+    The state is the real vector y of the draw's parameters, the square
+    roots of its gammas and then its normals (``ratios_sq``), scaled to
+    unit total mass (``_unit_mass``), and ``best`` is its squared ratio.
+    Each round moves y along 2 * REFINE_DIRECTIONS Gaussian directions,
+    half at scale ``step`` and half at ``step / 4``, scores the
+    candidates as they are, the ratio being scale-free, and keeps the
+    best one, scaled to unit mass, if it lowers the ratio; the step
+    halves after REFINE_FAIL_LIMIT consecutive failing rounds.  Every
+    candidate is a set of lower-triangular factors, so its score is the
+    ratio of a vector (``draw_vector``).
 
     The rounds run in speculative blocks.  One draw gives the directions
-    of as many rounds as fit in _REFINE_DRAW_ENTRIES doubles, in the
+    of as many rounds as fit in _DRAW_BLOCK_ENTRIES numbers, a round
+    2 * REFINE_DIRECTIONS directions of len(y) normals each, in the
     order that a draw per round would give them.  Up to _SPECULATE rounds
-    are then scored in one call, on the guess that all of them fail: x
+    are then scored in one call, on the guess that all of them fail: y
     stays put, and round j of the block takes the step that j failing
     rounds leave, step * 0.5**((fails + j) // REFINE_FAIL_LIMIT), read
     from _STEP_SCALES, which is exact since halving is.  The first round
     that beats ``best`` is accepted as a round-by-round loop accepts it;
     the scores after it are dropped, and their directions are rescored
-    from the new x.  A candidate's score depends on its own row and on the
-    BLAS kernel that sums its slot masses (``rank_one_ratios``), which
-    numpy and OpenBLAS pick by the stack's shape: one row goes to gemv,
-    and a product of more than about 10^6 multiply-adds can leave the
-    small-matrix kernel.  The refine's stacks of 32 to 32 * _SPECULATE
-    rows stayed on one kernel on every problem tested, and there x,
-    ``best`` and the accept count equal those of the round-by-round loop
-    bit for bit.
+    from the new y.  A candidate's score reads only its own column, and
+    a call scores at least 2 * REFINE_DIRECTIONS columns, so y, ``best``
+    and the accept count equal those of the round-by-round loop bit for
+    bit.  Returns ``best``, the final draw (gammas, normals) and the
+    accept count.
     """
     ndir = REFINE_DIRECTIONS
-    d = x.size
-    per_draw = max(1, _REFINE_DRAW_ENTRIES // (4 * ndir * d))
+    s = len(draw[0])
+    y = _unit_mass(np.concatenate((np.sqrt(draw[0]), draw[1].ravel())), s)
+    per_draw = max(1, _DRAW_BLOCK_ENTRIES // (2 * ndir * y.size))
     step = REFINE_INITIAL_STEP
     fails = 0
     accepted = 0
     done = 0
-    dirs = np.empty((0, 2 * ndir, d), dtype=np.complex128)
+    dirs = np.empty((0, 2 * ndir, y.size))
     while done < REFINE_ROUNDS:
         if not len(dirs):
-            dirs = _complex_gaussian(rng, (min(per_draw, REFINE_ROUNDS - done), 2 * ndir, d), 1)
+            dirs = rng.standard_normal((min(per_draw, REFINE_ROUNDS - done), 2 * ndir, y.size))
         span = min(_SPECULATE, len(dirs))
-        cands = dirs[:span] * (step * _STEP_SCALES[fails : fails + span])
-        cands += x
-        cands = cands.reshape(-1, d)
-        ratios = evaluator.rank_one_ratios(k, cands)
+        # Candidates in columns, round by round: (len(y), span * 2 * ndir).
+        cands = np.empty((y.size, span, 2 * ndir))
+        scales = step * _STEP_SCALES[fails : fails + span]
+        np.multiply(dirs[:span].transpose(2, 0, 1), scales, out=cands)
+        cands += y[:, None, None]
+        cands = cands.reshape(y.size, -1)
+        ratios = evaluator.ratios_sq(k, cands[:s] ** 2, cands[s:].reshape(2, -1, cands.shape[1]))
         hits = (ratios < best).nonzero()[0]
         # The rounds before the first hit, or all of them, failed.
         failed = int(hits[0]) // (2 * ndir) if len(hits) else span
@@ -441,14 +401,14 @@ def _refine(evaluator, k, x, best, rng):
         if len(hits):
             lo = failed * 2 * ndir
             pick = lo + int(ratios[lo : lo + 2 * ndir].argmin())
-            best = float(ratios[pick])
-            x = _unit(cands[pick])
+            best = ratios[pick]
+            y = _unit_mass(cands[:, pick], s)
             accepted += 1
             fails = 0
             used += 1
         dirs = dirs[used:]
         done += used
-    return best, x, accepted
+    return best, (y[:s] ** 2, y[s:].reshape(2, -1)), accepted
 
 
 def _checked_int(value, name: str, least: int) -> int:
@@ -487,25 +447,27 @@ def empirical_sharp_constant(
     ratio cannot vary (``_ratio_varies``: one slot with min(n, m) = 1)
     every unit vector has the ratio sqrt(w_k / den_g), read from the
     weight layout: nothing is drawn there, its first unit vector stands
-    for it, and nothing is refined when it holds the best ratio.  Only
-    the best draw becomes a vector (``_RatioEvaluator.draw_vector``),
-    which is scored once more by ``rank_one_ratios``, the evaluator of
-    every later comparison.  Refinement then runs random-direction
-    descent on the sphere from that vector; its draws follow the sampling
-    draws, so the sampling result does not depend on ``refine``.  The
-    witness is the best summand k and unit vector x; no d_k x d_k array
-    is built.  On a conjugate U B U* the search runs on the base B, whose
-    ratios are the same, and x is carried back to U_k x.  A summand whose
-    slot-mass matrix or refine round would pass _SEARCH_DOUBLES doubles
-    is refused with InputError before any draw.  ``samples`` must be an
-    integer of at least 1 and ``seed`` one of at least 0, a bool
-    excluded; anything else is refused with ValueError before any draw.
+    for it, and nothing is refined when it holds the best ratio.
+    Refinement then runs random-direction descent on the best draw's
+    Bartlett parameters (``_refine``), scored by the same
+    ``_RatioEvaluator.ratios_sq`` as the draws; its draws follow the
+    sampling draws, so the sampling result does not depend on
+    ``refine``.  Only the final draw becomes a vector
+    (``_RatioEvaluator.draw_vector``).  The witness is the best summand
+    k and unit vector x; no d_k x d_k array is built.  On a conjugate
+    U B U* the search runs on the base B, whose ratios are the same, and
+    x is carried back to U_k x.  A summand whose witness vector or
+    refine round would pass _SEARCH_DOUBLES doubles is refused with
+    InputError before any draw.  ``samples`` must be an integer of at
+    least 1 and ``seed`` one of at least 0, a bool excluded; anything
+    else is refused with ValueError before any draw.
     """
     b, u = standard_form(b, v)
     samples = _checked_int(samples, "samples", 1)
     seed = _checked_int(seed, "seed", 0)
     doubles = max(
-        max(2 * len(rows) + 1, 4 * REFINE_DIRECTIONS) * d for d, rows in zip(b.shape.dims, b.slots)
+        max(2 * d, 2 * REFINE_DIRECTIONS * sum(min(n, m) ** 2 for _, n, m, _ in rows))
+        for d, rows in zip(b.shape.dims, b.slots)
     )
     if doubles > _SEARCH_DOUBLES:
         raise InputError(
@@ -522,16 +484,15 @@ def empirical_sharp_constant(
             pick = int(np.argmin(sq))
             if sq[pick] < best:
                 best, best_k, draw = sq[pick], k, (g[:, pick].copy(), raw[:, :, pick].copy())
-    x = evaluator.draw_vector(best_k, draw)
-    best = float(evaluator.rank_one_ratios(best_k, x[None])[0])
     refine_steps = 0
     if refine and evaluator.varies[best_k]:
-        best, x, refine_steps = _refine(evaluator, best_k, x, best, rng)
+        best, draw, refine_steps = _refine(evaluator, best_k, draw, best, rng)
+    x = evaluator.draw_vector(best_k, draw)
     if u is not None:
         x = u.summands[best_k] @ x
     x.setflags(write=False)
     return SearchReport(
-        best_ratio=best,
+        best_ratio=math.sqrt(best),
         witness_summand=best_k + 1,
         witness_vector=x,
         samples=samples,

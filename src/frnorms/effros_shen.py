@@ -374,10 +374,16 @@ def continuity_probe(
     For each perturbation eta the entry records how deep the
     continued-fraction prefixes agree (out of N+1 terms), the Baire
     distance of the term sequences, both constants, their gap, and the
-    ratio gap/|theta - eta|.
+    ratio gap/|theta - eta|.  ``perturbation_cfs``, when given, holds one
+    fraction (or None) per perturbation; a list of another length is
+    refused with InputError before any expansion.
     """
     if N < 2:
         raise ValueError("level must be at least 2")
+    if perturbation_cfs is not None and len(perturbation_cfs) != len(perturbations):
+        raise InputError(
+            f"{len(perturbation_cfs)} perturbation fractions for {len(perturbations)} perturbations"
+        )
     depth = N + 1
     cf = _expansion(theta, depth, cf)
     c_theta = es_constant(theta, N, cf)

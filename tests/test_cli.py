@@ -237,11 +237,11 @@ def test_readme_search_example(problem_files):
     proc = run_cli("search", *problem_args(problem_files),
                    "--samples", "2000", "--seed", "1", check=True)
     out = json.loads(proc.stdout)
-    assert out["best_ratio"] == 0.7071067811865518
-    assert out["refine_steps"] == 20
+    assert out["best_ratio"] == 0.7071067811865659
+    assert out["refine_steps"] == 14
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    assert '{"best_ratio": 0.7071067811865518,' in readme
-    assert '"refine_steps": 20}' in readme
+    assert '{"best_ratio": 0.7071067811865659,' in readme
+    assert '"refine_steps": 14}' in readme
 
 
 def test_a_negative_seed_exits_2_naming_the_seed(problem_files, capsys):
@@ -730,6 +730,13 @@ _REFUSALS = {
         lambda _: effros_shen.continuity_probe(effros_shen.GOLDEN, [0.6], 1),
         ValueError,
         "level",
+    ),
+    "continuity-probe-fraction-count": (
+        lambda _: effros_shen.continuity_probe(
+            effros_shen.GOLDEN, [0.6, 0.61, 0.62], 3, perturbation_cfs=[None]
+        ),
+        InputError,
+        "1 perturbation fractions for 3 perturbations",
     ),
     "subalgebra-partition-count": (
         lambda _: StandardSubalgebra(AlgebraShape((2, 2)), [((2, 1),)], [[(1, 1)]]),

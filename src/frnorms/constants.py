@@ -28,20 +28,23 @@ REFINE_INITIAL_STEP = 0.1
 REFINE_FAIL_LIMIT = 5
 REFINE_DIRECTIONS = 16
 # Numbers per draw block: summand k's Gram draws come in blocks of
-# _DRAW_BLOCK_ENTRIES // sum_i s_i^2 draws (at least one), s_i the short
-# side of slot i, each one standard_gamma call and then one
-# standard_normal call, and its refine draws the directions of
-# _DRAW_BLOCK_ENTRIES // (2 * REFINE_DIRECTIONS * sum_i s_i^2) rounds (at
-# least one) at a time.  The block size fixes the order of the draws, and
-# with it every search stream for a seed; it bounds a block's memory for
-# any sample count.
+# _DRAW_BLOCK_ENTRIES // P_k draws (at least one), P_k = sum_i s_i^2 the
+# length of a candidate column (see _RatioEvaluator), each one
+# standard_gamma call per diagonal row and then one standard_normal
+# call, and its refine draws the directions of
+# _DRAW_BLOCK_ENTRIES // (2 * REFINE_DIRECTIONS * P_k) rounds (at least
+# one) at a time.  The block size fixes the order of the draws, and with
+# it every search stream for a seed; it bounds a block's memory for any
+# sample count.
 _DRAW_BLOCK_ENTRIES = 1 << 14
 # Refine rounds scored per ratios_sq call (see _refine).
 _SPECULATE = 8
 # Largest array a search builds for a summand, in doubles: its witness
-# vector (2 d_k) or a refine round's candidates
-# (2 * REFINE_DIRECTIONS * sum_i s_i^2).  2**20 (8 MiB) admits a one-slot
-# M_d up to d = 2**19.
+# vector (2 d_k), the candidate columns of its widest scoring call, a
+# draw block or a speculative refine block (columns * P_k), or the
+# complex factor stack that call builds for a slot with s_i >= 3
+# (columns * 2 s_i^2).  2**20 (8 MiB) admits a one-slot M_d up to
+# d = 2**19 and one square slot (s, s) up to s = 128.
 _SEARCH_DOUBLES = 1 << 20
 # Direction scales of the rounds a speculative refine block can score, in
 # units of the step: row j is 0.5**(j // REFINE_FAIL_LIMIT), the step left
@@ -156,21 +159,38 @@ class _RatioEvaluator:
         sqrt(max_i c_i lambda_max(G_i) / sum_i tr G_i),
 
     which is homogeneous of degree 0 in x, so no candidate needs unit
-    length.  A candidate is given by lower-triangular factors G_i = L_i L_i*
-    (``_bartlett``), which ``gram_blocks`` draws and ``_refine`` moves;
-    ``ratios_sq`` scores both, and ``draw_vector`` turns one into a
-    vector.  ``opnorms`` and ``fr_norms_sq`` evaluate stacks of general
-    elements, the latter on their column blocks
-    (``StandardSubalgebra.induced_opnorms_sq``).  ``varies[k]`` says
-    whether summand k's ratio depends on the vector (``_ratio_varies``).
+    length.  A candidate is given by lower-triangular factors
+    G_i = L_i L_i*, held as one real column of P_k = sum_i s_i^2 numbers:
+    the diagonals of all the L_i, slot by slot, then the real parts and
+    then the imaginary parts of the entries below them, slot by slot in
+    row-major order.  Its squared length is sum_i tr G_i.
+    ``gram_blocks`` draws columns, ``_refine`` moves one, ``ratios_sq``
+    scores them and ``draw_vector`` turns one into a vector.
+    ``table[k]`` is summand k's slot table: the rows (c_i, s_i, first
+    diagonal row, first row below the diagonal) of its slots, the count
+    of entries below the diagonals, and P_k.  A summand whose ratio
+    cannot vary, one slot with s = 1 (B all of M_{d_k} or only its
+    scalars), is the one with P_k = 1: X_0 is then a d_k-vector,
+    lambda_max(X_0 X_0*) = ||x||^2 = 1, and every unit x has the ratio
+    sqrt(w_k / den_g).  ``opnorms`` and ``fr_norms_sq`` evaluate stacks
+    of general elements, the latter on their column blocks
+    (``StandardSubalgebra.induced_opnorms_sq``).
     """
 
     def __init__(self, b: StandardSubalgebra, v: TracialWeight):
         self.b = b
         self.weights = v.weights
-        self.varies = [_ratio_varies(rows) for rows in b.slots]
         factors, dens = b.weight_layout(v.weights)
-        self.coefs = [[w / dens[g] for *_, g in rows] for w, rows in zip(factors, b.slots)]
+        self.table = []
+        for w, rows in zip(factors, b.slots):
+            short = [min(n, m) for _, n, m, _ in rows]
+            slots, a, below = [], 0, sum(short)
+            for s, (*_, g) in zip(short, rows):
+                slots.append((w / dens[g], s, a, below))
+                a, below = a + s, below + s * (s - 1) // 2
+            # a ends at the count of diagonal rows and below at it plus the
+            # count of entries below the diagonals, each held twice in P_k.
+            self.table.append((slots, below - a, 2 * below - a))
 
     def opnorms(self, stacks) -> np.ndarray:
         return np.max([linalg.opnorm_batch(s) for s in stacks], axis=0)
@@ -180,84 +200,73 @@ class _RatioEvaluator:
         summand, shapes (nb, d_k, d_k))."""
         return self.b.induced_opnorms_sq(self.weights, stacks)
 
-    def ratios_sq(self, k: int, g: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    def ratios_sq(self, k: int, y: np.ndarray) -> np.ndarray:
         """Squared ratios max_i c_i lambda_max(L_i L_i*) / sum_i
-        tr(L_i L_i*) of candidates in summand k, one per column of their
-        Bartlett parameters: g (sum_i s_i, count) holds the squared
-        diagonals of the L_i, slot by slot, and raw (2, sum_i
-        s_i (s_i - 1) / 2, count) the real and imaginary parts of the
-        entries below them, scaled by sqrt(2) (``_bartlett``).  The
-        total is the sum of g and of the halved squares of raw.
+        tr(L_i L_i*) of candidates in summand k, one per column of y
+        (P_k, count).  The total is the column's squared length.
         lambda_max is the slot's mass when s_i = 1; with s_i = 2 it is
         ``linalg.top_gram_eigvals_2`` of the two rows p, q of L_i, whose
-        masses are pp = g_0 and qq = g_1 + |z|^2 and whose inner product
-        has the modulus sqrt(g_0) |z|; above, the Grams go to LAPACK.  A
-        candidate's score reads only its own column, and its bits do not
-        depend on the other columns, except that numpy sums a lone column
-        of more than 8 rows of g pairwise."""
-        zz = 0.5 * (raw[0] ** 2 + raw[1] ** 2)
-        total = g.sum(axis=0) + zz.sum(axis=0)
+        masses are pp = L_00^2 and qq = |z|^2 + L_11^2, z = L_10, and
+        whose inner product has the modulus |L_00| |z|; above, the Grams
+        of the factors (``_factors``) go to LAPACK.  A candidate's score
+        reads only its own column, and its bits do not depend on the
+        other columns, except that numpy sums a lone column of more than
+        8 rows pairwise."""
+        sq = y * y
+        slots, low, _ = self.table[k]
         top = None
-        a = b = 0
-        for c, (_, n, m, _) in zip(self.coefs[k], self.b.slots[k]):
-            s = min(n, m)
-            tri = s * (s - 1) // 2
+        for c, s, a, b in slots:
             if s == 1:
-                lam = g[a]
+                lam = sq[a]
             elif s == 2:
-                pp, qq = g[a], zz[b] + g[a + 1]
-                lam = linalg.top_gram_eigvals_2(pp + qq, pp, qq, np.sqrt(pp * zz[b]))
+                zz = sq[b] + sq[b + low]
+                pp, qq = sq[a], zz + sq[a + 1]
+                lam = linalg.top_gram_eigvals_2(pp + qq, pp, qq, np.sqrt(pp * zz))
             else:
-                f = _bartlett(g[a : a + s], raw[:, b : b + tri])
+                f = _factors(y, s, a, b, low)
                 lam = linalg.hermitian_opnorm_batch(f @ linalg.adjoint(f))
             top = c * lam if top is None else np.maximum(top, c * lam, out=top)
-            a, b = a + s, b + tri
-        return np.divide(top, total, out=top)
+        return np.divide(top, sq.sum(axis=0), out=top)
 
     def gram_blocks(self, k: int, samples: int, rng):
         """Squared ratios of ``samples`` random candidates in summand k,
         drawn as slot Grams, in blocks of the block rule
-        (_DRAW_BLOCK_ENTRIES): (ratio^2, gammas, normals) per block, one
-        column per draw, scored by ``ratios_sq``.
+        (_DRAW_BLOCK_ENTRIES): (ratio^2, columns) per block, one column
+        per draw, scored by ``ratios_sq``.
 
         For a complex Gaussian x the slots X_i are independent, and the
         Gram of X_i on its short side is complex Wishart CW(t_i, I_s),
-        t_i = max(n_i, m_i).  Bartlett's decomposition draws it as L L*
-        (``_bartlett``): |L_jj|^2 ~ Gamma(t_i - j), j < s_i, and the
-        entries below the diagonal complex normal with E|z|^2 = 1.  The
-        ratio is scale-free, so ratio^2 has the law of a Gaussian unit
-        vector's.  A block is one standard_gamma call per diagonal entry,
-        slot by slot, each of a row of draws, then one standard_normal
-        call: the real parts, then the imaginary parts, of the entries
-        below the diagonals, a row per entry.  A summand whose ratio
-        cannot vary (``varies[k]`` false) is one draw L = [1] from no
-        random numbers, of ratio^2 c_0 = w_k / den_g; its vector is the
-        summand's first unit vector."""
-        rows = self.b.slots[k]
-        short = [min(n, m) for _, n, m, _ in rows]
-        shapes = [max(n, m) - j for _, n, m, _ in rows for j in range(min(n, m))]
-        low = sum(s * (s - 1) // 2 for s in short)
-        per = max(1, _DRAW_BLOCK_ENTRIES // sum(s * s for s in short))
-        varies = self.varies[k]
+        t_i = max(n_i, m_i).  Bartlett's decomposition draws it as L L*:
+        L_jj^2 ~ Gamma(t_i - j), j < s_i, and the entries below the
+        diagonal complex normal with E|z|^2 = 1.  The ratio is
+        scale-free, so ratio^2 has the law of a Gaussian unit vector's.
+        A block is one standard_gamma call per diagonal row, slot by slot,
+        each of a row of draws whose square roots the row then holds, and
+        then one standard_normal call for the rows below the diagonals,
+        times sqrt(1/2).  A summand whose ratio cannot vary (P_k = 1) is
+        one draw L = [1] from no random numbers, of ratio^2 c_0 =
+        w_k / den_g; its vector is the summand's first unit vector."""
+        slots, low, size = self.table[k]
+        varies = size > 1
+        per = max(1, _DRAW_BLOCK_ENTRIES // size)
         for done in range(0, samples if varies else 1, per):
-            count = min(per, samples - done) if varies else 1
-            g = np.ones((len(shapes), count))
-            # A summand whose ratio cannot vary keeps its L = [1].
-            for j, t in enumerate(shapes if varies else ()):
-                rng.standard_gamma(t, out=g[j])
-            raw = rng.standard_normal((2, low, count)) if low else np.empty((2, 0, count))
-            yield self.ratios_sq(k, g, raw), g, raw
+            y = np.ones((size, min(per, samples - done) if varies else 1))
+            for (_, s, a, _), (_, n, m, _) in zip(slots if varies else (), self.b.slots[k]):
+                for j in range(s):
+                    rng.standard_gamma(max(n, m) - j, out=y[a + j])
+            np.sqrt(y, out=y)
+            if low:
+                z = rng.standard_normal((2 * low, y.shape[1]))
+                np.multiply(z, math.sqrt(0.5), out=y[-2 * low :])
+            yield self.ratios_sq(k, y), y
 
-    def draw_vector(self, k: int, draw) -> np.ndarray:
-        """The unit vector of summand k whose slot Grams are the draw's
-        L_i L_i*: X_i = [L_i*; 0] when m_i <= n_i, else [L_i, 0], cut as in
-        ``sharp_constant`` and normalized (``_unit``)."""
+    def draw_vector(self, k: int, y: np.ndarray) -> np.ndarray:
+        """The unit vector of summand k whose slot Grams are L_i L_i* of
+        the column y: X_i = [L_i*; 0] when m_i <= n_i, else [L_i, 0], cut
+        as in ``sharp_constant`` and normalized (``_unit``)."""
         x = np.zeros(self.b.shape.dims[k], dtype=np.complex128)
-        a = b = 0
-        for off, n, m, _ in self.b.slots[k]:
-            s = min(n, m)
-            tri = s * (s - 1) // 2
-            f = _bartlett(draw[0][a : a + s, None], draw[1][:, b : b + tri, None])[0]
+        for (_, s, a, b), (off, n, m, _) in zip(self.table[k][0], self.b.slots[k]):
+            f = _factors(y[:, None], s, a, b, self.table[k][1])[0]
             # Row j of piece is column j of X_i: conj of row j of L when
             # m <= n, and column j of L otherwise.
             piece = x[off : off + n * m].reshape(m, n)
@@ -265,17 +274,7 @@ class _RatioEvaluator:
                 piece[:, :s] = np.conj(f)
             else:
                 piece.T[:, :s] = f
-            a, b = a + s, b + tri
         return _unit(x)
-
-
-def _ratio_varies(rows) -> bool:
-    """Whether the rank-one ratio of a summand, given by its slot rows
-    (offset, n, m, ...), depends on the unit vector.  It does not when
-    the summand is one slot with min(n, m) = 1, B all of M_{d_k} or only
-    its scalars: X_0 is then a d_k-vector, lambda_max(X_0 X_0*) =
-    ||x||^2 = 1, and every unit x has the ratio sqrt(w_k / den_g)."""
-    return len(rows) > 1 or min(rows[0][1], rows[0][2]) > 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,19 +293,13 @@ class SearchReport:
     refine_steps: int
 
 
-def _complex_parts(raw: np.ndarray) -> np.ndarray:
-    """The complex array whose real and imaginary parts are raw[0] and
-    raw[1].  The parts are copied into place, bit for bit the sum
-    re + 1j * im."""
-    out = np.empty(raw.shape[1:], dtype=np.complex128)
-    out.real, out.imag = raw
-    return out
-
-
 def _complex_gaussian(rng, shape) -> np.ndarray:
     """Complex Gaussian array of the given shape from one real draw of
-    shape (2, *shape): real parts, then imaginary parts."""
-    return _complex_parts(rng.standard_normal((2, *shape)))
+    shape (2, *shape): real parts, then imaginary parts, copied into
+    place, bit for bit the sum re + 1j * im."""
+    out = np.empty(shape, dtype=np.complex128)
+    out.real, out.imag = rng.standard_normal((2, *shape))
+    return out
 
 
 def _gaussian_stacks(rng, dims, count):
@@ -321,60 +314,49 @@ def _unit(x: np.ndarray) -> np.ndarray:
     return x * (1 / math.sqrt(np.vdot(x, x).real))
 
 
-def _bartlett(g: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Lower-triangular s x s Bartlett factors L, one per column of g,
-    (s, count): sqrt(g) on the diagonal and, below it in row-major
-    order, the complex normals whose real and imaginary parts are raw[0]
-    and raw[1], scaled by sqrt(1/2) so that E|z|^2 = 1."""
-    s, count = g.shape
-    f = np.zeros((count, s, s), dtype=np.complex128)
-    f.reshape(count, s * s)[:, :: s + 1] = np.sqrt(g.T)
-    if s > 1:
-        f[(slice(None), *np.tril_indices(s, -1))] = _complex_parts(raw).T * np.sqrt(0.5)
+def _factors(y: np.ndarray, s: int, a: int, b: int, low: int) -> np.ndarray:
+    """One slot's lower-triangular s x s factors L, one per column of the
+    candidates y (see ``_RatioEvaluator``): rows a to a + s of y on the
+    diagonal, and below it, in row-major order, the entries whose real
+    parts are the rows from b on and imaginary parts the rows from
+    b + low on."""
+    f = np.zeros((y.shape[1], s, s), dtype=np.complex128)
+    f.reshape(-1, s * s)[:, :: s + 1] = y[a : a + s].T
+    i, j = np.tril_indices(s, -1)
+    f.real[:, i, j] = y[b : b + len(i)].T
+    f.imag[:, i, j] = y[b + low : b + low + len(i)].T
     return f
 
 
-def _unit_mass(y: np.ndarray, s: int) -> np.ndarray:
-    """Bartlett parameters y, s square roots of gammas and then normals,
-    scaled to unit total mass sum y[:s]^2 + sum y[s:]^2 / 2, the total of
-    ``_RatioEvaluator.ratios_sq``."""
-    sq = y * y
-    return y * (1 / math.sqrt(sq[:s].sum() + 0.5 * sq[s:].sum()))
+def _refine(evaluator, k, y, best, rng):
+    """Random-direction descent on a candidate column y of summand k.
 
-
-def _refine(evaluator, k, draw, best, rng):
-    """Random-direction descent on the Bartlett parameters of summand k.
-
-    The state is the real vector y of the draw's parameters, the square
-    roots of its gammas and then its normals (``ratios_sq``), scaled to
-    unit total mass (``_unit_mass``), and ``best`` is its squared ratio.
-    Each round moves y along 2 * REFINE_DIRECTIONS Gaussian directions,
-    half at scale ``step`` and half at ``step / 4``, scores the
-    candidates as they are, the ratio being scale-free, and keeps the
-    best one, scaled to unit mass, if it lowers the ratio; the step
-    halves after REFINE_FAIL_LIMIT consecutive failing rounds.  Every
-    candidate is a set of lower-triangular factors, so its score is the
-    ratio of a vector (``draw_vector``).
+    The state is y at unit length (``_unit``), and ``best`` is its
+    squared ratio.  Each round moves y along 2 * REFINE_DIRECTIONS
+    Gaussian directions, half at scale ``step`` and half at
+    ``step / 4``, scores the candidates as they are, the ratio being
+    scale-free, and keeps the best one, at unit length, if it lowers the
+    ratio; the step halves after REFINE_FAIL_LIMIT consecutive failing
+    rounds.  Every column is a set of lower-triangular factors, so its
+    score is the ratio of a vector (``draw_vector``).
 
     The rounds run in speculative blocks.  One draw gives the directions
     of as many rounds as fit in _DRAW_BLOCK_ENTRIES numbers, a round
-    2 * REFINE_DIRECTIONS directions of len(y) normals each, in the
-    order that a draw per round would give them.  Up to _SPECULATE rounds
-    are then scored in one call, on the guess that all of them fail: y
-    stays put, and round j of the block takes the step that j failing
-    rounds leave, step * 0.5**((fails + j) // REFINE_FAIL_LIMIT), read
-    from _STEP_SCALES, which is exact since halving is.  The first round
-    that beats ``best`` is accepted as a round-by-round loop accepts it;
-    the scores after it are dropped, and their directions are rescored
-    from the new y.  A candidate's score reads only its own column, and
-    a call scores at least 2 * REFINE_DIRECTIONS columns, so y, ``best``
+    2 * REFINE_DIRECTIONS directions of P_k normals each, in the order
+    that a draw per round would give them.  Up to _SPECULATE rounds are
+    then scored in one call, on the guess that all of them fail: y stays
+    put, and round j of the block takes the step that j failing rounds
+    leave, step * 0.5**((fails + j) // REFINE_FAIL_LIMIT), read from
+    _STEP_SCALES, which is exact since halving is.  The first round that
+    beats ``best`` is accepted as a round-by-round loop accepts it; the
+    scores after it are dropped, and their directions are rescored from
+    the new y.  A candidate's score reads only its own column, and a
+    call scores at least 2 * REFINE_DIRECTIONS columns, so y, ``best``
     and the accept count equal those of the round-by-round loop bit for
-    bit.  Returns ``best``, the final draw (gammas, normals) and the
-    accept count.
+    bit.  Returns ``best``, the final column and the accept count.
     """
     ndir = REFINE_DIRECTIONS
-    s = len(draw[0])
-    y = _unit_mass(np.concatenate((np.sqrt(draw[0]), draw[1].ravel())), s)
+    y = _unit(y)
     per_draw = max(1, _DRAW_BLOCK_ENTRIES // (2 * ndir * y.size))
     step = REFINE_INITIAL_STEP
     fails = 0
@@ -385,13 +367,13 @@ def _refine(evaluator, k, draw, best, rng):
         if not len(dirs):
             dirs = rng.standard_normal((min(per_draw, REFINE_ROUNDS - done), 2 * ndir, y.size))
         span = min(_SPECULATE, len(dirs))
-        # Candidates in columns, round by round: (len(y), span * 2 * ndir).
+        # Candidates in columns, round by round: (P_k, span * 2 * ndir).
         cands = np.empty((y.size, span, 2 * ndir))
         scales = step * _STEP_SCALES[fails : fails + span]
         np.multiply(dirs[:span].transpose(2, 0, 1), scales, out=cands)
         cands += y[:, None, None]
         cands = cands.reshape(y.size, -1)
-        ratios = evaluator.ratios_sq(k, cands[:s] ** 2, cands[s:].reshape(2, -1, cands.shape[1]))
+        ratios = evaluator.ratios_sq(k, cands)
         hits = (ratios < best).nonzero()[0]
         # The rounds before the first hit, or all of them, failed.
         failed = int(hits[0]) // (2 * ndir) if len(hits) else span
@@ -402,13 +384,13 @@ def _refine(evaluator, k, draw, best, rng):
             lo = failed * 2 * ndir
             pick = lo + int(ratios[lo : lo + 2 * ndir].argmin())
             best = ratios[pick]
-            y = _unit_mass(cands[:, pick], s)
+            y = _unit(cands[:, pick])
             accepted += 1
             fails = 0
             used += 1
         dirs = dirs[used:]
         done += used
-    return best, (y[:s] ** 2, y[s:].reshape(2, -1)), accepted
+    return best, y, accepted
 
 
 def _checked_int(value, name: str, least: int) -> int:
@@ -442,52 +424,54 @@ def empirical_sharp_constant(
     from one generator seeded by ``seed``, in summand order, and keeps
     the first smallest ratio.  A candidate is drawn as its slot Grams,
     whose law is that of a complex Gaussian unit vector's, not as a
-    vector (``_RatioEvaluator.gram_blocks``), so a draw costs
-    sum_i min(n_i, m_i)^2 numbers whatever d_k is.  On a summand whose
-    ratio cannot vary (``_ratio_varies``: one slot with min(n, m) = 1)
-    every unit vector has the ratio sqrt(w_k / den_g), read from the
-    weight layout: nothing is drawn there, its first unit vector stands
-    for it, and nothing is refined when it holds the best ratio.
-    Refinement then runs random-direction descent on the best draw's
-    Bartlett parameters (``_refine``), scored by the same
-    ``_RatioEvaluator.ratios_sq`` as the draws; its draws follow the
-    sampling draws, so the sampling result does not depend on
-    ``refine``.  Only the final draw becomes a vector
-    (``_RatioEvaluator.draw_vector``).  The witness is the best summand
-    k and unit vector x; no d_k x d_k array is built.  On a conjugate
-    U B U* the search runs on the base B, whose ratios are the same, and
-    x is carried back to U_k x.  A summand whose witness vector or
-    refine round would pass _SEARCH_DOUBLES doubles is refused with
-    InputError before any draw.  ``samples`` must be an integer of at
-    least 1 and ``seed`` one of at least 0, a bool excluded; anything
-    else is refused with ValueError before any draw.
+    vector (``_RatioEvaluator.gram_blocks``), so a draw is one column of
+    P_k = sum_i min(n_i, m_i)^2 numbers whatever d_k is.  On a summand
+    whose ratio cannot vary (P_k = 1: one slot with min(n, m) = 1) every
+    unit vector has the ratio sqrt(w_k / den_g), read from the weight
+    layout: nothing is drawn there, its first unit vector stands for it,
+    and nothing is refined when it holds the best ratio.  Refinement
+    then runs random-direction descent on the best draw's column
+    (``_refine``), scored by the same ``_RatioEvaluator.ratios_sq`` as
+    the draws; its draws follow the sampling draws, so the sampling
+    result does not depend on ``refine``.  Only the final column becomes
+    a vector (``_RatioEvaluator.draw_vector``).  The witness is the best
+    summand k and unit vector x; no d_k x d_k array is built.  On a
+    conjugate U B U* the search runs on the base B, whose ratios are the
+    same, and x is carried back to U_k x.  A summand whose witness
+    vector, candidate columns or factor stacks would pass
+    _SEARCH_DOUBLES doubles is refused with InputError before any draw.
+    ``samples`` must be an integer of at least 1 and ``seed`` one of at
+    least 0, a bool excluded; anything else is refused with ValueError
+    before any draw.
     """
     b, u = standard_form(b, v)
     samples = _checked_int(samples, "samples", 1)
     seed = _checked_int(seed, "seed", 0)
-    doubles = max(
-        max(2 * d, 2 * REFINE_DIRECTIONS * sum(min(n, m) ** 2 for _, n, m, _ in rows))
-        for d, rows in zip(b.shape.dims, b.slots)
-    )
+    evaluator = _RatioEvaluator(b, v)
+    doubles = 2 * max(b.shape.dims)
+    for slots, _, size in evaluator.table:
+        # The widest scoring call: a draw block or a speculative refine block.
+        rounds = min(_SPECULATE, max(1, _DRAW_BLOCK_ENTRIES // (2 * REFINE_DIRECTIONS * size)))
+        cols = max(_DRAW_BLOCK_ENTRIES // size, 2 * REFINE_DIRECTIONS * rounds)
+        doubles = max([doubles, cols * size] + [2 * cols * s * s for _, s, _, _ in slots if s > 2])
     if doubles > _SEARCH_DOUBLES:
         raise InputError(
             f"a search of shape {list(b.shape.dims)} builds arrays of {doubles} "
             f"doubles, above {_SEARCH_DOUBLES}"
         )
-    evaluator = _RatioEvaluator(b, v)
     rng = np.random.default_rng(seed)
     best = np.inf
     for k in range(b.shape.num_summands):
-        for sq, g, raw in evaluator.gram_blocks(k, samples, rng):
+        for sq, y in evaluator.gram_blocks(k, samples, rng):
             # argmin's first index and a strict < across blocks keep the
             # first smallest draw.
             pick = int(np.argmin(sq))
             if sq[pick] < best:
-                best, best_k, draw = sq[pick], k, (g[:, pick].copy(), raw[:, :, pick].copy())
+                best, best_k, col = sq[pick], k, y[:, pick]
     refine_steps = 0
-    if refine and evaluator.varies[best_k]:
-        best, draw, refine_steps = _refine(evaluator, best_k, draw, best, rng)
-    x = evaluator.draw_vector(best_k, draw)
+    if refine and evaluator.table[best_k][2] > 1:
+        best, col, refine_steps = _refine(evaluator, best_k, col, best, rng)
+    x = evaluator.draw_vector(best_k, col)
     if u is not None:
         x = u.summands[best_k] @ x
     x.setflags(write=False)

@@ -400,13 +400,21 @@ def test_the_sharp_constant_is_the_pimsner_popa_constant():
         assert _order_gap(b, v, p, 1.01**2 * sq) < 0, name
 
 
+def _column_rows(rows):
+    """The row counts of a candidate column of a summand with the slot
+    rows (offset, n, m, group): its diagonal rows, sum_i s_i, and its
+    entries below the diagonals, sum_i s_i (s_i - 1) / 2, each held as
+    a real and an imaginary row."""
+    short = [min(n, m) for _, n, m, _ in rows]
+    return sum(short), sum(s * (s - 1) // 2 for s in short)
+
+
 def _random_draws(rng, b, k, count):
-    """``count`` random Bartlett parameters of summand k: Gaussian
-    square roots of the gammas, of either sign as the refine moves them,
-    squared, and Gaussian normals, (g, raw) with one column per draw."""
-    short = [min(n, m) for _, n, m, _ in b.slots[k]]
-    low = sum(s * (s - 1) // 2 for s in short)
-    return rng.standard_normal((sum(short), count)) ** 2, rng.standard_normal((2, low, count))
+    """``count`` random candidate columns of summand k, one Gaussian
+    entry of either sign, as the refine moves them, per row of the
+    sum_i s_i^2 rows."""
+    diag, low = _column_rows(b.slots[k])
+    return rng.standard_normal((diag + 2 * low, count))
 
 
 def _projection_ratio_sq(b, v, k, x):
@@ -418,11 +426,11 @@ def _projection_ratio_sq(b, v, k, x):
 
 
 def test_slot_gram_ratios_match_the_induced_norm():
-    """The search scores candidates on their Bartlett factors; the
+    """The search scores candidate columns of factor entries; the
     closed form of P behind ``ratios_sq`` is checked here against
     fr_norm_squared of the projection onto ``draw_vector``'s vector,
     built from the group averages of its column blocks, on Gram draws
-    and on random parameters, on every table row and fixture, on
+    and on random columns, on every table row and fixture, on
     GRAM_SHAPES and TWO_ROW_PROBLEMS, golden tower levels 6-8 and a
     sqrt(2) level whose slot Grams are 2 x 2."""
     problems = _all_problems() + _gram_shape_problems() + _two_row_problems()
@@ -436,12 +444,12 @@ def test_slot_gram_ratios_match_the_induced_norm():
         b = standard_form(b, v)[0]
         ev = _RatioEvaluator(b, v)
         for k in range(b.shape.num_summands):
-            blocks = [(g, raw) for _, g, raw in ev.gram_blocks(k, 40, rng)]
-            if ev.varies[k]:
+            blocks = [y for _, y in ev.gram_blocks(k, 40, rng)]
+            if not _constant_summand(b.partitions[k]):
                 blocks.append(_random_draws(rng, b, k, 40))
-            for g, raw in blocks:
-                for j, sq in enumerate(ev.ratios_sq(k, g, raw)):
-                    x = ev.draw_vector(k, (g[:, j], raw[:, :, j]))
+            for y in blocks:
+                for j, sq in enumerate(ev.ratios_sq(k, y)):
+                    x = ev.draw_vector(k, y[:, j])
                     want = _projection_ratio_sq(b, v, k, x)
                     assert abs(sq - want) < 1e-14, (name, k, sq - want)
 
@@ -461,34 +469,31 @@ def _two_row_problems():
 
 
 def _two_row_draws(rng, b):
-    """Bartlett parameters (g, raw) of b's summand, one column per draw:
-    50 random ones, then, for each slot with min(n, m) = 2, whose factor
-    [[a, 0], [z, c]] has the rows p = (a, 0) and q = (z, c): p orthogonal
-    to q with equal masses (z = 0, c = a), q = 0, and q = e^{i phi} p
-    (c = 0, z = e^{i phi} a), with the other slots zero and with them
-    random."""
-    g, raw = _random_draws(rng, b, 0, 50)
-    gs, raws = [g], [raw]
+    """Candidate columns of b's summand, one per draw: 50 random ones,
+    then, for each slot with min(n, m) = 2, whose factor [[a, 0], [z, c]]
+    has the rows p = (a, 0) and q = (z, c): p orthogonal to q with equal
+    masses (z = 0, c = a), q = 0, and q = e^{i phi} p (c = 0,
+    z = e^{i phi} a), with the other slots zero and with them random."""
+    diag, low = _column_rows(b.slots[0])
+    ys = [_random_draws(rng, b, 0, 50)]
     a = lo = 0
     for _, n, m, _ in b.slots[0]:
         s = min(n, m)
         if s == 2:
             p = abs(rng.standard_normal())
-            for diag, z in (((p, p), 0j), ((p, 0.0), 0j), ((p, 0.0), np.exp(0.7j) * p)):
-                zero = (np.zeros((len(g), 1)), np.zeros((2, raw.shape[1], 1)))
-                for gj, rawj in (_random_draws(rng, b, 0, 1), zero):
-                    gj[a : a + 2, 0] = np.square(diag)
-                    # The entry below the diagonal is (raw[0] + 1j raw[1]) / sqrt(2).
-                    rawj[:, lo, 0] = math.sqrt(2) * z.real, math.sqrt(2) * z.imag
-                    gs.append(gj)
-                    raws.append(rawj)
+            for entries, z in (((p, p), 0j), ((p, 0.0), 0j), ((p, 0.0), np.exp(0.7j) * p)):
+                for y in (_random_draws(rng, b, 0, 1), np.zeros((diag + 2 * low, 1))):
+                    y[a : a + 2, 0] = entries
+                    # The real part of the entry below the diagonal, then its imaginary part.
+                    y[[diag + lo, diag + low + lo], 0] = z.real, z.imag
+                    ys.append(y)
         a, lo = a + s, lo + s * (s - 1) // 2
-    return np.concatenate(gs, axis=1), np.concatenate(raws, axis=2)
+    return np.concatenate(ys, axis=1)
 
 
 def test_two_row_slot_grams_in_both_orientations():
     """A slot with min(n, m) = 2 is scored in closed form from the two
-    rows of its Bartlett factor.  Checked against the induced norm of
+    rows of its factor.  Checked against the induced norm of
     the projection onto ``draw_vector``'s vector and against LAPACK on
     its explicit slot Grams X_i X_i*, and the refined search must reach
     the sharp constant."""
@@ -497,9 +502,9 @@ def test_two_row_slot_grams_in_both_orientations():
         b, v = uniform_single(sum(n * m for n, m in terms), terms)
         assert abs(sharp_constant(b, v) - sharp) < 1e-15
         ev = _RatioEvaluator(b, v)
-        g, raw = _two_row_draws(rng, b)
-        for j, sq in enumerate(ev.ratios_sq(0, g, raw)):
-            x = ev.draw_vector(0, (g[:, j], raw[:, :, j]))
+        y = _two_row_draws(rng, b)
+        for j, sq in enumerate(ev.ratios_sq(0, y)):
+            x = ev.draw_vector(0, y[:, j])
             assert abs(math.sqrt(sq) - math.sqrt(_projection_ratio_sq(b, v, 0, x))) < 1e-14, terms
             assert abs(math.sqrt(sq) - _vector_ratios(b, v, 0, x[None])[0]) < 1e-14, terms
         for seed in range(3):
@@ -508,9 +513,9 @@ def test_two_row_slot_grams_in_both_orientations():
 
 
 def test_ratios_sq_are_scale_free():
-    """Candidates need not have unit mass: scaling the gammas g by c^2
-    and the normals raw by c leaves the ratio as it is, bit for bit when
-    c is a power of two and to 2e-15 relative otherwise, and it is the
+    """Candidates need not have unit length: scaling a column by c
+    leaves the ratio as it is, bit for bit when c is a power of two and
+    to 2e-15 relative otherwise, and it is the
     induced norm of the projection onto ``draw_vector``'s vector.
     Checked on slots of 1 to 12 entries, on slots with min(n, m) = 2 in
     both orientations and above 2, and on every table row and fixture
@@ -525,16 +530,16 @@ def test_ratios_sq_are_scale_free():
         b = standard_form(b, v)[0]
         ev = _RatioEvaluator(b, v)
         for k in range(b.shape.num_summands):
-            g, raw = _random_draws(rng, b, k, 64)
-            ratios = np.sqrt(ev.ratios_sq(k, g, raw))
+            y = _random_draws(rng, b, k, 64)
+            ratios = np.sqrt(ev.ratios_sq(k, y))
             for c in (2.0**20, 2.0**-20):
-                got = np.sqrt(ev.ratios_sq(k, c * c * g, c * raw))
+                got = np.sqrt(ev.ratios_sq(k, c * y))
                 assert got.tobytes() == ratios.tobytes(), (name, k, c)
             for c in (1e-3, 3.0, 700.0):
-                err = np.abs(np.sqrt(ev.ratios_sq(k, c * c * g, c * raw)) / ratios - 1.0).max()
+                err = np.abs(np.sqrt(ev.ratios_sq(k, c * y)) / ratios - 1.0).max()
                 assert err <= 2e-15, (name, k, c, err)
             for j, ratio in enumerate(ratios[:8]):
-                x = ev.draw_vector(k, (g[:, j], raw[:, :, j]))
+                x = ev.draw_vector(k, y[:, j])
                 want = math.sqrt(_projection_ratio_sq(b, v, k, x))
                 assert abs(ratio - want) < 1e-14, (name, k, ratio - want)
 
@@ -589,17 +594,17 @@ def _constant_summand(partition):
     return len(partition.terms) == 1 and min(partition.terms[0]) == 1
 
 
-def _bartlett_factors(rows, g, z):
+def _bartlett_factors(rows, diag, z):
     """The lower-triangular factors L_i of each slot, built entry by
-    entry from the gammas g and complex normals z of a stack of draws:
-    sqrt(g) on the diagonals, slot by slot, and z below them in
-    row-major order."""
+    entry from the diagonal entries and complex entries z below them of
+    a stack of draws: diag on the diagonals, slot by slot, and z below
+    them in row-major order."""
     factors, a, b = [], 0, 0
     for _, n, m, _ in rows:
         s = min(n, m)
-        f = np.zeros((len(g), s, s), dtype=complex)
+        f = np.zeros((len(diag), s, s), dtype=complex)
         for j in range(s):
-            f[:, j, j] = np.sqrt(g[:, a + j])
+            f[:, j, j] = diag[:, a + j]
         for i, j in zip(*np.tril_indices(s, -1)):
             f[:, i, j] = z[:, b]
             b += 1
@@ -612,14 +617,15 @@ def _sample_by_summands(b, v, samples, seed, refine):
     """The search with each summand's Gram draws picked from in one
     call: the reference for the blocks of ``empirical_sharp_constant``.
     The draws follow the block rule, which fixes the stream; each draw's
-    Bartlett factors are built entry by entry, their Grams L L* go to
-    LAPACK, the traces are row sums, the best draw's ratio is read from
-    one ``ratios_sq`` call over all of the summand's draws, and its
-    slots X_i = [L_i*; 0] (m_i <= n_i) or [L_i, 0] are laid out column
-    by column.  A constant summand (``_constant_summand``) draws nothing,
-    stands as its first unit vector and is never refined.  Refines like
-    the search and returns (best_ratio, refine_steps, witness
-    summands)."""
+    Bartlett factors are built entry by entry, sqrt(gamma) on the
+    diagonals and the normals times sqrt(1/2) below them, their Grams
+    L L* go to LAPACK, the traces are row sums, the best draw's ratio is
+    read from one ``ratios_sq`` call over the columns of all of the
+    summand's draws, and its slots X_i = [L_i*; 0] (m_i <= n_i) or
+    [L_i, 0] are laid out column by column.  A constant summand
+    (``_constant_summand``) draws nothing, stands as its first unit
+    vector and is never refined.  Refines like the search and returns
+    (best_ratio, refine_steps, witness summands)."""
     base, u = standard_form(b, v)
     evaluator = _RatioEvaluator(base, v)
     layout = base.weight_layout(v.weights)
@@ -629,13 +635,12 @@ def _sample_by_summands(b, v, samples, seed, refine):
     best = np.inf
     for k, (w, rows) in enumerate(zip(layout.factors, base.slots)):
         coef = np.array([w / layout.dens[g] for *_, g in rows])
+        diag, low = _column_rows(rows)
         if not varies[k]:
-            g, raw, pick = np.ones((1, 1)), np.empty((2, 0, 1)), 0
+            y, pick = np.ones((1, 1)), 0
         else:
-            short = [min(n, m) for _, n, m, _ in rows]
             shapes = [max(n, m) - j for _, n, m, _ in rows for j in range(min(n, m))]
-            low = sum(s * (s - 1) // 2 for s in short)
-            per = max(1, constants._DRAW_BLOCK_ENTRIES // sum(s * s for s in short))
+            per = max(1, constants._DRAW_BLOCK_ENTRIES // (diag + 2 * low))
             gs, raws = [], []
             for done in range(0, samples, per):
                 count = min(per, samples - done)
@@ -643,23 +648,26 @@ def _sample_by_summands(b, v, samples, seed, refine):
                 raws.append(rng.standard_normal((2, low, count)))
             g, raw = np.concatenate(gs, axis=1), np.concatenate(raws, axis=2)
             z = (raw[0] + 1j * raw[1]).T * math.sqrt(0.5)
-            factors = _bartlett_factors(rows, g.T, z)
+            factors = _bartlett_factors(rows, np.sqrt(g.T), z)
             lam = [np.linalg.eigvalsh(f @ np.conj(np.swapaxes(f, 1, 2)))[:, -1] for f in factors]
             total = g.sum(0) + (np.abs(z) ** 2).sum(1)
             ratios = np.max(coef * np.stack(lam, axis=1), axis=1) / total
             pick = int(np.argmin(ratios))
-        sq = evaluator.ratios_sq(k, g, raw)[pick]
+            # The columns: sqrt(g), then the real and the imaginary parts of z.
+            y = np.concatenate((np.sqrt(g), raw.reshape(2 * low, g.shape[1]) * math.sqrt(0.5)))
+        sq = evaluator.ratios_sq(k, y)[pick]
         if sq < best:
-            best, best_k, draw = sq, k, (g[:, pick].copy(), raw[:, :, pick].copy())
+            best, best_k, col = sq, k, y[:, pick].copy()
     steps = 0
     if refine and varies[best_k]:
-        best, draw, steps = constants._refine(evaluator, best_k, draw, best, rng)
+        best, col, steps = constants._refine(evaluator, best_k, col, best, rng)
     x = np.zeros(dims[best_k], dtype=complex)
     if not varies[best_k]:
         x[0] = 1.0
     else:
-        z = (draw[1][0] + 1j * draw[1][1]) * math.sqrt(0.5)
-        factors = _bartlett_factors(base.slots[best_k], draw[0][None], z[None])
+        diag, low = _column_rows(base.slots[best_k])
+        z = col[diag : diag + low] + 1j * col[diag + low :]
+        factors = _bartlett_factors(base.slots[best_k], col[None, :diag], z[None])
         for (off, n, m, _), f in zip(base.slots[best_k], factors):
             piece = np.zeros((n, m), dtype=complex)
             if m <= n:
@@ -703,33 +711,30 @@ def test_block_sampling_equals_the_chunk_by_chunk_loop():
                 assert got.tobytes() == want.tobytes(), case
 
 
-def _refine_by_rounds(evaluator, k, draw, best, rng, accepts):
+def _refine_by_rounds(evaluator, k, col, best, rng, accepts):
     """The refine loop one round per draw and per call: the reference for
     the speculative blocks of ``_refine``.  The state y is the draw's
-    Bartlett parameters, square roots of gammas and then normals, at
-    unit mass; each round draws its 2 * REFINE_DIRECTIONS directions of
-    len(y) normals and scores y moved along them, in columns.  Appends
-    each accepting round's index to ``accepts``."""
+    column at unit length; each round draws its 2 * REFINE_DIRECTIONS
+    directions of len(y) normals and scores y moved along them, in
+    columns.  Appends each accepting round's index to ``accepts``."""
     step = REFINE_INITIAL_STEP
     fails = 0
     ndir = REFINE_DIRECTIONS
-    s = len(draw[0])
 
-    def unit_mass(y):
-        sq = y * y
-        return y * (1 / math.sqrt(sq[:s].sum() + 0.5 * sq[s:].sum()))
+    def unit(y):
+        return y * (1 / math.sqrt(np.vdot(y, y)))
 
-    y = unit_mass(np.concatenate((np.sqrt(draw[0]), draw[1].reshape(-1))))
+    y = unit(col)
     for r in range(REFINE_ROUNDS):
         g = rng.standard_normal((2 * ndir, y.size))
         g[:ndir] *= step
         g[ndir:] *= 0.25 * step
         cands = np.ascontiguousarray((y + g).T)
-        ratios = evaluator.ratios_sq(k, cands[:s] ** 2, cands[s:].reshape(2, -1, 2 * ndir))
+        ratios = evaluator.ratios_sq(k, cands)
         pick = int(np.argmin(ratios))
         if ratios[pick] < best:
             best = ratios[pick]
-            y = unit_mass(cands[:, pick])
+            y = unit(cands[:, pick])
             accepts.append(r)
             fails = 0
         else:
@@ -737,7 +742,7 @@ def _refine_by_rounds(evaluator, k, draw, best, rng, accepts):
             if fails >= REFINE_FAIL_LIMIT:
                 step *= 0.5
                 fails = 0
-    return best, (y[:s] ** 2, y[s:].reshape(2, -1)), len(accepts)
+    return best, y, len(accepts)
 
 
 def _refine_both_ways(monkeypatch, b, v, samples, seed):
@@ -749,12 +754,12 @@ def _refine_both_ways(monkeypatch, b, v, samples, seed):
     runs = {}
     blocks = constants._refine
 
-    def both(evaluator, k, draw, best, rng):
+    def both(evaluator, k, col, best, rng):
         state = rng.bit_generator.state
-        runs["blocks"] = blocks(evaluator, k, draw, best, rng)
+        runs["blocks"] = blocks(evaluator, k, col, best, rng)
         rng.bit_generator.state = state
         runs["accepts"] = []
-        runs["rounds"] = _refine_by_rounds(evaluator, k, draw, best, rng, runs["accepts"])
+        runs["rounds"] = _refine_by_rounds(evaluator, k, col, best, rng, runs["accepts"])
         return runs["blocks"]
 
     monkeypatch.setattr(constants, "_refine", both)
@@ -768,11 +773,11 @@ def _refine_both_ways(monkeypatch, b, v, samples, seed):
 
 
 def _same_refine(got, want):
-    """Whether two refine results (best, (gammas, normals), accepts)
-    agree bit for bit."""
+    """Whether two refine results (best, column, accepts) agree bit for
+    bit."""
     return (
         np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
-        and all(x.tobytes() == y.tobytes() for x, y in zip(got[1], want[1]))
+        and got[1].tobytes() == want[1].tobytes()
         and got[2] == want[2]
     )
 
@@ -783,7 +788,7 @@ def test_block_refine_equals_the_round_by_round_loop(monkeypatch):
         theta, cf = periodic_theta(period, level)
         lvl = es_level(theta, level, cf)
         problems.append((f"{period}-{level}", lvl.subalgebra, lvl.weight, 100, 0))
-    # One (10, 10) slot refines 100 parameters and draws the directions
+    # One (10, 10) slot refines 100 entries and draws the directions
     # of 5 rounds at a time, fewer than a speculative block scores.
     problems.append(("(10, 10)", *uniform_single(100, [(10, 10)]), 100, 0))
     accepts = {}
@@ -801,34 +806,37 @@ def test_block_refine_equals_the_round_by_round_loop(monkeypatch):
     # every candidate's.
     b, v = table1_subalgebra("B^5_{2^2,1}")
     evaluator = _RatioEvaluator(b, v)
-    _, g, raw = next(evaluator.gram_blocks(0, 1, np.random.default_rng(1)))
-    draw = (g[:, 0], raw[:, :, 0])
-    got = constants._refine(evaluator, 0, draw, 0.0, np.random.default_rng(2))
+    _, y = next(evaluator.gram_blocks(0, 1, np.random.default_rng(1)))
+    col = y[:, 0]
+    got = constants._refine(evaluator, 0, col, 0.0, np.random.default_rng(2))
     never = []
-    want = _refine_by_rounds(evaluator, 0, draw, 0.0, np.random.default_rng(2), never)
+    want = _refine_by_rounds(evaluator, 0, col, 0.0, np.random.default_rng(2), never)
     assert never == [] and got[2] == 0 and _same_refine(got, want)
     assert got[0] == 0.0
-    # The draw comes back at unit mass, as the same candidate.
-    x, y = evaluator.draw_vector(0, draw), evaluator.draw_vector(0, got[1])
-    assert np.abs(x - y).max() < 1e-15
-    assert abs(got[1][0].sum() + 0.5 * (got[1][1] ** 2).sum() - 1.0) < 1e-15
+    # The draw comes back at unit length, as the same candidate.
+    x, z = evaluator.draw_vector(0, col), evaluator.draw_vector(0, got[1])
+    assert np.abs(x - z).max() < 1e-15
+    assert abs(got[1] @ got[1] - 1.0) < 1e-15
 
 
 def test_the_search_arrays_are_bounded(monkeypatch):
-    """A search refuses a summand whose witness vector (2 d_k doubles) or
-    refine round (2 * REFINE_DIRECTIONS * sum_i s_i^2 doubles) would
-    pass 2**20 doubles, and nothing else: golden level 20, the one-slot
-    M_2**19 and M_3000 cut into 3000 (1, 1) slots are searched; one slot
-    of 2**19 + 1 or 10**8 copies and one (256, 256) slot in M_65536 are
-    refused with InputError before the generator is made.  The bound is
-    per summand, and so is the search: 200 one-slot M_16384 summands
-    stay under 4 MiB."""
+    """A search refuses a summand whose witness vector (2 d_k doubles),
+    candidate columns or factor stacks would pass 2**20 doubles, and
+    nothing else: golden level 20, the one-slot M_2**19, M_3000 cut into
+    3000 (1, 1) slots and one (128, 128) slot in M_16384 are searched;
+    one slot of 2**19 + 1 or 10**8 copies and one (129, 129), (181, 181)
+    or (256, 256) slot are refused with InputError before the generator
+    is made.  A refine round of the (s, s) slot scores 2 *
+    REFINE_DIRECTIONS columns, whose complex factor stack holds
+    2 * REFINE_DIRECTIONS * 2 s^2 doubles.  The bound is per summand,
+    and so is the search: 200 one-slot M_16384 summands stay under
+    4 MiB."""
     theta, cf = periodic_theta((1,), 20)
     lvl = es_level(theta, 20, cf)
     assert lvl.shape.dims == (10946, 6765)
     rep = empirical_sharp_constant(lvl.subalgebra, lvl.weight, samples=1, refine=False)
     assert rep.witness_vector.shape == (lvl.shape.dims[rep.witness_summand - 1],)
-    for d, terms in ((2**19, [(1, 2**19)]), (3000, [(1, 1)] * 3000)):
+    for d, terms in ((2**19, [(1, 2**19)]), (3000, [(1, 1)] * 3000), (16384, [(128, 128)])):
         rep = empirical_sharp_constant(*uniform_single(d, terms), samples=1, refine=False)
         assert rep.witness_summand == 1 and rep.witness_vector.shape == (d,)
     shape = AlgebraShape((16384,) * 200)
@@ -844,12 +852,46 @@ def test_the_search_arrays_are_bounded(monkeypatch):
     refused = (
         (2**19 + 1, [(1, 2**19 + 1)], 2**20 + 2),
         (10**8, [(1, 10**8)], 2 * 10**8),
-        (65536, [(256, 256)], 2 * REFINE_DIRECTIONS * 256**2),
+        (129**2, [(129, 129)], 4 * REFINE_DIRECTIONS * 129**2),
+        (181**2, [(181, 181)], 4 * REFINE_DIRECTIONS * 181**2),
+        (65536, [(256, 256)], 4 * REFINE_DIRECTIONS * 256**2),
     )
     for d, terms, doubles in refused:
         with pytest.raises(InputError, match=f"arrays of {doubles} doubles"):
             empirical_sharp_constant(*uniform_single(d, terms), samples=1, refine=False)
     assert made == []
+
+
+def test_the_search_bound_counts_the_factor_stacks(monkeypatch):
+    """The largest factor stack that scoring builds, in doubles (two per
+    complex entry), is the count that the search checks against
+    _SEARCH_DOUBLES, read from the refusal message with the bound set to
+    0: one (16, 16) slot, whose speculative refine blocks span two rounds,
+    one (64, 64) slot and the two slots (50, 50) + (3, 3), whose widest
+    factor stack is the refine's for the larger slot.  The refine runs 8
+    rounds, a full speculative block."""
+    made = []
+    factors, bound = constants._factors, constants._SEARCH_DOUBLES
+
+    def recording(*args):
+        f = factors(*args)
+        made.append(2 * f.size)
+        return f
+
+    monkeypatch.setattr(constants, "REFINE_ROUNDS", 8)
+    for terms in ([(16, 16)], [(64, 64)], [(50, 50), (3, 3)]):
+        b, v = uniform_single(sum(n * m for n, m in terms), terms)
+        monkeypatch.setattr(constants, "_SEARCH_DOUBLES", 0)
+        with pytest.raises(InputError) as refusal:
+            empirical_sharp_constant(b, v, samples=100)
+        count = int(str(refusal.value).split("arrays of ")[1].split()[0])
+        monkeypatch.setattr(constants, "_SEARCH_DOUBLES", bound)
+        monkeypatch.setattr(constants, "_factors", recording)
+        made.clear()
+        empirical_sharp_constant(b, v, samples=100)
+        monkeypatch.setattr(constants, "_factors", factors)
+        assert max(made) == count, (terms, max(made), count)
+    assert count == 2 * REFINE_DIRECTIONS * 2 * 50**2
 
 
 def test_the_report_holds_a_summand_and_a_read_only_vector():
@@ -929,16 +971,19 @@ def test_a_constant_summand_is_searched_with_one_vector(monkeypatch):
                 assert abs(rep.best_ratio - sharp) <= 1e-15
                 assert rep.best_ratio == pytest.approx(sharp_constant(b, v), abs=1e-15)
             elif not refine:
-                # The best ratio is the best draw's, and its vector holds
-                # sqrt(g) at the head of each slot.
+                # The best ratio is the best draw's, scored on the
+                # square roots y of its gammas, and its vector holds y at
+                # the head of each slot.
                 rng = real_rng(seed)
-                g = np.array([rng.standard_gamma(t, samples) for t in (2, 1)]).T
+                y = np.sqrt([rng.standard_gamma(t, samples) for t in (2, 1)]).T
                 coef = [layout.factors[1] / layout.dens[gi] for *_, gi in b.slots[1]]
-                sq = np.maximum(coef[0] * g[:, 0], coef[1] * g[:, 1]) / (g[:, 0] + g[:, 1])
+                mass = y * y
+                top = np.maximum(coef[0] * mass[:, 0], coef[1] * mass[:, 1])
+                sq = top / (mass[:, 0] + mass[:, 1])
                 pick = np.argmin(sq)
                 assert rep.best_ratio == math.sqrt(sq[pick])
                 x = np.zeros(dims[1], dtype=complex)
-                x[[0, 2]] = np.sqrt(g[pick])
+                x[[0, 2]] = y[pick]
                 x = x / np.linalg.norm(x)
                 assert np.abs(rep.witness_vector - x).max() < 1e-15
             else:
@@ -999,10 +1044,10 @@ def test_the_refine_draws_only_normals_whatever_the_dimension():
     for b, v, k in problems:
         ev = _RatioEvaluator(b, v)
         rng = _Recording(1)
-        sq, g, raw = next(ev.gram_blocks(k, 500, rng))
+        sq, y = next(ev.gram_blocks(k, 500, rng))
         _Recording.draws.clear()
         pick = int(np.argmin(sq))
-        constants._refine(ev, k, (g[:, pick], raw[:, :, pick]), sq[pick], rng)
+        constants._refine(ev, k, y[:, pick], sq[pick], rng)
         assert {kind for kind, _ in _Recording.draws} == {"normal"}
         assert all(size[1:] == (2 * REFINE_DIRECTIONS, 2) for _, size in _Recording.draws)
         total = sum(math.prod(size) for _, size in _Recording.draws)
@@ -1056,9 +1101,9 @@ def test_gram_draws_have_the_law_of_gaussian_unit_vectors():
         b = standard_form(b, v)[0]
         ev = _RatioEvaluator(b, v)
         for k, d in enumerate(b.shape.dims):
-            if not ev.varies[k]:
+            if _constant_summand(b.partitions[k]):
                 continue
-            grams = np.sqrt(np.concatenate([sq for sq, _, _ in ev.gram_blocks(k, draws, rng)]))
+            grams = np.sqrt(np.concatenate([sq for sq, _ in ev.gram_blocks(k, draws, rng)]))
             vecs = constants._complex_gaussian(rng, (draws, d))
             vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
             dist = _ks_distance(grams, _vector_ratios(b, v, k, vecs))
@@ -1079,5 +1124,5 @@ def test_the_best_draw_builds_a_witness_with_its_ratio():
             assert np.abs(p @ p - p).max() < 1e-12
             assert np.abs(p - p.conj().T).max() < 1e-15
             assert abs(np.trace(p) - 1.0) < 1e-12
-            best = min(sq.min() for sq, _, _ in ev.gram_blocks(0, 2000, np.random.default_rng(seed)))
+            best = min(sq.min() for sq, _ in ev.gram_blocks(0, 2000, np.random.default_rng(seed)))
             assert abs(rep.best_ratio - math.sqrt(best)) < 1e-12, (name, seed)

@@ -440,8 +440,8 @@ def test_only_the_tower_expansion_and_the_theta_flag_call_cf_expand():
 # offsets of the block-diagonal embedding, the adjoint of a stack, the
 # weight-1 pair B_lambda in M_d with v = (1.0), the group denominators
 # (and with them gamma), the convergent residuals of the level weight
-# and of the tower constant, and whether a summand's rank-one ratio can
-# vary, which the search's ratio evaluator decides once per summand.
+# and of the tower constant, and the positions of the entries below a
+# slot factor's diagonal, which the search's one factor builder reads.
 _HOMES = {
     ("subalgebra.py", "_block_layout", "lcm"),
     ("algebra.py", "offsets", "accumulate"),
@@ -450,18 +450,20 @@ _HOMES = {
     ("subalgebra.py", "weight_layout", "denominators"),
     ("effros_shen.py", "_weight_t", "convergent_residual"),
     ("effros_shen.py", "_tower_constant", "convergent_residual"),
-    ("constants.py", "__init__", "_ratio_varies"),
+    ("constants.py", "_factors", "tril_indices"),
 }
 
 
 def test_each_structural_fact_is_derived_in_one_function():
     """In the package sources, ``lcm``, ``accumulate`` (or ``cumsum``),
     ``swapaxes``, ``TracialWeight(..., (1.0,))``, ``denominators``,
-    ``convergent_residual`` and ``_ratio_varies`` are called only in the
+    ``convergent_residual`` and ``tril_indices`` are called only in the
     home of the fact they derive (``_HOMES``), and ``per_trace_factors``,
-    whose factors the weight layout holds, nowhere."""
+    whose factors the weight layout holds, nowhere.  A slot's short side
+    ``min(n, m)`` is taken only by the closed-form sharp constant and by
+    the search's slot table (``_RatioEvaluator.__init__``)."""
     names = {name for _, _, name in _HOMES} | {"cumsum", "per_trace_factors"}
-    found = set()
+    found, short = set(), set()
     for path in sorted(Path(frnorms.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         owner = {}
@@ -473,11 +475,14 @@ def test_each_structural_fact_is_derived_in_one_function():
                 continue
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             weight_one = node.args and ast.unparse(node.args[-1]) == "(1.0,)"
+            if name == "min" and ast.unparse(node) == "min(n, m)":
+                short.add((path.name, owner.get(id(node))))
             if name == "TracialWeight" and not weight_one:
                 continue
             if name in names:
                 found.add((path.name, owner.get(id(node)), name))
     assert found == _HOMES
+    assert short == {("constants.py", "sharp_constant"), ("constants.py", "__init__")}
 
 
 def test_only_the_gate_tells_a_conjugate_from_a_standard_subalgebra():

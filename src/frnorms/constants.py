@@ -39,12 +39,22 @@ REFINE_DIRECTIONS = 16
 _DRAW_BLOCK_ENTRIES = 1 << 14
 # Refine rounds scored per ratios_sq call (see _refine).
 _SPECULATE = 8
-# Largest array a search builds for a summand, in doubles: its witness
-# vector (2 d_k), the candidate columns of its widest scoring call, a
-# draw block or a speculative refine block (columns * P_k), or the
-# complex factor stack that call builds for a slot with s_i >= 3
-# (columns * 2 s_i^2).  2**20 (8 MiB) admits a one-slot M_d up to
-# d = 2**19 and one square slot (s, s) up to s = 128.
+# Largest array a search builds, in doubles, checked per summand on its
+# input alone: max(2 d_k, 2 * REFINE_DIRECTIONS * P_k,
+# 4 * REFINE_DIRECTIONS * s^2), s the widest slot's short side.  The
+# terms are the witness vector, one refine round's candidate columns
+# and that round's complex factor stack for the widest slot.  Every
+# other array holds at most 2 * _DRAW_BLOCK_ENTRIES = 2**15 doubles.
+# The block rules (gram_blocks, _refine) make a block of more than one
+# draw, or of more than one refine round, only when its c columns hold
+# c * P_k <= _DRAW_BLOCK_ENTRIES numbers, and its factor stacks then
+# hold c * 2 s_i^2 <= 2 c P_k doubles.  A block of one draw (P_k
+# numbers, factors of 2 s_i^2) or of one round is within the terms
+# above, and a Gram stack is the size of its factor stack.  So the
+# check bounds the largest array, not the peak of a scoring call, which
+# holds a few arrays of that size at once.
+# 2**20 (8 MiB) admits a one-slot M_d up to d = 2**19 and one square
+# slot (s, s) up to s = 128.
 _SEARCH_DOUBLES = 1 << 20
 # Direction scales of the rounds a speculative refine block can score, in
 # units of the step: row j is 0.5**(j // REFINE_FAIL_LIMIT), the step left
@@ -438,8 +448,10 @@ def empirical_sharp_constant(
     summand k and unit vector x; no d_k x d_k array is built.  On a
     conjugate U B U* the search runs on the base B, whose ratios are the
     same, and x is carried back to U_k x.  A summand whose witness
-    vector, candidate columns or factor stacks would pass
-    _SEARCH_DOUBLES doubles is refused with InputError before any draw.
+    vector, refine round of candidate columns or that round's factor
+    stack for its widest slot would pass _SEARCH_DOUBLES doubles is
+    refused with InputError before any draw; every other array of the
+    search holds at most 2**15 doubles (see _SEARCH_DOUBLES).
     ``samples`` must be an integer of at least 1 and ``seed`` one of at
     least 0, a bool excluded; anything else is refused with ValueError
     before any draw.
@@ -448,12 +460,10 @@ def empirical_sharp_constant(
     samples = _checked_int(samples, "samples", 1)
     seed = _checked_int(seed, "seed", 0)
     evaluator = _RatioEvaluator(b, v)
-    doubles = 2 * max(b.shape.dims)
-    for slots, _, size in evaluator.table:
-        # The widest scoring call: a draw block or a speculative refine block.
-        rounds = min(_SPECULATE, max(1, _DRAW_BLOCK_ENTRIES // (2 * REFINE_DIRECTIONS * size)))
-        cols = max(_DRAW_BLOCK_ENTRIES // size, 2 * REFINE_DIRECTIONS * rounds)
-        doubles = max([doubles, cols * size] + [2 * cols * s * s for _, s, _, _ in slots if s > 2])
+    doubles = 0
+    for d, (slots, _, size) in zip(b.shape.dims, evaluator.table):
+        widest = max(s for _, s, _, _ in slots)
+        doubles = max(doubles, 2 * d, 2 * REFINE_DIRECTIONS * size, 4 * REFINE_DIRECTIONS * widest**2)
     if doubles > _SEARCH_DOUBLES:
         raise InputError(
             f"a search of shape {list(b.shape.dims)} builds arrays of {doubles} "

@@ -60,7 +60,7 @@ def cond_expect_gram(b, v: TracialWeight, a: AlgebraElement) -> AlgebraElement:
     if u is not None:
         a = u.adjoint() @ a @ u
     out = AlgebraElement.zero(b.shape)
-    for e in b.dense_basis:
+    for e in b.dense_basis():
         coef = inner_product(v, a, e) / inner_product(v, e, e)
         out = out + coef * e
     return out if u is None else u @ out @ u.adjoint()

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 from math import lcm
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,10 @@ UNITARY_TOL = 1e-10
 # tower level 14 (196418) fits, level 15 (514229) does not.
 BASIS_LIMIT = 2**18
 # Largest dense basis, in complex entries (dimension * sum_k d_k^2, 16
-# bytes each), that the Gram-projection oracle builds: 128 MiB.  Golden
-# tower level 9 (6.7e6 entries) fits, level 10 (4.6e7) does not.
+# bytes each), that the Gram-projection oracle walks through: 128 MiB.
+# It builds and drops one element at a time, so the limit bounds its
+# work, not its memory.  Golden tower level 9 (6.7e6 entries) fits,
+# level 10 (4.6e7) does not.
 DENSE_BASIS_LIMIT = 2**23
 
 
@@ -300,9 +302,9 @@ class StandardSubalgebra:
             for q in range(1, n + 1)
         )
 
-    @cached_property
-    def dense_basis(self) -> tuple[AlgebraElement, ...]:
-        """The canonical basis as dense elements, for the Gram oracle.
+    def dense_basis(self) -> Iterator[AlgebraElement]:
+        """The canonical basis as dense elements, for the Gram oracle,
+        built one element at a time as the iterator is read; none is kept.
 
         Refused with InputError, before the basis is built, when it would
         hold more than DENSE_BASIS_LIMIT complex entries.
@@ -313,7 +315,7 @@ class StandardSubalgebra:
                 f"dense basis of {entries} entries exceeds DENSE_BASIS_LIMIT "
                 f"{DENSE_BASIS_LIMIT}"
             )
-        return tuple(e.element(self.shape) for e in self.basis)
+        return (e.element(self.shape) for e in self.basis)
 
     @property
     def num_groups(self) -> int:

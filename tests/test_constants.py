@@ -862,16 +862,24 @@ def test_the_search_arrays_are_bounded(monkeypatch):
     assert made == []
 
 
+def _refusal_count(refusal: InputError) -> int:
+    """The count of doubles that a search refusal names."""
+    return int(str(refusal).split("arrays of ")[1].split()[0])
+
+
 def test_the_search_bound_counts_the_factor_stacks(monkeypatch):
-    """The largest factor stack that scoring builds, in doubles (two per
-    complex entry), is the count that the search checks against
-    _SEARCH_DOUBLES, read from the refusal message with the bound set to
-    0: one (16, 16) slot, whose speculative refine blocks span two rounds,
-    one (64, 64) slot and the two slots (50, 50) + (3, 3), whose widest
-    factor stack is the refine's for the larger slot.  The refine runs 8
+    """Every factor stack that scoring builds, in doubles (two per
+    complex entry), is within the larger of the count that the search
+    checks against _SEARCH_DOUBLES, read from the refusal message with
+    the bound set to 0, and 2 * _DRAW_BLOCK_ENTRIES, the most a block of
+    several draws or rounds holds.  One (16, 16) slot, whose speculative
+    refine blocks span two rounds, takes the second; one (64, 64) slot
+    and the two slots (50, 50) + (3, 3) build a stack of exactly the
+    count, the refine round's for the widest slot.  The refine runs 8
     rounds, a full speculative block."""
     made = []
     factors, bound = constants._factors, constants._SEARCH_DOUBLES
+    block = 2 * constants._DRAW_BLOCK_ENTRIES
 
     def recording(*args):
         f = factors(*args)
@@ -879,19 +887,126 @@ def test_the_search_bound_counts_the_factor_stacks(monkeypatch):
         return f
 
     monkeypatch.setattr(constants, "REFINE_ROUNDS", 8)
+    largest = {}
     for terms in ([(16, 16)], [(64, 64)], [(50, 50), (3, 3)]):
         b, v = uniform_single(sum(n * m for n, m in terms), terms)
         monkeypatch.setattr(constants, "_SEARCH_DOUBLES", 0)
         with pytest.raises(InputError) as refusal:
             empirical_sharp_constant(b, v, samples=100)
-        count = int(str(refusal.value).split("arrays of ")[1].split()[0])
+        count = _refusal_count(refusal.value)
         monkeypatch.setattr(constants, "_SEARCH_DOUBLES", bound)
         monkeypatch.setattr(constants, "_factors", recording)
         made.clear()
         empirical_sharp_constant(b, v, samples=100)
         monkeypatch.setattr(constants, "_factors", factors)
-        assert max(made) == count, (terms, max(made), count)
-    assert count == 2 * REFINE_DIRECTIONS * 2 * 50**2
+        assert max(made) <= max(count, block), (terms, max(made), count)
+        largest[tuple(terms)] = (max(made), count)
+    stack = {s: 4 * REFINE_DIRECTIONS * s * s for s in (16, 64, 50)}
+    assert largest == {
+        ((16, 16),): (block, stack[16]),
+        ((64, 64),): (stack[64], stack[64]),
+        ((50, 50), (3, 3)): (stack[50], stack[50]),
+    }
+
+
+def _block_rule_count(b, v) -> int:
+    """The search's largest array in doubles, derived a second way, from
+    the block rules: the witness vector, and per summand the widest
+    scoring call, a draw block of _DRAW_BLOCK_ENTRIES // P_k columns or
+    a speculative refine block of up to _SPECULATE rounds, with its
+    factor stacks for the slots with s >= 3."""
+    doubles = 2 * max(b.shape.dims)
+    for slots, _, size in _RatioEvaluator(b, v).table:
+        per_round = 2 * REFINE_DIRECTIONS
+        rounds = min(constants._SPECULATE, max(1, constants._DRAW_BLOCK_ENTRIES // (per_round * size)))
+        cols = max(constants._DRAW_BLOCK_ENTRIES // size, per_round * rounds)
+        doubles = max([doubles, cols * size] + [2 * cols * s * s for _, s, _, _ in slots if s > 2])
+    return doubles
+
+
+class _Admitted(Exception):
+    pass
+
+
+def _admission_shapes():
+    """Subalgebras on both sides of the search bound, each a list of
+    summand partitions, every slot its own group: the named boundary
+    cases, square slots (s, s) up to s = 181, and seeded random ones of
+    up to three summands of up to 40 slots each, with summand dimensions
+    up to about 2**20."""
+    shapes = [
+        [[(128, 128)]],
+        [[(129, 129)]],
+        [[(128, 128)] * 2],
+        [[(128, 128)] * 2 + [(1, 1)]],
+        [[(1, 2**19)]],
+        [[(1, 2**19 + 1)]],
+        [[(1, 1)] * 3000],
+        [[(50, 50), (3, 3)]],
+        [[(16, 16)]],
+    ]
+    shapes += [[[(s, s)]] for s in range(1, 182, 4)]
+    rng = np.random.default_rng(38)
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.integers(1, 4)):
+            size = rng.choice([4, 16, 64, 200])
+            terms = [tuple(int(t) for t in rng.integers(1, size, 2)) for _ in range(rng.integers(1, 41))]
+            if rng.random() < 0.2:
+                terms[0] = (1, int(rng.integers(2**17, 2**19 + 2)))
+            parts.append(terms)
+        shapes.append(parts)
+    return shapes
+
+
+def test_the_admission_reads_only_the_input(monkeypatch):
+    """The search admits a summand by d_k, P_k and its widest slot alone
+    (_SEARCH_DOUBLES), and that rule admits the same shapes as the count
+    derived from the block rules (``_block_rule_count``) and names the
+    same count in every refusal: one (128, 128) slot, two of them
+    (P_k = 2**15) and M_2**19 cut into one slot are admitted; a
+    (129, 129) slot, the two (128, 128) slots with a (1, 1) slot, and
+    one slot of 2**19 + 1 copies are refused."""
+    def admitted_search(*args):
+        raise _Admitted
+
+    shapes = _admission_shapes()
+    monkeypatch.setattr(np.random, "default_rng", admitted_search)
+    admitted, refused = [], []
+    for parts in shapes:
+        shape = AlgebraShape(tuple(sum(n * m for n, m in t) for t in parts))
+        groups = [((k, i),) for k, t in enumerate(parts, 1) for i in range(1, len(t) + 1)]
+        b = make_standard_subalgebra(shape, [RefinedPartition(tuple(t)) for t in parts], groups)
+        v = TracialWeight.uniform(shape)
+        count = _block_rule_count(b, v)
+        try:
+            empirical_sharp_constant(b, v, samples=1)
+        except _Admitted:
+            assert count <= constants._SEARCH_DOUBLES, (parts, count)
+            admitted.append(shape.dims)
+        except InputError as refusal:
+            assert _refusal_count(refusal) == count > constants._SEARCH_DOUBLES, (parts, count)
+            refused.append(shape.dims)
+    assert {(16384,), (32768,), (2**19,), (3000,), (2509,), (256,)} <= set(admitted)
+    assert {(129**2,), (32769,), (2**19 + 1,)} <= set(refused)
+    assert len(admitted) > 100 and len(refused) > 100, (len(admitted), len(refused))
+
+
+def test_a_search_peaks_within_a_few_times_its_bound(monkeypatch):
+    """_SEARCH_DOUBLES bounds the largest array, not the peak: a search
+    on two (128, 128) slots in M_32768 (P_k = 2**15, at the bound) with
+    one refine round holds several arrays of 2**20 doubles at once, 57.4
+    MiB traced with numpy 2.4 against 8 MiB for one.  Its peak stays
+    under ten times the bound."""
+    monkeypatch.setattr(constants, "REFINE_ROUNDS", 1)
+    b, v = uniform_single(32768, [(128, 128)] * 2)
+    tracemalloc.start()
+    try:
+        empirical_sharp_constant(b, v, samples=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * constants._SEARCH_DOUBLES, peak
 
 
 def test_the_report_holds_a_summand_and_a_read_only_vector():

@@ -27,12 +27,16 @@ _INT64_MAX = 2**63 - 1
 
 @dataclass(frozen=True)
 class AlgebraShape:
-    """Dimensions (d_1, ..., d_N) of the matrix summands, each in 1..2**63 - 1."""
+    """Dimensions (d_1, ..., d_N) of the matrix summands, each in 1..2**63 - 1,
+    stored as ints; a non-integral dimension is refused with ShapeError."""
 
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        # An int skips the call: every tower level builds a shape.
+        dims = tuple(
+            d if type(d) is int else linalg.checked_number(d, ShapeError) for d in self.dims
+        )
         if len(dims) < 1:
             raise ShapeError("shape needs at least one summand")
         if any(d < 1 for d in dims):
@@ -255,7 +259,7 @@ def shape_from_json(obj) -> AlgebraShape:
     if not isinstance(obj, dict) or "shape" not in obj:
         raise ShapeError("expected a mapping with a 'shape' field")
     try:
-        return AlgebraShape(tuple(linalg.json_number(d, ShapeError) for d in obj["shape"]))
+        return AlgebraShape(tuple(linalg.checked_number(d, ShapeError) for d in obj["shape"]))
     except TypeError as exc:
         raise ShapeError(f"malformed shape object: {exc}") from exc
 
@@ -271,7 +275,7 @@ def element_from_json(obj) -> AlgebraElement:
     if not isinstance(obj, dict):
         raise ShapeError("element object must be a JSON mapping")
     try:
-        shape = AlgebraShape(tuple(linalg.json_number(d, ShapeError) for d in obj["shape"]))
+        shape = AlgebraShape(tuple(linalg.checked_number(d, ShapeError) for d in obj["shape"]))
         mats = [linalg.matrix_from_json(m) for m in obj["summands"]]
     except KeyError as exc:
         raise ShapeError(f"element object missing field {exc}") from exc
@@ -288,7 +292,7 @@ def weight_from_json(shape: AlgebraShape, obj) -> TracialWeight:
     if not isinstance(obj, dict) or "weights" not in obj:
         raise WeightError("expected a mapping with a 'weights' field")
     try:
-        raw = tuple(linalg.json_number(x, WeightError, integral=False) for x in obj["weights"])
+        raw = tuple(linalg.checked_number(x, WeightError, integral=False) for x in obj["weights"])
     except TypeError as exc:
         raise WeightError(f"malformed weights object: {exc}") from exc
     return TracialWeight(shape, raw)

@@ -34,6 +34,7 @@ import numpy as np
 
 from .algebra import _INT64_MAX, AlgebraShape, TracialWeight
 from .errors import InputError, RationalityError, WeightError
+from .linalg import checked_number
 from .subalgebra import StandardSubalgebra, make_standard_subalgebra
 
 GAUSS_REMAINDER_TOL = 1e-13
@@ -71,18 +72,21 @@ def convergent_residual(theta: float, q: int, p: int) -> float:
 
 @dataclass(frozen=True)
 class ContinuedFraction:
-    """Terms (r_0, r_1, ..., r_depth) with r_0 >= 0 and r_n >= 1 after."""
+    """Terms (r_0, r_1, ..., r_depth) with r_0 >= 0 and r_n >= 1 after,
+    stored as ints; a non-integral term is refused with InputError."""
 
     r: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.r) < 2:
+        r = tuple(t if type(t) is int else checked_number(t, InputError) for t in self.r)
+        if len(r) < 2:
             raise InputError("need at least terms r_0 and r_1")
-        if self.r[0] < 0:
+        if r[0] < 0:
             raise InputError("r_0 must be nonnegative")
-        for n, term in enumerate(self.r[1:], start=1):
+        for n, term in enumerate(r[1:], start=1):
             if term < 1:
                 raise InputError(f"term r_{n} = {term} must be a positive integer")
+        object.__setattr__(self, "r", r)
 
     @property
     def depth(self) -> int:
@@ -204,8 +208,8 @@ def periodic_theta(period, depth: int) -> tuple[float, ContinuedFraction]:
 def eventually_periodic_theta(prefix, period, depth: int) -> tuple[float, ContinuedFraction]:
     """Irrational with the given initial terms followed by a repeating tail;
     with an empty prefix, the tail value itself."""
-    prefix = tuple(int(t) for t in prefix)
-    period = tuple(int(t) for t in period)
+    prefix = tuple(t if type(t) is int else checked_number(t, InputError) for t in prefix)
+    period = tuple(t if type(t) is int else checked_number(t, InputError) for t in period)
     if any(t < 1 for t in prefix):
         raise InputError("prefix terms must be positive integers")
     if not period or any(t < 1 for t in period):

@@ -218,19 +218,21 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
-def json_number(value, error: type[Exception], integral: bool = True):
-    """A number of the JSON wire format, checked for every decoder: an int
-    or float, as an int if ``integral`` (a float must then be integral),
-    else as a float.  Anything else is refused with the decoder's
-    ``error``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def checked_number(value, error: type[Exception], integral: bool = True):
+    """A number checked for every decoder of the JSON wire format and for
+    the constructors that take counts (shapes, refined partitions, slot
+    groups, continued fractions): an int or float, Python or numpy, as an
+    int if ``integral`` (a float must then be integral, so nan and inf are
+    not), else as a float.  Anything else, a bool included, is refused
+    with the caller's ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise error(f"expected a number, got {value!r}")
     if not integral:
         try:
             return float(value)
         except OverflowError as exc:
             raise error(f"number out of the float range: {exc}") from exc
-    if isinstance(value, float) and not value.is_integer():
+    if not isinstance(value, (int, np.integer)) and not value.is_integer():
         raise error(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -240,8 +242,8 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise DimensionError("matrix object must be a JSON mapping")
     try:
-        rows = json_number(obj["rows"], DimensionError)
-        cols = json_number(obj["cols"], DimensionError)
+        rows = checked_number(obj["rows"], DimensionError)
+        cols = checked_number(obj["cols"], DimensionError)
         data = obj["data"]
     except (KeyError, TypeError) as exc:
         raise DimensionError(f"malformed matrix object: {exc}") from exc
@@ -253,7 +255,7 @@ def matrix_from_json(obj) -> np.ndarray:
     for idx, pair in enumerate(data):
         if len(pair) != 2:
             raise DimensionError("matrix entries must be [re, im] pairs")
-        out[idx] = complex(*(json_number(x, DimensionError, integral=False) for x in pair))
+        out[idx] = complex(*(checked_number(x, DimensionError, integral=False) for x in pair))
     out = out.reshape(rows, cols)
     if out.size and not np.all(np.isfinite(out)):
         raise ValueError("matrix entries must be finite")

@@ -54,12 +54,19 @@ DENSE_BASIS_LIMIT = 2**23
 
 @dataclass(frozen=True)
 class RefinedPartition:
-    """Ordered terms (block_size n_i, multiplicity m_i) with sum m_i * n_i = d."""
+    """Ordered terms (block_size n_i, multiplicity m_i) with sum m_i * n_i = d,
+    stored as ints; a non-integral term is refused with PartitionError."""
 
     terms: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        terms = tuple((int(n), int(m)) for n, m in self.terms)
+        terms = tuple(
+            (
+                n if type(n) is int else linalg.checked_number(n, PartitionError),
+                m if type(m) is int else linalg.checked_number(m, PartitionError),
+            )
+            for n, m in self.terms
+        )
         if not terms:
             raise PartitionError("a refined partition needs at least one term")
         if any(n < 1 or m < 1 for n, m in terms):
@@ -113,7 +120,8 @@ class StandardSubalgebra:
     """A standard unital subalgebra of the algebra with the given shape.
 
     ``partitions`` has one :class:`RefinedPartition` per summand and
-    ``groups`` partitions the set of slots (k, i), all indices 1-based.
+    ``groups`` partitions the set of slots (k, i), all indices 1-based
+    (a non-integral index is refused with GroupingError).
     Construction validates the description and lays out the blocks:
     ``slots[k-1]`` holds one (row offset, n, m, group) row per slot of
     summand k, and ``runs[g]`` one (k, row offset, m) row per slot of
@@ -142,7 +150,16 @@ class StandardSubalgebra:
                 raise PartitionError(
                     f"partition {part.terms} does not tile summand dimension {d}"
                 )
-        self.groups = tuple(tuple((int(k), int(i)) for k, i in g) for g in groups)
+        self.groups = tuple(
+            tuple(
+                (
+                    k if type(k) is int else linalg.checked_number(k, GroupingError),
+                    i if type(i) is int else linalg.checked_number(i, GroupingError),
+                )
+                for k, i in g
+            )
+            for g in groups
+        )
         self._block_layout()
         self._layout = (None, None)
 
@@ -497,7 +514,7 @@ def subalgebra_from_json(obj):
     """
     if not isinstance(obj, dict):
         raise ShapeError("subalgebra object must be a JSON mapping")
-    count = partial(linalg.json_number, error=ShapeError)
+    count = partial(linalg.checked_number, error=ShapeError)
     try:
         shape = AlgebraShape(tuple(count(d) for d in obj["shape"]))
         partitions = [

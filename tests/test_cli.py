@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frnorms import cli, effros_shen, linalg
+from frnorms import cli, constants, effros_shen, fleet, linalg
 from frnorms.algebra import (
     AlgebraElement,
     AlgebraShape,
@@ -490,6 +491,68 @@ def test_selftest_command():
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("0 failed")
     assert len(lines) >= 9
+
+
+SELFTEST_CHECKS = (
+    "induced-norm regression values",
+    "conjugation moves the induced norm",
+    "reference table recomputation",
+    "dual projection routes agree",
+    "projection axioms (idempotent, trace-preserving, contractive)",
+    "pinching pipeline matches the projection",
+    "pinching keeps at least 1/size of the norm",
+    "norm sandwich bound * opnorm <= induced <= opnorm",
+    "tower constant equals the structural bound",
+)
+
+
+def _selftest_lines(capsys, *args):
+    rc = cli.main(["selftest", *args])
+    return rc, capsys.readouterr().out.rstrip("\n").split("\n")
+
+
+def _moved_flag_table(*args, **kwargs):
+    """The reference table with its one flag moved: B^5_{2,1,1,1} recomputed
+    to its stored value and B^4_{2,2} off by 1e-9, each flag agreeing with
+    its own row's fields."""
+    moved = {"B^5_{2,1,1,1}": 0.0, "B^4_{2,2}": 1e-9}
+    rows = []
+    for r in constants.table1(*args, **kwargs):
+        if r.label in moved:
+            bound = r.reference_theoretical + moved[r.label]
+            r = dataclasses.replace(r, theoretical=bound, flagged=bool(moved[r.label]))
+        rows.append(r)
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_selftest_passes_every_check(capsys, seed):
+    rc, lines = _selftest_lines(capsys, "--seed", str(seed))
+    assert rc == 0
+    assert lines[-1] == "9 checks, 0 failed"
+    assert len(lines) == 10
+    for line, name in zip(lines, SELFTEST_CHECKS):
+        assert line.startswith(f"PASS {name} (worst deviation ")
+
+
+@pytest.mark.parametrize(
+    "target, patch, failing",
+    [
+        ("es_constant", lambda f: lambda *a: f(*a) + 1e-9, 8),
+        ("cond_expect_gram", lambda f: lambda b, v, x: x, 3),
+        ("table1", lambda f: _moved_flag_table, 2),
+    ],
+    ids=["tower", "dual-routes", "moved-flag"],
+)
+def test_selftest_fails_the_broken_check(capsys, monkeypatch, target, patch, failing):
+    monkeypatch.setattr(fleet, target, patch(getattr(fleet, target)))
+    rc, lines = _selftest_lines(capsys)
+    assert rc == 1
+    assert lines[-1] == "9 checks, 1 failed"
+    assert [line.split(" ", 1)[0] for line in lines[:-1]] == [
+        "FAIL" if i == failing else "PASS" for i in range(9)
+    ]
+    assert lines[failing].startswith(f"FAIL {SELFTEST_CHECKS[failing]} (worst deviation ")
 
 
 def test_convergence_error_exits_3(monkeypatch, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frnorms import effros_shen
-from frnorms.algebra import AlgebraElement
+from frnorms.algebra import AlgebraElement, AlgebraShape
 from frnorms.constants import empirical_sharp_constant, sharp_constant, structural_constants
 from frnorms.effros_shen import (
     GOLDEN,
@@ -27,9 +27,14 @@ from frnorms.effros_shen import (
     eventually_periodic_theta,
     periodic_theta,
 )
-from frnorms.errors import InputError, RationalityError
+from frnorms.errors import GroupingError, InputError, PartitionError, RationalityError, ShapeError
 from frnorms.expectation import cond_expect, cond_expect_gram
-from frnorms.subalgebra import BASIS_LIMIT, canonical_basis
+from frnorms.subalgebra import (
+    BASIS_LIMIT,
+    RefinedPartition,
+    canonical_basis,
+    make_standard_subalgebra,
+)
 
 
 def test_module_constants_are_the_advertised_irrationals():
@@ -85,6 +90,47 @@ def test_depth_beyond_64_bit_convergents_is_refused():
     ):
         with pytest.raises(InputError, match="exceeds 91"):
             call()
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0000001, float("nan"), float("inf"), "2", True])
+def test_non_integral_counts_are_refused_by_every_constructor(bad):
+    """A shape, a partition term, a slot index, a continued-fraction term
+    or a term of a periodic fraction that is not an integer is refused with
+    the constructor's error, where it used to be truncated (1.5 -> 1) or
+    taken as is."""
+    with pytest.raises(ShapeError):
+        AlgebraShape((2, bad))
+    with pytest.raises(PartitionError):
+        RefinedPartition(((1, 1), (1, bad)))
+    with pytest.raises(GroupingError):
+        make_standard_subalgebra((2,), [((1, 1), (1, 1))], [[(1, 1)], [(1, bad)]])
+    with pytest.raises(InputError):
+        es_constant(GOLDEN, 3, ContinuedFraction((0, 1, bad, 1, 1)))
+    with pytest.raises(InputError):
+        periodic_theta((1, bad), 4)
+    with pytest.raises(InputError):
+        eventually_periodic_theta((bad,), (1,), 4)
+
+
+def test_integral_counts_are_stored_as_python_ints():
+    """Integral floats and numpy integers are read as the integers they
+    are; so numpy terms of 10**9 are refused at q_3, as Python ints are,
+    where int64 arithmetic used to wrap q_3 to a negative number."""
+    shape = AlgebraShape((2.0, np.int64(3)))
+    part = RefinedPartition(((np.int32(1), 2.0),))
+    sub = make_standard_subalgebra((2,), [((1, 1), (1, 1))], [[(1, 1)], [(np.int64(1), 2.0)]])
+    cf = ContinuedFraction((np.int64(0), 1.0, np.uint8(2)))
+    for values, want in [
+        (shape.dims, (2, 3)),
+        (part.terms[0], (1, 2)),
+        (sub.groups[1][0], (1, 2)),
+        (cf.r, (0, 1, 2)),
+    ]:
+        assert values == want
+        assert all(type(x) is int for x in values)
+    big = ContinuedFraction(tuple(np.int64(t) for t in (0,) + (10**9,) * 5))
+    with pytest.raises(InputError, match="q_3 exceeds"):
+        convergent_table(big)
 
 
 def test_continued_fraction_validation():

@@ -153,7 +153,7 @@ class AlgebraElement:
 def element_norm(a: AlgebraElement) -> float:
     """C*-norm of a direct-sum element: max of summand operator norms.
 
-    Each summand goes to the batch norms as a stack of one, as
+    Each summand goes to ``linalg._operator_norm_unchecked``, as
     ``linalg.operator_norm`` sends a matrix, but without its entry scan:
     the summands were checked finite and square when the element was
     built.
@@ -173,15 +173,28 @@ def matrix_unit(shape: AlgebraShape, k: int, i: int, j: int) -> AlgebraElement:
     return AlgebraElement(shape, out)
 
 
+def _checked_weights(values) -> list[float]:
+    """Weights as Python floats, each checked by the JSON decoders' number
+    check: a string, a bool or a complex value is refused with
+    WeightError.  A float skips the call: every tower level builds a
+    weight."""
+    return [
+        x if type(x) is float else linalg.checked_number(x, WeightError, integral=False)
+        for x in values
+    ]
+
+
 @dataclass(frozen=True)
 class TracialWeight:
-    """Weight vector of a faithful tracial state on a direct-sum algebra."""
+    """Weight vector of a faithful tracial state on a direct-sum algebra,
+    stored as Python floats; a value that is not a number is refused with
+    WeightError."""
 
     shape: AlgebraShape
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
+        w = tuple(_checked_weights(self.weights))
         if len(w) != self.shape.num_summands:
             raise WeightError(
                 f"expected {self.shape.num_summands} weights, got {len(w)}"
@@ -203,7 +216,7 @@ class TracialWeight:
     @classmethod
     def normalized(cls, shape: AlgebraShape, raw) -> "TracialWeight":
         """Renormalize a positive vector to sum 1 (explicit opt-in)."""
-        raw = [float(x) for x in raw]
+        raw = _checked_weights(raw)
         total = sum(raw)
         if total <= 0.0 or any(x <= 0.0 for x in raw):
             raise WeightError("raw weights must be strictly positive")

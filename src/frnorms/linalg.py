@@ -14,14 +14,22 @@ overflowed Gram (ValueError), for itself and the operator norms built
 on it; :func:`opnorm_batch` also refuses a non-finite entry of a matrix
 it rescales, and a norm beyond the float range.  :func:`operator_norm`
 refuses one matrix that is not square and finite; an element's summands
-are checked when the element is built, so ``algebra.element_norm``
-takes them to the batch norms without that scan.
+are checked when the element is built.  Two routes therefore hand the
+stacks they build straight to the core, without ``eigvalsh_batch``'s
+scans: :func:`_operator_norm_unchecked`, behind ``operator_norm`` and
+``algebra.element_norm``, whose matrix is checked and whose Gram, formed
+only for a peak entry in the Gram range, is finite by the bound in its
+docstring; and ``StandardSubalgebra.induced_opnorms_sq``, which builds
+its stacks from an element's summands and scans each once itself, as
+its Grams can overflow.  Both keep the bits of the batch norms.
 A single matrix is a batch of one; :func:`top_gram_eigvals_2` is a
 closed form for the top eigenvalue of a two-vector Gram.
 LAPACK is the one eigensolver; the tests check it against matrices
 U diag(w) U^H whose spectrum w is known exactly.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -197,17 +205,32 @@ def operator_norm(m: np.ndarray) -> float:
 def _operator_norm_unchecked(m: np.ndarray) -> float:
     """Largest singular value of one finite square complex matrix,
     unchecked: for a matrix a caller has checked, such as an element's
-    summand.
+    summand.  Its bits are those of :func:`hermitian_opnorm_batch` or
+    :func:`opnorm_batch` on ``m[None]``, without their scans of input
+    that is finite already.
 
-    Exactly Hermitian inputs go to :func:`hermitian_opnorm_batch`, which
-    avoids the precision loss of the m^H m detour (a spectral value of 3
-    comes back as 3.0, not 2.9999...96); a nonzero imaginary diagonal
-    entry rules that out before the full comparison.  The rest go to
-    :func:`opnorm_batch`, which rescales and refuses a norm beyond the
+    Exactly Hermitian inputs go to the core as they are, which avoids
+    the precision loss of the m^H m detour (a spectral value of 3 comes
+    back as 3.0, not 2.9999...96); a nonzero imaginary diagonal entry
+    rules that out before the full comparison.  The rest, which are not
+    zero, have their peak entry read once.  A peak in the Gram range [1 /
+    GRAM_SAFE_ENTRY, GRAM_SAFE_ENTRY] sends the Gram m^H m to the core
+    unscanned: each Gram entry is at most d peak^2 <= d 1e300, finite
+    for d < 1.7e8, and a d x d summand that wide would take more than
+    4.6e17 bytes, so it cannot be built.  The spectrum, up to d^2
+    peak^2, can still pass the float range from d of about 1.3e4, and
+    the core refuses it.  A peak outside the range takes
+    :func:`opnorm_batch`'s rescaling, which refuses a norm beyond the
     float range.  A LAPACK failure raises ConvergenceError in the core.
     """
     if not np.count_nonzero(m.imag.diagonal()) and (m == adjoint(m)).all():
-        return float(hermitian_opnorm_batch(m[None])[0])
+        w = _spectrum(m[None])[0]
+        return float(max(abs(w[0]), abs(w[-1])))
+    peak = np.abs(m).max(initial=0.0)
+    if 1.0 / GRAM_SAFE_ENTRY <= peak <= GRAM_SAFE_ENTRY:
+        m = m[None]
+        # max(0.0, x) turns a -0.0 into 0.0, as np.maximum does.
+        return math.sqrt(max(0.0, _spectrum(adjoint(m) @ m)[0, -1]))
     return float(opnorm_batch(m[None])[0])
 
 

@@ -242,14 +242,18 @@ class StandardSubalgebra:
         factors w_k come from ``weights`` (``weight_layout``): with a
         tracial weight's v_k, w_k = v_k/d_k gives the conditional
         expectation, with v = d the entrywise-orthogonal projection.  A
-        group's runs are summed in summand-major order.
+        group's runs are summed in summand-major order; a run of one copy
+        is read as a plain slice, with no copy axis to sum.
         """
         w, dens = self.weight_layout(weights)
         out = [np.zeros((d, d), dtype=np.complex128) for d in self.shape.dims]
         for runs, n, den in zip(self.runs, self._group_sizes, dens):
             avg = 0
             for k, off, m in runs:
-                avg = avg + _copy_sum(w[k - 1] * _run_blocks(summands[k - 1], off, n, m))
+                if m == 1:
+                    avg = avg + w[k - 1] * summands[k - 1][off : off + n, off : off + n]
+                else:
+                    avg = avg + _copy_sum(w[k - 1] * _run_blocks(summands[k - 1], off, n, m))
             avg = avg / den
             for k, off, m in runs:
                 _run_blocks(out[k - 1], off, n, m)[...] = avg
@@ -261,29 +265,44 @@ class StandardSubalgebra:
 
         Every block of group g in P(A* A) holds X_g = sum_blocks w_k
         A_k[:, I]* A_k[:, I] / den_g, I the block's columns, so the norm
-        is max_g lambda_max(X_g), read from A's column blocks alone; the
-        X_g of one block size are written into one stack for the
-        eigensolver.  The stacks are finite, as an element's summands
-        are; a Gram or a spectrum that overflows is formed without numpy's
-        warnings and refused with ValueError.
+        is max_g lambda_max(X_g), read from A's column blocks alone (a
+        run of one copy as a plain slice, as in ``block_average``); the
+        X_g of one block size are written into one stack, which goes to
+        the spectral core ``linalg._spectrum`` as it is, and a size with
+        one group needs no reduce over groups.  The summands are finite,
+        as an element's are, but a Gram entry can reach d peak^2 for A's
+        peak entry, which overflows once peak^2 passes 1.8e308 / d (fr_norm
+        rescales A into the Gram range first).  So each stack is formed
+        without numpy's warnings and scanned once here, and a non-finite
+        one is refused with ValueError; a spectrum beyond the float range
+        is refused by the core, with the same message.
         """
         w, dens = self.weight_layout(weights)
         nb, top = len(summands[0]), 0.0
+        overflow = "squared induced norm exceeds the float range"
         with np.errstate(over="ignore", invalid="ignore"):
             for n, groups in self.by_size:
                 xs = np.empty((len(groups), nb, n, n), dtype=np.complex128)
                 for x_g, (g, runs) in zip(xs, groups):
                     x = 0
                     for k, off, m in runs:
-                        cols = _run_blocks(summands[k - 1], off, n, m, diagonal=False)
-                        grams = linalg.adjoint(cols) @ cols
-                        x = x + _copy_sum(w[k - 1] * grams)
+                        if m == 1:
+                            cols = summands[k - 1][..., off : off + n]
+                            x = x + w[k - 1] * (linalg.adjoint(cols) @ cols)
+                        else:
+                            cols = _run_blocks(summands[k - 1], off, n, m, diagonal=False)
+                            x = x + _copy_sum(w[k - 1] * (linalg.adjoint(cols) @ cols))
                     np.divide(x, dens[g], out=x_g)
+                if not np.isfinite(xs).all():
+                    raise ValueError(overflow)
                 try:
-                    norms = linalg.hermitian_opnorm_batch(xs.reshape(-1, n, n))
+                    spectra = linalg._spectrum(xs.reshape(-1, n, n))
                 except ValueError as exc:
-                    raise ValueError("squared induced norm exceeds the float range") from exc
-                top = np.maximum(top, np.maximum.reduce(norms.reshape(len(groups), nb)))
+                    raise ValueError(overflow) from exc
+                norms = np.abs(spectra).max(axis=1, initial=0.0)
+                if len(groups) > 1:
+                    norms = np.maximum.reduce(norms.reshape(len(groups), nb))
+                top = np.maximum(top, norms)
         return top
 
     @cached_property
@@ -379,7 +398,8 @@ def _copy_sum(blocks: np.ndarray) -> np.ndarray:
     """Sum of a (..., m, h, n) stack of a run's copies over the copy axis,
     by ``np.add.reduce``; a single copy (m = 1) is read by index.  The
     two differ only in the sign of a zero, which the callers' running
-    sums, started at 0, normalize either way."""
+    sums, started at 0, normalize either way.  The kernels read a run of
+    one copy as a plain slice and do not pass one here."""
     return blocks[..., 0, :, :] if blocks.shape[-3] == 1 else np.add.reduce(blocks, axis=-3)
 
 

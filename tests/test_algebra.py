@@ -174,6 +174,35 @@ def test_weight_constructors():
     assert np.allclose(u.per_trace_factors(), [1 / 6, 1 / 9, 1 / 3])
 
 
+def test_weights_that_are_not_numbers_are_refused():
+    """The constructor and ``normalized`` refuse what the JSON decoder
+    refuses: strings, bools and complex values, with WeightError; ints
+    and numpy scalars are stored as Python floats."""
+    pair, one = AlgebraShape((2, 1)), AlgebraShape((1,))
+    bad = [
+        (pair, ("0.5", "0.5")),
+        (one, (True,)),
+        (pair, (0.5 + 0j, 0.5)),
+        (pair, (np.complex128(0.5), 0.5)),
+        (pair, (None, 0.5)),
+    ]
+    for shape, weights in bad:
+        with pytest.raises(WeightError):
+            TracialWeight(shape, weights)
+        with pytest.raises(WeightError):
+            weight_from_json(shape, {"weights": list(weights)})
+    for raw in (["1", "3"], [1, False], [1j, 3]):
+        with pytest.raises(WeightError):
+            TracialWeight.normalized(pair, raw)
+    for weights in ((np.float64(0.25), np.float32(0.75)), (np.float16(0.5), 0.5)):
+        v = TracialWeight(pair, weights)
+        assert [type(x) for x in v.weights] == [float, float]
+    assert TracialWeight(one, (1,)).weights == (1.0,)
+    assert type(TracialWeight(one, (np.int64(1),)).weights[0]) is float
+    n = TracialWeight.normalized(pair, [np.int64(1), 3])
+    assert n.weights == (0.25, 0.75) and all(type(x) is float for x in n.weights)
+
+
 def test_trace_state_normalized_and_tracial():
     shape = AlgebraShape((2, 3))
     v = TracialWeight(shape, (0.4, 0.6))

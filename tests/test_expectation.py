@@ -234,24 +234,46 @@ def test_induced_norm_kernel_matches_the_dense_route():
         np.testing.assert_allclose(batch, got, rtol=1e-12, atol=0, err_msg=name)
 
 
+def _with_peak(a, peak):
+    """a with each summand scaled so that its largest entry is exactly
+    ``peak``: the rest lie at or below peak / 2, and the largest sits at
+    (i, j) and (j, i), so a Hermitian summand stays Hermitian."""
+    mats = []
+    for m in a.summands:
+        mag = np.abs(m)
+        out = (0.5 * peak / mag.max()) * m
+        i, j = np.unravel_index(mag.argmax(), m.shape)
+        out[i, j] = out[j, i] = peak
+        mats.append(out)
+    return AlgebraElement(a.shape, mats)
+
+
 def test_single_and_stacked_routes_agree_bit_for_bit():
     """element_norm is the max of opnorm_batch, or of hermitian_opnorm_batch
     on an exactly Hermitian summand, over each summand stacked alone, and
     fr_norm_squared(b, v, a_i) is entry i of induced_opnorms_sq on a stack
-    of four elements: exactly, on every fixture and golden level 6, for
+    of the elements: exactly, on every fixture and golden level 6, for
     Gaussian elements and a Hermitian one, unscaled and scaled by 1e200
     and 1e-200 (the rescaled operator norms; at 1e200 the Gram overflows
-    and both induced-norm routes refuse it)."""
+    and both induced-norm routes refuse it), and at the ends of the Gram
+    range: summands whose peak entry is exactly GRAM_SAFE_ENTRY or
+    1/GRAM_SAFE_ENTRY, one ulp beyond each, and a zero summand."""
     rng = np.random.default_rng(1717)
     problems = [(f.name, f.subalgebra, f.weight) for f in FLEET]
     lev = es_level(GOLDEN, 6)
     problems.append(("golden-6", lev.subalgebra, lev.weight))
+    edges = (linalg.GRAM_SAFE_ENTRY, 1.0 / linalg.GRAM_SAFE_ENTRY)
+    edges += (np.nextafter(edges[0], np.inf), np.nextafter(edges[1], 0.0))
     hermitian_summands = 0
     for name, b, v in problems:
         base, u = standard_form(b)
         gauss = [random_element(b.shape, rng) for _ in range(3)]
-        for scale in (1.0, 1e200, 1e-200):
-            elems = [scale * a for a in gauss + [gauss[0] + gauss[0].adjoint()]]
+        herm = gauss[0] + gauss[0].adjoint()
+        cases = [(scale, [scale * a for a in gauss + [herm]]) for scale in (1.0, 1e200, 1e-200)]
+        cases += [(peak, [_with_peak(a, peak) for a in gauss + [herm]]) for peak in edges]
+        zero_first = [np.zeros_like(m) if k == 0 else m for k, m in enumerate(gauss[1].summands)]
+        cases.append((0.0, [AlgebraElement(b.shape, zero_first), AlgebraElement.zero(b.shape)]))
+        for scale, elems in cases:
             for a in elems:
                 want = 0.0
                 for m in a.summands:
@@ -262,7 +284,7 @@ def test_single_and_stacked_routes_agree_bit_for_bit():
                 assert element_norm(a) == want, (name, scale)
             carried = elems if u is None else [a @ u for a in elems]
             stacks = [np.stack(mats) for mats in zip(*(a.summands for a in carried))]
-            if scale > 1.0:
+            if scale > 1e160:
                 with pytest.raises(ValueError):
                     base.induced_opnorms_sq(v.weights, stacks)
                 for a in elems:
@@ -272,6 +294,47 @@ def test_single_and_stacked_routes_agree_bit_for_bit():
             single = [fr_norm_squared(b, v, a) for a in elems]
             assert np.array_equal(base.induced_opnorms_sq(v.weights, stacks), single), (name, scale)
     assert hermitian_summands >= 3 * len(problems)
+
+
+def test_checked_elements_go_straight_to_the_spectral_core(monkeypatch):
+    """element_norm and fr_norm_squared do not re-scan what the element
+    check covered: with eigvalsh_batch, opnorm_batch and
+    hermitian_opnorm_batch made to raise, both give the values they gave
+    before, on Gaussian and Hermitian elements of every fixture and
+    golden levels 6-8.  A summand scaled by 1e-200, below the Gram range,
+    still takes opnorm_batch's rescaling."""
+    rng = np.random.default_rng(4242)
+    problems = [(f.name, f.subalgebra, f.weight) for f in FLEET]
+    for level in (6, 7, 8):
+        lev = es_level(GOLDEN, level)
+        problems.append((f"golden-{level}", lev.subalgebra, lev.weight))
+    cases = []
+    for name, b, v in problems:
+        a = random_element(b.shape, rng)
+        for el in (a, a + a.adjoint()):
+            cases.append((name, b, v, el, element_norm(el), fr_norm_squared(b, v, el)))
+
+    def scan(*args):
+        raise AssertionError("a checked element was scanned again")
+
+    with monkeypatch.context() as patch:
+        for routine in ("eigvalsh_batch", "opnorm_batch", "hermitian_opnorm_batch"):
+            patch.setattr(linalg, routine, scan)
+        for name, b, v, el, norm, frsq in cases:
+            assert element_norm(el) == norm, name
+            assert fr_norm_squared(b, v, el) == frsq, name
+    rescaled, opnorm_batch = [], linalg.opnorm_batch
+
+    def spy(m):
+        rescaled.append(m.shape)
+        return opnorm_batch(m)
+
+    monkeypatch.setattr(linalg, "opnorm_batch", spy)
+    for name, b, v, el, norm, _ in cases[::2]:
+        rescaled.clear()
+        tiny = 1e-200 * el
+        assert abs(element_norm(tiny) - 1e-200 * norm) <= 1e-12 * 1e-200 * norm, name
+        assert rescaled == [(1, d, d) for d in b.shape.dims], name
 
 
 def test_induced_norm_forms_no_dense_product():

@@ -188,7 +188,9 @@ def _checked_weights(values) -> list[float]:
 class TracialWeight:
     """Weight vector of a faithful tracial state on a direct-sum algebra,
     stored as Python floats; a value that is not a number is refused with
-    WeightError."""
+    WeightError.  So is a weight whose factor v_k / d_k falls below the
+    normal floats (2**-1022): the expectation divides by sums of these
+    factors, and a quotient by a subnormal one overflows."""
 
     shape: AlgebraShape
     weights: tuple[float, ...]
@@ -201,8 +203,8 @@ class TracialWeight:
             )
         if any(not math.isfinite(x) for x in w):
             raise WeightError("weights must be finite")
-        if any(x <= 0.0 or x > 1.0 for x in w):
-            raise WeightError(f"weights must lie in (0, 1], got {w}")
+        if any(x > 1.0 or x / d < 2.0**-1022 for x, d in zip(w, self.shape.dims)):
+            raise WeightError(f"weights must lie in (0, 1], each v_k / d_k >= 2**-1022, got {w}")
         total = sum(w)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise WeightError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")

@@ -84,19 +84,17 @@ def fr_norm(b, v: TracialWeight, a: AlgebraElement) -> float:
 
     The square under- or overflows when A's entries lie far from 1, even
     where the norm itself is a float.  So an element whose peak entry
-    lies outside the Gram range is scaled by a power of two first, and
-    its norm multiplied back, by the rule ``linalg.opnorm_batch`` uses
-    (``linalg._gram_scale_exponents``): the norm is homogeneous and the
-    scaling exact.  A norm beyond the float range is refused with
-    ValueError.
+    lies outside the Gram range is divided by 2**e first
+    (``linalg._gram_range``), and the square root of its square
+    multiplied back by 2**e: the norm is homogeneous and the scaling
+    exact.  An entry whose modulus overflows, and a norm beyond the
+    float range, are refused with ValueError.
     """
-    peak = max(float(np.abs(m).max(initial=0.0)) for m in a.summands)
-    exp = linalg._gram_scale_exponents(np.array(peak))
+    stacks, exp = linalg._gram_range([m[None] for m in a.summands], "induced norm")
     if exp is None:
         return float(np.sqrt(fr_norm_squared(b, v, a)))
-    scaled = AlgebraElement._result(a.shape, [linalg._ldexp_complex(m, -exp) for m in a.summands])
-    norm = np.sqrt(fr_norm_squared(b, v, scaled))
-    return float(linalg._scale_norms_back(norm, exp, "induced norm"))
+    norm = np.sqrt(fr_norm_squared(b, v, AlgebraElement._result(a.shape, [s[0] for s in stacks])))
+    return float(linalg._scale_norms_back(norm, exp[0], "induced norm"))
 
 
 def quotient_seminorm(b, v: TracialWeight, a: AlgebraElement) -> float:

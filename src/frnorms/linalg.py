@@ -11,17 +11,22 @@ what LAPACK returns, bit for bit.
 Input is checked once, where it enters.  :func:`eigvalsh_batch` refuses
 a malformed stack (DimensionError) or a non-finite entry, such as an
 overflowed Gram (ValueError), for itself and the operator norms built
-on it; :func:`opnorm_batch` also refuses a non-finite entry of a matrix
-it rescales, and a norm beyond the float range.  :func:`operator_norm`
-refuses one matrix that is not square and finite; an element's summands
-are checked when the element is built.  Two routes therefore hand the
-stacks they build straight to the core, without ``eigvalsh_batch``'s
-scans: :func:`_operator_norm_unchecked`, behind ``operator_norm`` and
-``algebra.element_norm``, whose matrix is checked and whose Gram, formed
-only for a peak entry in the Gram range, is finite by the bound in its
-docstring; and ``StandardSubalgebra.induced_opnorms_sq``, which builds
-its stacks from an element's summands and scans each once itself, as
-its Grams can overflow.  Both keep the bits of the batch norms.
+on it.  :func:`operator_norm` refuses one matrix that is not square and
+finite; an element's summands are checked when the element is built.
+Every norm is kept inside the float range by one rule,
+:func:`_gram_range`: it divides each item of a stack whose peak entry
+lies outside the Gram range by a power of two, refusing a non-finite
+entry or one whose modulus overflows, and the norm is multiplied back
+(:func:`_scale_norms_back`), which refuses a norm beyond the float
+range.  :func:`opnorm_batch`, ``StandardSubalgebra.induced_opnorms_sq``
+and ``expectation.fr_norm`` read it; :func:`_operator_norm_unchecked`
+only tests a peak against the range before it falls back to
+``opnorm_batch``.  A Gram of entries in the range is finite (see
+``induced_opnorms_sq``), so two routes hand the stacks they build
+straight to the core, without ``eigvalsh_batch``'s scans:
+:func:`_operator_norm_unchecked`, behind ``operator_norm`` and
+``algebra.element_norm``, and ``induced_opnorms_sq``.  Both keep the
+bits of the batch norms.
 A single matrix is a batch of one; :func:`top_gram_eigvals_2` is a
 closed form for the top eigenvalue of a two-vector Gram.
 LAPACK is the one eigensolver; the tests check it against matrices
@@ -37,7 +42,7 @@ from .errors import ConvergenceError, DimensionError
 
 # Largest entry whose Gram products are formed unscaled: squares of
 # larger entries can overflow, and a matrix whose nonzero peak is below
-# its reciprocal has squares that underflow (see opnorm_batch).
+# its reciprocal has squares that underflow (see _gram_range).
 GRAM_SAFE_ENTRY = 1e150
 
 
@@ -164,27 +169,43 @@ def _scale_norms_back(norms: np.ndarray, e, what: str) -> np.ndarray:
     return norms
 
 
+def _gram_range(stacks, what: str):
+    """The one float-range rule of the norms: items of the (nb, d_k, d_k)
+    ``stacks`` (one per summand, item i of each together) whose peak
+    entry, over all stacks, lies outside the Gram range are divided by
+    2**e, e from :func:`_gram_scale_exponents`.  Returns the stacks and
+    the exponents, or the stacks as given and None when no item moves;
+    items in range keep every bit, and their norms take no scaling back.
+
+    Only when an item moves are the peaks checked: a non-finite entry is
+    refused with ValueError, and so is a finite entry whose modulus
+    overflows (1.5e308 + 1.5e308j), as a ``what`` beyond the float
+    range, since the norm is at least that modulus.  A caller multiplies
+    its norms by 2**e (its squares by 2**(2e)) with
+    :func:`_scale_norms_back`.
+    """
+    peak = np.abs(stacks[0]).max(axis=(1, 2), initial=0.0)
+    for s in stacks[1:]:
+        peak = np.maximum(peak, np.abs(s).max(axis=(1, 2), initial=0.0))
+    exp = _gram_scale_exponents(peak)
+    if exp is None:
+        return stacks, None
+    if not np.isfinite(peak).all():
+        finite = all(np.isfinite(s).all() for s in stacks)
+        raise ValueError(f"{what} exceeds the float range" if finite else "matrix entries must be finite")
+    return [_ldexp_complex(s, -exp[:, None, None]) for s in stacks], exp
+
+
 def opnorm_batch(m: np.ndarray) -> np.ndarray:
     """Operator norms for a stack of (not necessarily Hermitian) matrices,
-    via the top eigenvalue of each Gram matrix m^H m.
-
-    A matrix whose peak entry lies outside the Gram range is first
-    divided by a power of two and its norm multiplied back
-    (:func:`_gram_scale_exponents`); the other matrices are untouched.
-    Non-finite entries of a stack that is rescaled, and a norm beyond the
-    float range, are refused with ValueError.
+    via the top eigenvalue of each Gram matrix m^H m, with matrices
+    outside the Gram range rescaled by :func:`_gram_range`.  Non-finite
+    entries, and a norm beyond the float range, are refused with
+    ValueError.
     """
-    exp = _gram_scale_exponents(np.abs(m).max(axis=(1, 2), initial=0.0))
-    if exp is not None:
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must be finite")
-        m = _ldexp_complex(m, -exp[:, None, None])
-    gram = adjoint(m) @ m
-    w = eigvalsh_batch(gram)
-    norms = np.sqrt(np.maximum(w[:, -1], 0.0))
-    if exp is not None:
-        norms = _scale_norms_back(norms, exp, "operator norm")
-    return norms
+    (m,), exp = _gram_range([m], "operator norm")
+    norms = np.sqrt(np.maximum(eigvalsh_batch(adjoint(m) @ m)[:, -1], 0.0))
+    return norms if exp is None else _scale_norms_back(norms, exp, "operator norm")
 
 
 def hermitian_opnorm_batch(h: np.ndarray) -> np.ndarray:

@@ -269,41 +269,43 @@ class StandardSubalgebra:
         run of one copy as a plain slice, as in ``block_average``); the
         X_g of one block size are written into one stack, which goes to
         the spectral core ``linalg._spectrum`` as it is, and a size with
-        one group needs no reduce over groups.  The summands are finite,
-        as an element's are, but a Gram entry can reach d peak^2 for A's
-        peak entry, which overflows once peak^2 passes 1.8e308 / d (fr_norm
-        rescales A into the Gram range first).  So each stack is formed
-        without numpy's warnings and scanned once here, and a non-finite
-        one is refused with ValueError; a spectrum beyond the float range
-        is refused by the core, with the same message.
+        one group needs no reduce over groups.
+
+        An element whose peak entry lies outside the Gram range is first
+        divided by 2**e (``linalg._gram_range``, which refuses an entry
+        whose modulus overflows), and its square multiplied back by
+        2**(2e); a square beyond the float range is refused with
+        ValueError.  The summands are then finite with entries at most
+        GRAM_SAFE_ENTRY = 1e150, so no X_g overflows: for a tracial
+        weight, whose factors w_k are normal floats at most 1, X_g is a
+        weighted average of column Grams, whose entries are at most
+        d 1e300 for a summand of dimension d.  That is finite for d <
+        1.7e8, and a summand that wide cannot be built.  A spectrum
+        beyond the float range, from d n of about 1.8e8, is still refused
+        by the core.
         """
+        summands, exp = linalg._gram_range(summands, "squared induced norm")
         w, dens = self.weight_layout(weights)
         nb, top = len(summands[0]), 0.0
-        overflow = "squared induced norm exceeds the float range"
-        with np.errstate(over="ignore", invalid="ignore"):
-            for n, groups in self.by_size:
-                xs = np.empty((len(groups), nb, n, n), dtype=np.complex128)
-                for x_g, (g, runs) in zip(xs, groups):
-                    x = 0
-                    for k, off, m in runs:
-                        if m == 1:
-                            cols = summands[k - 1][..., off : off + n]
-                            x = x + w[k - 1] * (linalg.adjoint(cols) @ cols)
-                        else:
-                            cols = _run_blocks(summands[k - 1], off, n, m, diagonal=False)
-                            x = x + _copy_sum(w[k - 1] * (linalg.adjoint(cols) @ cols))
-                    np.divide(x, dens[g], out=x_g)
-                if not np.isfinite(xs).all():
-                    raise ValueError(overflow)
-                try:
-                    spectra = linalg._spectrum(xs.reshape(-1, n, n))
-                except ValueError as exc:
-                    raise ValueError(overflow) from exc
-                norms = np.abs(spectra).max(axis=1, initial=0.0)
-                if len(groups) > 1:
-                    norms = np.maximum.reduce(norms.reshape(len(groups), nb))
-                top = np.maximum(top, norms)
-        return top
+        for n, groups in self.by_size:
+            xs = np.empty((len(groups), nb, n, n), dtype=np.complex128)
+            for x_g, (g, runs) in zip(xs, groups):
+                x = 0
+                for k, off, m in runs:
+                    if m == 1:
+                        cols = summands[k - 1][..., off : off + n]
+                        x = x + w[k - 1] * (linalg.adjoint(cols) @ cols)
+                    else:
+                        cols = _run_blocks(summands[k - 1], off, n, m, diagonal=False)
+                        x = x + _copy_sum(w[k - 1] * (linalg.adjoint(cols) @ cols))
+                np.divide(x, dens[g], out=x_g)
+            norms = np.abs(linalg._spectrum(xs.reshape(-1, n, n))).max(axis=1, initial=0.0)
+            if len(groups) > 1:
+                norms = np.maximum.reduce(norms.reshape(len(groups), nb))
+            top = np.maximum(top, norms)
+        if exp is None:
+            return top
+        return linalg._scale_norms_back(top, 2 * exp, "squared induced norm")
 
     @cached_property
     def by_size(self) -> tuple:

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from frnorms.constants import (
     table1_subalgebra,
 )
 from frnorms.effros_shen import GOLDEN, es_level
-from frnorms.errors import InputError, ShapeError
+from frnorms.errors import InputError, ShapeError, WeightError
 from frnorms.expectation import (
     apply_pipeline,
     cond_expect,
@@ -43,6 +44,7 @@ from frnorms.subalgebra import (
     embed,
     single_summand_subalgebra,
     standard_form,
+    subalgebra_from_json,
 )
 
 FLEET = build_fleet()
@@ -359,6 +361,73 @@ def test_overflowing_element_is_refused_with_value_error():
     # the complex products of inf also set the invalid flag
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
         fr_norm_squared(f.subalgebra, f.weight, a)
+
+
+def test_an_entry_whose_modulus_overflows_is_refused_as_a_norm_beyond_the_range():
+    """A finite entry can have a modulus beyond the float range: |1.5e308 +
+    1.5e308j| = 2.1e308.  np.abs reads it as inf, so its exponent cannot
+    bring it into the Gram range; every norm refuses it as a norm beyond
+    the float range, without a numpy warning, while 1.2e308 + 1.2e308j,
+    whose modulus is a float, keeps its norm."""
+    full = single_summand_subalgebra(1, [(1, 1)])
+    v = TracialWeight(full.shape, (1.0,))
+    for z, refusal in ((1.5e308 + 1.5e308j, True), (1.2e308 + 1.2e308j, False)):
+        m = np.array([[z]])
+        a = AlgebraElement(full.shape, [m])
+        routes = {
+            "^operator norm exceeds the float range$": (
+                lambda: element_norm(a),
+                lambda: linalg.operator_norm(m),
+                lambda: float(linalg.opnorm_batch(m[None])[0]),
+            ),
+            "^induced norm exceeds the float range$": (lambda: fr_norm(full, v, a),),
+        }
+        for message, calls in routes.items():
+            for call in calls:
+                if refusal:
+                    with pytest.raises(ValueError, match=message):
+                        call()
+                else:
+                    assert call() == 1.697056274847714e308, message
+
+
+def test_squared_induced_norm_below_the_gram_range_is_rounded_once():
+    """An element whose peak lies below 1/GRAM_SAFE_ENTRY is rescaled
+    before its Grams are formed, so its squared induced norm is the exact
+    square rounded once, not a product of subnormal roundings; the
+    stacked route gives the same bits.  The problem is the shape (2, 1)
+    one of the installed console script check."""
+    b = subalgebra_from_json(
+        {"shape": [2, 1], "partitions": [[[1, 1], [1, 1]], [[1, 1]]], "groups": [[[1, 1], [2, 1]], [[1, 2]]]}
+    )
+    v = TracialWeight(b.shape, (0.75, 0.25))
+    for x, want in ((1e-155, 1e-310), (3 * 2.0**-520, 7.63918484747e-313)):
+        assert float(Fraction(x) ** 2) == want
+        top = np.zeros((2, 2), dtype=np.complex128)
+        top[0, 1] = x
+        a = AlgebraElement(b.shape, [top, np.zeros((1, 1))])
+        assert fr_norm_squared(b, v, a) == want, x
+        stacked = b.induced_opnorms_sq(v.weights, [m[None] for m in a.summands])
+        assert stacked.tobytes() == np.array([want]).tobytes(), x
+        assert element_norm(a) == fr_norm(b, v, a) == x
+
+
+def test_a_weight_whose_factor_is_subnormal_is_refused():
+    """The expectation divides by sums of the factors v_k / d_k, and a
+    complex quotient by a subnormal one overflows (0/0 for a factor that
+    rounds to 0): such weights used to give a NaN or a numpy warning.
+    They are refused where the weight is built; the smallest normal
+    factor, 2**-1022, still gives finite values."""
+    b = subalgebra_from_json(
+        {"shape": [1, 2], "partitions": [[[1, 1]], [[1, 1], [1, 1]]], "groups": [[[1, 1], [2, 1]], [[2, 2]]]}
+    )
+    for tiny in (5e-324, 1e-320, 2.0**-1022):
+        with pytest.raises(WeightError, match="2\\*\\*-1022"):
+            TracialWeight(b.shape, (1.0, tiny))
+    v = TracialWeight(b.shape, (1.0, 2.0**-1021))
+    a = AlgebraElement(b.shape, [np.ones((1, 1)), np.ones((2, 2))])
+    assert fr_norm_squared(b, v, a) == 2.0
+    assert np.isfinite(cond_expect(b, v, a).summands[1]).all()
 
 
 def test_faithfulness_lower_bound():

@@ -102,8 +102,8 @@ def test_overflowing_gram_is_refused():
 
 
 def test_gram_scale_exponents_mark_only_peaks_out_of_range():
-    """The one rescale rule of ``opnorm_batch`` and ``expectation.fr_norm``:
-    no exponents when every peak is zero or within [1/GRAM_SAFE_ENTRY,
+    """The exponents of ``linalg._gram_range``, the one rescale rule of
+    the norms: no exponents when every peak is zero or within [1/GRAM_SAFE_ENTRY,
     GRAM_SAFE_ENTRY], bounds and empty stacks included; otherwise the
     exponent that brings an out-of-range peak into [1/2, 1), and 0 for the
     rest.  The complex scaling by 2**e is exact in both parts."""

@@ -485,6 +485,40 @@ def test_each_structural_fact_is_derived_in_one_function():
     assert short == {("constants.py", "sharp_constant"), ("constants.py", "__init__")}
 
 
+def test_the_float_range_rule_has_one_home():
+    """In the package sources, ``_gram_scale_exponents`` and
+    ``_ldexp_complex`` are called only inside ``linalg._gram_range``, the
+    one float-range rule of the norms; ``np.errstate`` is used only in
+    ``linalg._scale_norms_back``; and ``GRAM_SAFE_ENTRY`` is read only by
+    ``_gram_scale_exponents`` and ``_operator_norm_unchecked``'s guard."""
+    homes = {
+        "_gram_scale_exponents": {("linalg.py", "_gram_range")},
+        "_ldexp_complex": {("linalg.py", "_gram_range")},
+        "errstate": {("linalg.py", "_scale_norms_back")},
+        "GRAM_SAFE_ENTRY": {
+            ("linalg.py", "_gram_scale_exponents"),
+            ("linalg.py", "_operator_norm_unchecked"),
+        },
+    }
+    found = {name: set() for name in homes}
+    for path in sorted(Path(frnorms.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((id(n), fn.name) for n in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("_gram_scale_exponents", "_ldexp_complex", "errstate"):
+                    found[name].add((path.name, owner.get(id(node))))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if name == "GRAM_SAFE_ENTRY" and isinstance(node.ctx, ast.Load):
+                    found[name].add((path.name, owner.get(id(node))))
+    assert found == homes
+
+
 def test_only_the_gate_tells_a_conjugate_from_a_standard_subalgebra():
     """In the package sources, an isinstance test against a subalgebra
     class appears only in ``standard_form``, and no hasattr or getattr
